@@ -55,7 +55,7 @@ var diffMetrics = map[string][]metricDef{
 		{"rows.*.wire_overhead", false},
 	},
 	"symbfuzz-bench-fleet/v1": {
-		{"rows.*.publish_reduction", true},
+		{"rows.*.batch_bytes", false},
 		{"fleet_vectors_per_sec", true},
 	},
 	"symbfuzz-bench-watch/v1": {
@@ -70,7 +70,9 @@ var diffMetrics = map[string][]metricDef{
 }
 
 // runDiff compares baseline -> candidate. Returns true when at least
-// one metric regressed past failTol.
+// one metric regressed past failTol. A registered metric missing from
+// either record is an error: a renamed or dropped field must not turn
+// the gate into a silent pass.
 func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (bool, error) {
 	base, baseSchema, err := readRecord(basePath)
 	if err != nil {
@@ -96,16 +98,17 @@ func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (b
 	fmt.Fprintf(w, "  %-34s %14s %14s %9s  %s\n", "metric", "baseline", "candidate", "change", "verdict")
 
 	failed := false
-	compared := 0
 	for _, m := range metrics {
 		paths := matchPaths(base, m.path)
+		if len(paths) == 0 {
+			return false, fmt.Errorf("%s: no %s metric %q", basePath, baseSchema, m.path)
+		}
 		for _, p := range paths {
 			ov, ook := lookupNumber(base, p)
 			nv, nok := lookupNumber(cand, p)
 			if !ook || !nok {
-				continue
+				return false, fmt.Errorf("metric %s is not a number in both %s and %s", p, basePath, newPath)
 			}
-			compared++
 			change, worse := relChange(ov, nv, m.higherIsBetter)
 			verdict := "ok"
 			switch {
@@ -117,9 +120,6 @@ func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (b
 			}
 			fmt.Fprintf(w, "  %-34s %14.4g %14.4g %+8.1f%%  %s\n", p, ov, nv, change*100, verdict)
 		}
-	}
-	if compared == 0 {
-		return false, fmt.Errorf("no comparable metrics between %s and %s", basePath, newPath)
 	}
 	if failed {
 		fmt.Fprintf(w, "perf diff: REGRESSION beyond %.0f%% tolerance\n", failTol*100)
@@ -181,6 +181,11 @@ func expand(node any, segs []string, prefix string) []string {
 	seg, rest := segs[0], segs[1:]
 	switch n := node.(type) {
 	case map[string]any:
+		if len(rest) == 0 {
+			// A missing leaf still yields its path, so runDiff reports it
+			// instead of silently comparing fewer metrics.
+			return []string{strings.TrimPrefix(prefix+"."+seg, ".")}
+		}
 		child, ok := n[seg]
 		if !ok {
 			return nil

@@ -1,14 +1,11 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/designs"
@@ -18,8 +15,9 @@ import (
 
 // The dist experiment measures what the wire costs: the same
 // 2-worker campaign runs once in-process (par orchestrator, shared
-// memory) and once distributed (coordinator + workers speaking the
-// /v1 HTTP protocol over loopback), both racing the global frontier
+// memory) and once distributed (a fleet coordinator hosting the
+// campaign as -serve does, with workers speaking the /v1 HTTP
+// protocol over loopback), both racing the global frontier
 // to the coverage a single worker discovers on the budget. The two
 // trajectories are identical by construction — the record isolates
 // the protocol overhead (serialized publishes, remote plan cache,
@@ -38,8 +36,8 @@ type DistRow struct {
 	DistReached   bool  `json:"dist_reached"`
 
 	// WireOverhead is dist wall over in-process wall to the same
-	// coverage target — the cost of crossing the loopback on every
-	// interval-boundary publish and cache consultation.
+	// coverage target — the cost of crossing the loopback for batched
+	// publishes, cache consultations and lease traffic.
 	WireOverhead float64 `json:"wire_overhead"`
 
 	// MergedEqual records that the two campaigns' merged reports agree
@@ -140,7 +138,7 @@ func measureDist(b *designs.Benchmark, benchName string, budget uint64, workers 
 	}
 
 	// Distributed: the same campaign over the loopback wire.
-	distRep, err := runLoopback(dist.CampaignSpec{
+	distRep, _, err := hostOnFleet(dist.CampaignSpec{
 		Bench:                 benchName,
 		Interval:              cc.Interval,
 		Threshold:             cc.Threshold,
@@ -168,42 +166,6 @@ func measureDist(b *designs.Benchmark, benchName string, budget uint64, workers 
 		row.WireOverhead = float64(row.DistWallNS) / float64(row.InprocWallNS)
 	}
 	return row, nil
-}
-
-// runLoopback hosts a coordinator and workers worker goroutines over
-// loopback HTTP and waits for the merged report.
-func runLoopback(spec dist.CampaignSpec, stopAt int) (*par.Report, error) {
-	co, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordConfig{
-		Spec: spec, StopAtPoints: stopAt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, spec.Workers)
-	for i := 0; i < spec.Workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = dist.RunWorker(ctx, dist.WorkerConfig{
-				Addr:     co.Addr(),
-				WorkerID: fmt.Sprintf("bench-w%d", i),
-				RankHint: i,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return nil, fmt.Errorf("worker %d: %w", i, werr)
-		}
-	}
-	rep, err := co.Wait(ctx)
-	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	_ = co.Shutdown(sctx)
-	cancel()
-	return rep, err
 }
 
 // mergedAgree compares the campaign-invariant merged-report fields.

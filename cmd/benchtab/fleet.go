@@ -8,57 +8,43 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/designs"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fleet"
 	"repro/internal/par"
 	"repro/internal/prof"
 )
 
-// The fleet experiment measures what the v4 batched wire saves and
-// what a shared coordinator sustains. Arm one runs the same
-// fixed-budget 2-worker campaign twice over loopback — once forced
-// onto the v3 synchronous full-snapshot publish path (SyncPublish),
-// once on the default delta-batched path — and compares the publish
-// bytes the coordinator ingested. Both arms run the identical
-// deterministic trajectory (same spec, same seeds, full budget), so
-// the byte ratio isolates the encoding: full cumulative snapshots
-// every interval vs deduplicated deltas flushed in batches, with
-// empty deltas never sent at all. Arm two multiplexes several named
-// campaigns on one fleet server and records the aggregate vector
+// The fleet experiment measures what the v4 batched wire carries and
+// what a shared coordinator sustains. Arm one runs a fixed-budget
+// 2-worker campaign on a loopback fleet and tallies the /v1/batch
+// requests the coordinator ingested (coalesced coverage deltas plus
+// piggybacked plan-cache stores); the merged report must equal the
+// in-process par.Run of the same campaign. Arm two multiplexes several
+// named campaigns on one fleet server and records the aggregate vector
 // throughput across all ranks. The record is written as
 // BENCH_fleet.json.
 
-// FleetRow is one design's sync-publish vs delta-batch wire
-// measurement.
+// FleetRow is one design's batched-wire measurement.
 type FleetRow struct {
 	Bench   string `json:"bench"`
 	Budget  uint64 `json:"budget"`
 	Workers int    `json:"workers"`
 
-	// SyncBytes / SyncCalls tally the /v1/publish request payloads of
-	// the ablation arm; BatchBytes / BatchCalls tally the /v1/batch
-	// request payloads of the default arm (its residual /v1/publish
-	// traffic — the final full-coverage report each rank ships at
-	// detach — is counted in BatchBytes too, so the ratio is honest
-	// about everything the batched worker sends on the publish plane).
-	SyncCalls  int64 `json:"sync_calls"`
-	SyncBytes  int64 `json:"sync_bytes"`
+	// BatchCalls / BatchBytes tally the /v1/batch requests and their
+	// payload bytes — the whole publish plane.
 	BatchCalls int64 `json:"batch_calls"`
 	BatchBytes int64 `json:"batch_bytes"`
 
-	// PublishReduction is SyncBytes over BatchBytes — how many times
-	// smaller the delta-batched publish plane is for the same
-	// campaign.
-	PublishReduction float64 `json:"publish_reduction"`
-
-	// MergedEqual records that both arms produced the same merged
-	// coverage and vector totals — full-budget campaigns are
-	// deterministic, so anything less is a wire bug.
+	// MergedEqual records that the fleet's merged report equals the
+	// in-process par.Run report on every deterministic field —
+	// full-budget campaigns are deterministic, so anything less is a
+	// wire bug.
 	MergedEqual bool `json:"merged_equal"`
 }
 
@@ -95,16 +81,12 @@ func runFleetExp(seed int64, outPath string, w io.Writer) error {
 		Schema: "symbfuzz-bench-fleet/v1",
 		Cores:  runtime.NumCPU(),
 		Seed:   seed,
-		Note: "publish_reduction compares /v1/publish full-snapshot bytes (SyncPublish ablation) " +
-			"against /v1/batch delta bytes for the identical fixed-budget campaign; " +
-			"fleet_vectors_per_sec is aggregate throughput of concurrent campaigns multiplexed " +
-			"on one fleet coordinator over loopback",
+		Note: "batch_bytes tallies the /v1/batch payloads (coverage deltas + plan-cache stores) of a " +
+			"fixed-budget campaign; fleet_vectors_per_sec is aggregate throughput of concurrent campaigns " +
+			"multiplexed on one fleet coordinator over loopback",
 	}
 
 	for _, tgt := range fleetTargets {
-		if _, ok := designs.FindBenchmark(tgt.name); !ok {
-			return fmt.Errorf("fleet: unknown benchmark %q", tgt.name)
-		}
 		row, err := measureWire(tgt.name, tgt.budget, workers, seed)
 		if err != nil {
 			return fmt.Errorf("fleet: %s: %w", tgt.name, err)
@@ -116,17 +98,14 @@ func runFleetExp(seed int64, outPath string, w io.Writer) error {
 		return fmt.Errorf("fleet: aggregate: %w", err)
 	}
 
-	fmt.Fprintf(w, "Publish wire overhead (sync full snapshots vs delta batches, %d workers, full budget)\n", workers)
-	fmt.Fprintf(w, "%-16s %8s %10s %12s %10s %12s %10s %8s\n",
-		"bench", "budget", "sync rpcs", "sync bytes", "batch rpcs", "batch bytes", "reduction", "parity")
+	fmt.Fprintf(w, "Publish wire (delta batches, %d workers, full budget)\n", workers)
+	fmt.Fprintf(w, "%-16s %8s %10s %12s %8s\n", "bench", "budget", "batch rpcs", "batch bytes", "parity")
 	for _, r := range bench.Rows {
 		parity := "ok"
 		if !r.MergedEqual {
 			parity = "MISMATCH"
 		}
-		fmt.Fprintf(w, "%-16s %8d %10d %12d %10d %12d %9.2fx %8s\n",
-			r.Bench, r.Budget, r.SyncCalls, r.SyncBytes, r.BatchCalls, r.BatchBytes,
-			r.PublishReduction, parity)
+		fmt.Fprintf(w, "%-16s %8d %10d %12d %8s\n", r.Bench, r.Budget, r.BatchCalls, r.BatchBytes, parity)
 	}
 	fmt.Fprintf(w, "\nFleet aggregate: %d campaigns x %d workers, %d vectors in %.2fs = %.0f vectors/sec\n",
 		bench.FleetCampaigns, bench.FleetWorkers, bench.FleetTotalVectors,
@@ -139,8 +118,9 @@ func runFleetExp(seed int64, outPath string, w io.Writer) error {
 	return os.WriteFile(outPath, append(out, '\n'), 0o644)
 }
 
-// measureWire runs the same campaign on both publish encodings and
-// tallies what crossed the wire on the publish plane.
+// measureWire runs the campaign on a loopback fleet, tallies what
+// crossed the wire on the publish plane, and checks the merged report
+// against the in-process run.
 func measureWire(benchName string, budget uint64, workers int, seed int64) (*FleetRow, error) {
 	spec := dist.CampaignSpec{
 		Bench:                 benchName,
@@ -152,74 +132,91 @@ func measureWire(benchName string, budget uint64, workers int, seed int64) (*Fle
 		UseSnapshots:          true,
 		ContinueAfterCoverage: true,
 	}
-
-	syncRep, syncWire, err := runWireArm(spec, true)
+	b, properties, err := dist.ResolveSpec(spec)
 	if err != nil {
-		return nil, fmt.Errorf("sync arm: %w", err)
+		return nil, err
 	}
-	batchRep, batchWire, err := runWireArm(spec, false)
+	local, err := par.Run(b.Elaborate, properties, par.Config{Config: core.Config{
+		Interval: spec.Interval, Threshold: spec.Threshold, MaxVectors: spec.MaxVectors, Seed: spec.Seed,
+		UseSnapshots: spec.UseSnapshots, ContinueAfterCoverage: spec.ContinueAfterCoverage,
+	}, Workers: workers})
 	if err != nil {
-		return nil, fmt.Errorf("batch arm: %w", err)
+		return nil, fmt.Errorf("in-process run: %w", err)
+	}
+	rep, wire, err := hostOnFleet(spec, 0)
+	if err != nil {
+		return nil, err
 	}
 
-	row := &FleetRow{Bench: benchName, Budget: budget, Workers: workers}
-	for _, e := range syncWire {
-		if e.RPC == "publish" {
-			row.SyncCalls += e.Calls
-			row.SyncBytes += e.BytesIn
-		}
-	}
-	for _, e := range batchWire {
-		if e.RPC == "batch" || e.RPC == "publish" {
+	row := &FleetRow{Bench: benchName, Budget: budget, Workers: workers,
+		MergedEqual: sameReport(local.Merged, rep.Merged)}
+	for _, e := range wire {
+		if e.RPC == "batch" {
 			row.BatchCalls += e.Calls
 			row.BatchBytes += e.BytesIn
 		}
 	}
-	if row.BatchBytes > 0 {
-		row.PublishReduction = float64(row.SyncBytes) / float64(row.BatchBytes)
-	}
-	row.MergedEqual = syncRep.Merged.Vectors == batchRep.Merged.Vectors &&
-		syncRep.Merged.FinalPoints == batchRep.Merged.FinalPoints &&
-		syncRep.Merged.NodesTotal == batchRep.Merged.NodesTotal &&
-		syncRep.Merged.EdgesTotal == batchRep.Merged.EdgesTotal
 	return row, nil
 }
 
-// runWireArm hosts a coordinator over loopback, runs the campaign's
-// workers with the chosen publish encoding, and returns the merged
-// report plus the coordinator's wire ledger.
-func runWireArm(spec dist.CampaignSpec, syncPublish bool) (*par.Report, []prof.WireEntry, error) {
-	co, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordConfig{Spec: spec})
+// hostOnFleet runs spec as the implicit campaign of a loopback fleet
+// server (the -serve path), drains it with one worker per rank, and
+// returns the merged report plus the campaign's wire ledger. A
+// positive stopAt arms the frontier's stop-at-points condition.
+func hostOnFleet(spec dist.CampaignSpec, stopAt int) (*par.Report, []prof.WireEntry, error) {
+	srv, err := fleet.NewServer("127.0.0.1:0", fleet.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := context.Background()
+	defer srv.Shutdown(context.Background())
+	cs, err := srv.Host(dist.CoordConfig{Spec: spec, StopAtPoints: stopAt})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := drainCampaign(srv.Addr(), "", spec.Workers, "bench"); err != nil {
+		return nil, nil, err
+	}
+	rep, err := srv.WaitCampaign(context.Background(), "")
+	return rep, cs.WireLedger(), err
+}
+
+// drainCampaign runs one worker per rank against the named campaign
+// (empty: the fleet's sole campaign) and waits for all of them.
+func drainCampaign(addr, campaign string, ranks int, idPrefix string) error {
 	var wg sync.WaitGroup
-	errs := make([]error, spec.Workers)
-	for i := 0; i < spec.Workers; i++ {
+	errs := make([]error, ranks)
+	for i := 0; i < ranks; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = dist.RunWorker(ctx, dist.WorkerConfig{
-				Addr:        co.Addr(),
-				WorkerID:    fmt.Sprintf("wire-w%d", i),
-				RankHint:    i,
-				SyncPublish: syncPublish,
+			errs[i] = dist.RunWorker(context.Background(), dist.WorkerConfig{
+				Addr: addr, Campaign: campaign, WorkerID: fmt.Sprintf("%s-w%d", idPrefix, i), RankHint: i,
 			})
 		}(i)
 	}
 	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return nil, nil, fmt.Errorf("worker %d: %w", i, werr)
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("worker %d: %w", i, err)
 		}
 	}
-	rep, err := co.Wait(ctx)
-	ledger := co.WireLedger()
-	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	_ = co.Shutdown(sctx)
-	cancel()
-	return rep, ledger, err
+	return nil
+}
+
+// sameReport compares two merged reports on every deterministic field:
+// wall-clock timings are zeroed, and the plan-cache hit/miss split,
+// which depends on which rank solved first, is folded into its sum.
+func sameReport(a, b *core.Report) bool {
+	norm := func(r *core.Report) core.Report {
+		c := *r
+		c.Timings.TotalNS, c.Timings.FuzzNS, c.Timings.SymbolicNS = 0, 0, 0
+		c.Timings.RollbackNS, c.Timings.VCDNS = 0, 0
+		c.Timings.Solve.BlastNS, c.Timings.Solve.CDCLNS = 0, 0
+		c.SolveCacheHits += c.SolveCacheMisses
+		c.SolveCacheMisses = 0
+		return c
+	}
+	return reflect.DeepEqual(norm(a), norm(b))
 }
 
 // measureFleetAggregate multiplexes campaigns on one fleet server and
@@ -274,30 +271,23 @@ func measureFleetAggregate(bench *FleetBench, seed int64) error {
 		}
 	}
 
-	ctx := context.Background()
 	var wg sync.WaitGroup
-	errs := make([]error, campaigns*workers)
+	errs := make([]error, campaigns)
 	for c := 0; c < campaigns; c++ {
-		for r := 0; r < workers; r++ {
-			wg.Add(1)
-			go func(c, r int) {
-				defer wg.Done()
-				errs[c*workers+r] = dist.RunWorker(ctx, dist.WorkerConfig{
-					Addr:     srv.Addr(),
-					Campaign: names[c],
-					WorkerID: fmt.Sprintf("agg-c%d-w%d", c, r),
-					RankHint: r,
-				})
-			}(c, r)
-		}
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			errs[c] = drainCampaign(srv.Addr(), names[c], workers, fmt.Sprintf("agg-c%d", c))
+		}(c)
 	}
 	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return fmt.Errorf("worker %d: %w", i, werr)
+	for c, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%s: %w", names[c], err)
 		}
 	}
 
+	ctx := context.Background()
 	var total uint64
 	for _, name := range names {
 		rep, err := srv.WaitCampaign(ctx, name)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/dist"
@@ -178,28 +177,10 @@ func runWatchArm(spec dist.CampaignSpec, watched bool, seed int64) (wall int64, 
 		return 0, 0, 0, 0, fmt.Errorf("create: status %d", resp.StatusCode)
 	}
 
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, spec.Workers)
-	for i := 0; i < spec.Workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = dist.RunWorker(ctx, dist.WorkerConfig{
-				Addr:     srv.Addr(),
-				Campaign: "watchbench",
-				WorkerID: fmt.Sprintf("wb-w%d", i),
-				RankHint: i,
-			})
-		}(i)
+	if err := drainCampaign(srv.Addr(), "watchbench", spec.Workers, "wb"); err != nil {
+		return 0, 0, 0, 0, err
 	}
-	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return 0, 0, 0, 0, fmt.Errorf("worker %d: %w", i, werr)
-		}
-	}
-	rep, err := srv.WaitCampaign(ctx, "watchbench")
+	rep, err := srv.WaitCampaign(context.Background(), "watchbench")
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}

@@ -7,7 +7,9 @@
 //	symbfuzz -src design.sv -top mymodule -vectors 50000
 //	symbfuzz -bench aes -trace out.jsonl -metrics metrics.json -status :6060
 //
-// Distributed campaigns run one coordinator and N workers:
+// Distributed campaigns run one coordinator and N workers. -serve is a
+// fleet coordinator hosting one implicit campaign, so it also answers
+// /v1/campaigns and /metrics:
 //
 //	symbfuzz -serve :7070 -bench scmi_mailbox -workers 2 -journal camp.jsonl
 //	symbfuzz -connect host:7070            # on each worker machine
@@ -111,7 +113,6 @@ func main() {
 		traceDir   = flag.String("trace-dir", "", "fleet trace directory (one merged <campaign>.trace.jsonl per campaign)")
 		campaign   = flag.String("campaign", "", "campaign name to work on when connecting to a fleet coordinator")
 		watchOn    = flag.Bool("watch", false, "fleet: enable the streaming health plane (journaled alerts, /v1/watch SSE, fuzztop)")
-		syncPub    = flag.Bool("sync-publish", false, "worker: force the v3 synchronous full-snapshot publish path (wire-overhead ablation)")
 	)
 	flag.Var(&extraProps, "prop",
 		`extra security property, repeatable: -prop 'name=err |-> en;!rst_ni'`)
@@ -130,7 +131,7 @@ func main() {
 		return
 	}
 	if *connect != "" {
-		if err := runConnect(ctx, *connect, *campaign, *rankHint, *maxRanks, *syncPub); err != nil && ctx.Err() == nil {
+		if err := runConnect(ctx, *connect, *campaign, *rankHint, *maxRanks); err != nil && ctx.Err() == nil {
 			fmt.Fprintln(os.Stderr, "symbfuzz:", err)
 			os.Exit(1)
 		}
@@ -316,34 +317,34 @@ func main() {
 	}
 }
 
-// runServe hosts the distributed-campaign coordinator until every
-// shard rank has reported (or ctx is interrupted). When the spec
-// profiles, the workers' rank ledgers (delivered with their reports)
-// are merged into a campaign cost dump annotated with the
-// coordinator's per-RPC wire tally.
+// runServe hosts the distributed campaign as the implicit campaign of
+// a fleet coordinator until every shard rank has reported (or ctx is
+// interrupted). When the spec profiles, the workers' rank ledgers
+// (delivered with their reports) are merged into a campaign cost dump
+// annotated with the coordinator's per-RPC wire tally.
 func runServe(ctx context.Context, addr string, spec dist.CampaignSpec, benchName string,
 	journal string, resume bool, leaseTTL time.Duration, o *symbfuzz.Observer) (*symbfuzz.ParallelReport, *symbfuzz.CostDump, error) {
-	co, err := dist.NewCoordinator(addr, dist.CoordConfig{
-		Spec:        spec,
-		LeaseTTL:    leaseTTL,
-		JournalPath: journal,
-		Resume:      resume,
-		Obs:         o,
-	})
+	s, err := fleet.NewServer(addr, fleet.Config{LeaseTTL: leaseTTL})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		_ = s.Shutdown(sctx)
+		cancel()
+	}()
+	cs, err := s.Host(dist.CoordConfig{Spec: spec, JournalPath: journal, Resume: resume, Obs: o})
 	if err != nil {
 		return nil, nil, err
 	}
 	fmt.Printf("coordinator listening on %s (campaign: %d workers, seed %d)\n",
-		co.Addr(), spec.Workers, spec.Seed)
-	rep, err := co.Wait(ctx)
+		s.Addr(), spec.Workers, spec.Seed)
+	rep, err := s.WaitCampaign(ctx, "")
 	var dump *symbfuzz.CostDump
 	if spec.Profile && err == nil {
-		dump = symbfuzz.NewCostDump(benchName, spec.Seed, co.Ledgers())
-		dump.Wire = co.WireLedger()
+		dump = symbfuzz.NewCostDump(benchName, spec.Seed, cs.Ledgers())
+		dump.Wire = cs.WireLedger()
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	_ = co.Shutdown(sctx)
-	cancel()
 	return rep, dump, err
 }
 
@@ -376,7 +377,7 @@ func runFleet(ctx context.Context, addr, journalDir, traceDir string, resume, wa
 
 // runConnect runs the distributed-campaign worker loop against a
 // remote coordinator (optionally targeting one campaign of a fleet).
-func runConnect(ctx context.Context, addr, campaign string, rankHint, maxRanks int, syncPublish bool) error {
+func runConnect(ctx context.Context, addr, campaign string, rankHint, maxRanks int) error {
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "worker"
@@ -385,7 +386,7 @@ func runConnect(ctx context.Context, addr, campaign string, rankHint, maxRanks i
 	fmt.Printf("worker %s connecting to %s\n", id, addr)
 	err := dist.RunWorker(ctx, dist.WorkerConfig{
 		Addr: addr, WorkerID: id, Campaign: campaign,
-		RankHint: rankHint, MaxRanks: maxRanks, SyncPublish: syncPublish,
+		RankHint: rankHint, MaxRanks: maxRanks,
 	})
 	if err == nil {
 		fmt.Println("worker done; exiting")

@@ -8,10 +8,11 @@ import (
 	"repro/internal/elab"
 )
 
-// TestLevelizedOrderIsTopological is the property behind the compiled
-// backend's levelized drain mode: for every builtin design, the
-// levelized order of the register-cut dependency graph must be a valid
-// topological order of the combinational subgraph. Registers and
+// TestLevelizedOrderIsTopological is the property behind the cost
+// profiler's simulator ledger, which places each combinational process
+// at the level of its deepest written signal: for every builtin design,
+// the levelized order of the register-cut dependency graph must be a
+// valid topological order of the combinational subgraph. Registers and
 // inputs cut the graph at level 0, so a combinationally written signal
 // must appear strictly after every combinationally written signal it
 // reads, and its level must be exactly one above its deepest

@@ -178,12 +178,6 @@ func (c *Client) Heartbeat(ctx context.Context, req HeartbeatRequest) (Heartbeat
 	return out, err
 }
 
-func (c *Client) Publish(ctx context.Context, req PublishRequest) (PublishResponse, error) {
-	var out PublishResponse
-	err := c.call(ctx, "/v1/publish", req, &out)
-	return out, err
-}
-
 func (c *Client) Cache(ctx context.Context, req CacheRequest) (CacheResponse, error) {
 	var out CacheResponse
 	err := c.call(ctx, "/v1/cache", req, &out)

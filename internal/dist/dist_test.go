@@ -1,4 +1,4 @@
-package dist
+package dist_test
 
 import (
 	"bytes"
@@ -15,16 +15,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/designs"
+	"repro/internal/dist"
+	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/prof"
 )
 
+// These tests drive the worker and the wire protocol end to end
+// against the one coordinator there is: a fleet server hosting the
+// campaign as its implicit, unnamed campaign — exactly what
+// `symbfuzz -serve` runs. They live in dist's external test package
+// because fleet imports dist.
+
 // mailboxSpec is the shared campaign of the dist tests: the buggy
 // SCMI mailbox, 2 ranks, fixed budget — the same configuration the
 // par determinism tests run in-process.
-func mailboxSpec(seed int64) CampaignSpec {
-	return CampaignSpec{
+func mailboxSpec(seed int64) dist.CampaignSpec {
+	return dist.CampaignSpec{
 		Bench:                 "scmi_mailbox",
 		Interval:              50,
 		Threshold:             2,
@@ -78,20 +86,61 @@ func parBaseline(t *testing.T) *par.Report {
 }
 
 // testClient builds a wire client with test-friendly timeouts.
-func testClient(addr string, seed int64) *Client {
-	cl := NewClient(addr, seed)
+func testClient(addr string, seed int64) *dist.Client {
+	cl := dist.NewClient(addr, seed)
 	cl.CallTimeout = 10 * time.Second
 	cl.MaxElapsed = 60 * time.Second
 	return cl
 }
 
-func newTestCoordinator(t *testing.T, c CoordConfig) *Coordinator {
+// serve starts a fleet coordinator on addr hosting cc as its implicit
+// campaign. The server is shut down at test end (tests that kill it
+// earlier call Shutdown themselves; a second Shutdown is harmless).
+func serve(t *testing.T, addr string, cc dist.CoordConfig) (*fleet.Server, *dist.CampaignState) {
 	t.Helper()
-	co, err := NewCoordinator("127.0.0.1:0", c)
+	s, err := fleet.NewServer(addr, fleet.Config{})
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("NewServer: %v", err)
 	}
-	return co
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	cs, err := s.Host(cc)
+	if err != nil {
+		t.Fatalf("Host: %v", err)
+	}
+	return s, cs
+}
+
+// wait blocks until the implicit campaign completes.
+func wait(t *testing.T, s *fleet.Server) *par.Report {
+	t.Helper()
+	rep, err := s.WaitCampaign(context.Background(), "")
+	if err != nil {
+		t.Fatalf("WaitCampaign: %v", err)
+	}
+	return rep
+}
+
+// runWorkers runs one worker per id concurrently, worker i hinting
+// rank i, and fails the test on any worker error.
+func runWorkers(t *testing.T, addr string, ids ...string) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, len(ids))
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			errs[i] = dist.RunWorker(context.Background(), dist.WorkerConfig{
+				Addr: addr, WorkerID: id, RankHint: i, Client: testClient(addr, int64(i)),
+			})
+		}(i, id)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %s: %v", ids[i], err)
+		}
+	}
 }
 
 // requireParity asserts that a distributed campaign's report matches
@@ -121,77 +170,6 @@ func requireParity(t *testing.T, got, want *par.Report) {
 	}
 }
 
-// TestLoopbackMatchesPar is the core parity contract: a 2-process
-// loopback campaign (coordinator + two concurrent workers over real
-// HTTP) produces the same merged report as par.Run with 2 in-process
-// workers.
-func TestLoopbackMatchesPar(t *testing.T) {
-	want := parBaseline(t)
-
-	co := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7)})
-	defer co.Shutdown(context.Background())
-
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = RunWorker(ctx, WorkerConfig{
-				Addr:     co.Addr(),
-				WorkerID: []string{"wA", "wB"}[i],
-				RankHint: i,
-				Client:   testClient(co.Addr(), int64(i)),
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	got, err := co.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	requireParity(t, got, want)
-}
-
-// TestWorkerDeathReassignment kills a worker mid-shard (after two
-// coverage publishes) and lets a replacement drain the campaign. The
-// lease expires, the replacement re-derives the same rank seed, and
-// the merged report is identical to the fault-free run.
-func TestWorkerDeathReassignment(t *testing.T) {
-	want := parBaseline(t)
-
-	co := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7), LeaseTTL: 500 * time.Millisecond})
-	defer co.Shutdown(context.Background())
-	ctx := context.Background()
-
-	err := RunWorker(ctx, WorkerConfig{
-		Addr: co.Addr(), WorkerID: "victim", RankHint: 0,
-		DieAfterPublishes: 2,
-		Client:            testClient(co.Addr(), 1),
-	})
-	if err != ErrWorkerDied {
-		t.Fatalf("victim: got %v, want induced death", err)
-	}
-
-	if err := RunWorker(ctx, WorkerConfig{
-		Addr: co.Addr(), WorkerID: "healer", RankHint: -1,
-		Client: testClient(co.Addr(), 2),
-	}); err != nil {
-		t.Fatalf("healer: %v", err)
-	}
-	got, err := co.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	requireParity(t, got, want)
-}
-
 // TestCoordinatorKillResume kills the coordinator after rank 0's
 // report landed in the journal, restarts it with Resume on the same
 // journal, and finishes the campaign against the new incarnation. The
@@ -201,32 +179,33 @@ func TestCoordinatorKillResume(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
 	ctx := context.Background()
 
-	co1 := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7), JournalPath: journal})
-	if err := RunWorker(ctx, WorkerConfig{
-		Addr: co1.Addr(), WorkerID: "early", RankHint: 0, MaxRanks: 1,
-		Client: testClient(co1.Addr(), 1),
+	s1, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: mailboxSpec(7), JournalPath: journal})
+	if err := dist.RunWorker(ctx, dist.WorkerConfig{
+		Addr: s1.Addr(), WorkerID: "early", RankHint: 0, MaxRanks: 1,
+		Client: testClient(s1.Addr(), 1),
 	}); err != nil {
 		t.Fatalf("early worker: %v", err)
 	}
 	// Kill the first coordinator. Its in-memory leases and frontier
 	// die with it; only the journal survives.
-	if err := co1.Shutdown(context.Background()); err != nil {
+	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	co2 := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7), JournalPath: journal, Resume: true})
-	defer co2.Shutdown(context.Background())
-	if err := RunWorker(ctx, WorkerConfig{
-		Addr: co2.Addr(), WorkerID: "late", RankHint: -1,
-		Client: testClient(co2.Addr(), 2),
+	s2, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: mailboxSpec(7), JournalPath: journal, Resume: true})
+	if err := dist.RunWorker(ctx, dist.WorkerConfig{
+		Addr: s2.Addr(), WorkerID: "late", RankHint: -1,
+		Client: testClient(s2.Addr(), 2),
 	}); err != nil {
 		t.Fatalf("late worker: %v", err)
 	}
-	got, err := co2.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
+	requireParity(t, wait(t, s2), want)
+
+	// The implicit campaign journals under the empty name, as -serve
+	// always has.
+	if _, name, err := dist.LoadJournalSpec(journal); err != nil || name != "" {
+		t.Errorf("journal campaign record: name %q err %v, want the empty name", name, err)
 	}
-	requireParity(t, got, want)
 }
 
 // runDistTraced runs a full 2-worker loopback campaign with a JSONL
@@ -237,32 +216,9 @@ func runDistTraced(t *testing.T, seed int64) (*par.Report, []string) {
 	tr := obs.NewJSONLTracer(&buf)
 	o := obs.New(obs.Options{Tracer: tr})
 
-	co := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(seed), Obs: o})
-	defer co.Shutdown(context.Background())
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = RunWorker(ctx, WorkerConfig{
-				Addr: co.Addr(), WorkerID: []string{"wA", "wB"}[i], RankHint: i,
-				Client: testClient(co.Addr(), int64(i)),
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	rep, err := co.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	s, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: mailboxSpec(seed), Obs: o})
+	runWorkers(t, s.Addr(), "wA", "wB")
+	rep := wait(t, s)
 	if err := tr.Close(); err != nil {
 		t.Fatalf("tracer close: %v", err)
 	}
@@ -292,23 +248,14 @@ func normalizeTrace(t *testing.T, lines []string) []string {
 }
 
 // TestDistDeterminism runs the same-seed loopback campaign twice:
-// merged reports and trace-event multisets must agree, and both
-// traces must validate with two worker lanes. CI runs this under
-// -race.
+// merged reports match the in-process baseline and each other,
+// trace-event multisets agree, and both traces validate with two
+// worker lanes. CI runs this under -race.
 func TestDistDeterminism(t *testing.T) {
 	repA, traceA := runDistTraced(t, 7)
 	repB, traceB := runDistTraced(t, 7)
-
-	ma, mb := normalizeReport(repA.Merged), normalizeReport(repB.Merged)
-	if !reflect.DeepEqual(ma, mb) {
-		t.Errorf("merged reports differ across identical campaigns:\n%+v\n%+v", ma, mb)
-	}
-	for r := range repA.PerWorker {
-		wa, wb := normalizeReport(repA.PerWorker[r]), normalizeReport(repB.PerWorker[r])
-		if !reflect.DeepEqual(wa, wb) {
-			t.Errorf("rank %d reports differ:\n%+v\n%+v", r, wa, wb)
-		}
-	}
+	requireParity(t, repA, parBaseline(t))
+	requireParity(t, repB, repA)
 
 	na, nb := normalizeTrace(t, traceA), normalizeTrace(t, traceB)
 	if len(na) != len(nb) {
@@ -336,7 +283,7 @@ func TestDistDeterminism(t *testing.T) {
 // trip through the coordinator's shared cache over HTTP. The merged
 // trace must reconstruct at least one complete causal chain
 //
-//	stagnation -> solve (rank A, miss) -> remote cache store ->
+//	stagnation -> solve (rank A, miss) -> batched cache store ->
 //	cache hit (rank B) -> plan_apply -> coverage_delta
 //
 // across the process boundary, and the campaign report rendered from
@@ -349,8 +296,7 @@ func TestCrossProcessCausalChain(t *testing.T) {
 	// Seed 5 is a campaign where the two ranks provably stagnate at a
 	// shared register state, so rank 1 reuses a plan rank 0 solved.
 	// Campaigns are deterministic per seed, so the collision is stable.
-	co := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(5), Obs: o})
-	defer co.Shutdown(context.Background())
+	s, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: mailboxSpec(5), Obs: o})
 	ctx := context.Background()
 
 	// Sequential ranks: worker "first" drains rank 0 and exits before
@@ -358,16 +304,14 @@ func TestCrossProcessCausalChain(t *testing.T) {
 	// separate worker structs and separate L1 caches — any hit on
 	// rank 0's solves is a genuine wire fetch.
 	for i, id := range []string{"first", "second"} {
-		if err := RunWorker(ctx, WorkerConfig{
-			Addr: co.Addr(), WorkerID: id, RankHint: i, MaxRanks: 1,
-			Client: testClient(co.Addr(), int64(i)),
+		if err := dist.RunWorker(ctx, dist.WorkerConfig{
+			Addr: s.Addr(), WorkerID: id, RankHint: i, MaxRanks: 1,
+			Client: testClient(s.Addr(), int64(i)),
 		}); err != nil {
 			t.Fatalf("worker %s: %v", id, err)
 		}
 	}
-	if _, err := co.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	wait(t, s)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,49 +381,27 @@ func TestCrossProcessCausalChain(t *testing.T) {
 // and to a second distributed run of the same seed.
 func TestProfiledLedgerMatchesPar(t *testing.T) {
 	b := designs.IPBenchmark(designs.Mailbox(), true)
-	s := mailboxSpec(7)
+	spec := mailboxSpec(7)
 
 	// In-process reference dump.
 	cc := core.Config{
-		Interval: s.Interval, Threshold: s.Threshold, MaxVectors: s.MaxVectors,
-		Seed: s.Seed, UseSnapshots: s.UseSnapshots, ContinueAfterCoverage: s.ContinueAfterCoverage,
+		Interval: spec.Interval, Threshold: spec.Threshold, MaxVectors: spec.MaxVectors,
+		Seed: spec.Seed, UseSnapshots: spec.UseSnapshots, ContinueAfterCoverage: spec.ContinueAfterCoverage,
 	}
 	base := prof.New(prof.Options{})
 	cc.Prof = base
-	if _, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: s.Workers}); err != nil {
+	if _, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: spec.Workers}); err != nil {
 		t.Fatalf("par: %v", err)
 	}
-	want := prof.NewDump(b.Name, s.Seed, base.Ledgers())
+	want := prof.NewDump(b.Name, spec.Seed, base.Ledgers())
 
+	spec.Profile = true
 	runDist := func() *prof.Dump {
-		spec := s
-		spec.Profile = true
-		co := newTestCoordinator(t, CoordConfig{Spec: spec})
-		defer co.Shutdown(context.Background())
-		ctx := context.Background()
-		var wg sync.WaitGroup
-		errs := make([]error, 2)
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = RunWorker(ctx, WorkerConfig{
-					Addr: co.Addr(), WorkerID: []string{"pA", "pB"}[i], RankHint: i,
-					Client: testClient(co.Addr(), int64(i)),
-				})
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("worker %d: %v", i, err)
-			}
-		}
-		if _, err := co.Wait(ctx); err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
-		d := prof.NewDump(b.Name, spec.Seed, co.Ledgers())
-		d.Wire = co.WireLedger()
+		s, cs := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: spec})
+		runWorkers(t, s.Addr(), "pA", "pB")
+		wait(t, s)
+		d := prof.NewDump(b.Name, spec.Seed, cs.Ledgers())
+		d.Wire = cs.WireLedger()
 		return d
 	}
 	got1, got2 := runDist(), runDist()
@@ -500,7 +422,7 @@ func TestProfiledLedgerMatchesPar(t *testing.T) {
 	}
 
 	// The wire ledger (annotation) saw every RPC kind a full campaign
-	// exercises — under v4 the interval publishes ride /v1/batch.
+	// exercises — the interval publishes ride /v1/batch.
 	seen := map[string]bool{}
 	for _, e := range got1.Wire {
 		seen[e.RPC] = true
@@ -519,64 +441,19 @@ func TestProfiledLedgerMatchesPar(t *testing.T) {
 // a different protocol revision is rejected with a clear error, not
 // silently admitted.
 func TestVersionSkew(t *testing.T) {
-	co := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7)})
-	defer co.Shutdown(context.Background())
+	s, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: mailboxSpec(7)})
 
-	cl := testClient(co.Addr(), 0)
-	_, err := cl.Join(context.Background(), JoinRequest{Proto: ProtoVersion + 1, WorkerID: "skewed"})
+	cl := testClient(s.Addr(), 0)
+	_, err := cl.Join(context.Background(), dist.JoinRequest{Proto: dist.ProtoVersion + 1, WorkerID: "skewed"})
 	if err == nil {
 		t.Fatal("version-skewed join was accepted")
 	}
-	pe, ok := err.(*ProtoError)
+	pe, ok := err.(*dist.ProtoError)
 	if !ok {
 		t.Fatalf("got %T (%v), want *ProtoError", err, err)
 	}
 	if pe.Status != 400 || !strings.Contains(pe.Msg, "protocol version mismatch") {
 		t.Fatalf("rejection not explanatory: %v", pe)
-	}
-}
-
-// TestSyncPublishParity pins the v3 synchronous-publish ablation: a
-// worker forced onto the full-snapshot path produces the same merged
-// report as the batched default and the in-process baseline. This is
-// the arm the wire-overhead benchmark compares against.
-func TestSyncPublishParity(t *testing.T) {
-	want := parBaseline(t)
-
-	co := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7)})
-	defer co.Shutdown(context.Background())
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = RunWorker(ctx, WorkerConfig{
-				Addr: co.Addr(), WorkerID: []string{"sA", "sB"}[i], RankHint: i,
-				SyncPublish: true,
-				Client:      testClient(co.Addr(), int64(i)),
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	got, err := co.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	requireParity(t, got, want)
-
-	// The ablation really did use the synchronous endpoint.
-	for _, e := range co.WireLedger() {
-		if e.RPC == "batch" {
-			t.Errorf("sync-publish run sent batches: %+v", e)
-		}
 	}
 }
 
@@ -591,15 +468,15 @@ func TestBatchResyncAfterCoordinatorRestart(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
 	ctx := context.Background()
 
-	co1 := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7), JournalPath: journal})
-	addr := co1.Addr()
+	s1, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: mailboxSpec(7), JournalPath: journal})
+	addr := s1.Addr()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs[0] = RunWorker(ctx, WorkerConfig{
+		errs[0] = dist.RunWorker(ctx, dist.WorkerConfig{
 			Addr: addr, WorkerID: "survivor", RankHint: 0, MaxRanks: 1,
 			Client: testClient(addr, 1),
 		})
@@ -608,19 +485,15 @@ func TestBatchResyncAfterCoordinatorRestart(t *testing.T) {
 	// Restart the coordinator on the same address while the worker is
 	// mid-rank. Its in-memory delta baseline dies with it.
 	time.Sleep(300 * time.Millisecond)
-	if err := co1.Shutdown(context.Background()); err != nil {
+	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	co2, err := NewCoordinator(addr, CoordConfig{Spec: mailboxSpec(7), JournalPath: journal, Resume: true})
-	if err != nil {
-		t.Fatalf("restart on %s: %v", addr, err)
-	}
-	defer co2.Shutdown(context.Background())
+	s2, _ := serve(t, addr, dist.CoordConfig{Spec: mailboxSpec(7), JournalPath: journal, Resume: true})
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs[1] = RunWorker(ctx, WorkerConfig{
+		errs[1] = dist.RunWorker(ctx, dist.WorkerConfig{
 			Addr: addr, WorkerID: "late", RankHint: 1,
 			Client: testClient(addr, 2),
 		})
@@ -631,140 +504,71 @@ func TestBatchResyncAfterCoordinatorRestart(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	got, err := co2.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	requireParity(t, got, want)
+	requireParity(t, wait(t, s2), want)
 }
 
-// TestJournalCompactionKillResume pins the compaction contract: a
-// journal bloated far past its live state compacts down to the
-// campaign record plus the last report per rank, and a coordinator
-// resumed from the compacted file finishes the campaign with full
+// TestJournalCompactionKillResume pins compaction across a restart: a
+// killed coordinator's journal, bloated with duplicate report records
+// far past its live state, is compacted when the resumed coordinator
+// reopens it, and that coordinator finishes the campaign with full
 // parity — resume cost is O(live state), not O(append history).
 func TestJournalCompactionKillResume(t *testing.T) {
 	want := parBaseline(t)
 	path := filepath.Join(t.TempDir(), "campaign.jsonl")
 	ctx := context.Background()
 
-	co1 := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7), JournalPath: path, CompactBytes: 64})
-	if err := RunWorker(ctx, WorkerConfig{
-		Addr: co1.Addr(), WorkerID: "early", RankHint: 0, MaxRanks: 1,
-		Client: testClient(co1.Addr(), 1),
+	s1, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: mailboxSpec(7), JournalPath: path, CompactBytes: 64})
+	if err := dist.RunWorker(ctx, dist.WorkerConfig{
+		Addr: s1.Addr(), WorkerID: "early", RankHint: 0, MaxRanks: 1,
+		Client: testClient(s1.Addr(), 1),
 	}); err != nil {
 		t.Fatalf("early worker: %v", err)
 	}
-	if err := co1.Shutdown(context.Background()); err != nil {
+	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	// Bloat the journal with duplicate appends of the rank-0 record —
-	// the append-history growth compaction must bound.
-	st, err := replayJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Reports[0] == nil {
-		t.Fatal("rank 0 record missing before bloat")
-	}
-	jr, err := openJournal(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr.seed(st)
-	for i := 0; i < 40; i++ {
-		if err := jr.append(*st.Reports[0]); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Size bound: the file holds at most a handful of records, not 40+.
+	// Bloat the journal with duplicate redeliveries of the rank-0
+	// record — the append-history growth compaction must bound.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(strings.TrimSpace(string(data)), "\n") + 1
-	if lines > 8 {
-		t.Fatalf("compaction left %d journal lines; want O(live state)", lines)
+	var report []byte
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		if bytes.Contains(line, []byte(`"kind":"report"`)) {
+			report = append(append([]byte(nil), line...), '\n')
+		}
 	}
-
-	// The compacted journal replays to exactly the live state...
-	st2, err := replayJournal(path)
+	if report == nil {
+		t.Fatal("rank 0 record missing before bloat")
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Spec == nil || len(st2.Reports) != 1 || st2.Reports[0] == nil {
-		t.Fatalf("compacted journal lost live state: %+v", st2)
+	for i := 0; i < 40; i++ {
+		if _, err := f.Write(report); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st2.Reports[0].Report.Vectors != st.Reports[0].Report.Vectors {
-		t.Fatalf("rank 0 record corrupted by compaction")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	// ...and a resumed coordinator finishes the campaign with parity.
-	co2 := newTestCoordinator(t, CoordConfig{Spec: mailboxSpec(7), JournalPath: path, Resume: true, CompactBytes: 64})
-	defer co2.Shutdown(context.Background())
-	if err := RunWorker(ctx, WorkerConfig{
-		Addr: co2.Addr(), WorkerID: "late", RankHint: -1,
-		Client: testClient(co2.Addr(), 2),
+	s2, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: mailboxSpec(7), JournalPath: path, Resume: true, CompactBytes: 64})
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(bytes.TrimSpace(data), []byte("\n")) + 1; lines > 8 {
+		t.Fatalf("resume left %d journal lines; want O(live state)", lines)
+	}
+	if err := dist.RunWorker(ctx, dist.WorkerConfig{
+		Addr: s2.Addr(), WorkerID: "late", RankHint: -1,
+		Client: testClient(s2.Addr(), 2),
 	}); err != nil {
 		t.Fatalf("late worker: %v", err)
 	}
-	got, err := co2.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	requireParity(t, got, want)
-}
-
-// TestJournalReplayTolerance pins the torn-line contract: a journal
-// whose final line was cut mid-write replays cleanly, keeping every
-// complete record and dropping the torn one.
-func TestJournalReplayTolerance(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	jr, err := openJournal(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := mailboxSpec(3)
-	if err := jr.append(journalRecord{Kind: "campaign", CampaignID: "c1", Spec: &spec}); err != nil {
-		t.Fatal(err)
-	}
-	rep := &core.Report{Vectors: 100, FinalPoints: 5}
-	cw := CovWire{Nodes: [][]int{{0, 1}}, Edges: [][]int{{2}}}
-	if err := jr.append(journalRecord{Kind: "report", Rank: 0, Report: rep, Coverage: &cw}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-write: append half a record.
-	f, err := openJournal(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.f.WriteString(`{"kind":"report","rank":1,"repo`); err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Close()
-
-	st, err := replayJournal(path)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if st.CampaignID != "c1" || st.Spec == nil {
-		t.Fatalf("campaign record lost: %+v", st)
-	}
-	if len(st.Reports) != 1 || st.Reports[0] == nil {
-		t.Fatalf("want exactly the complete rank-0 record, got %+v", st.Reports)
-	}
-	if st.Reports[0].Report.Vectors != 100 {
-		t.Fatalf("rank-0 report corrupted: %+v", st.Reports[0].Report)
-	}
-	if _, ok := st.Reports[1]; ok {
-		t.Fatal("torn rank-1 record must be dropped")
-	}
+	requireParity(t, wait(t, s2), want)
 }

@@ -20,8 +20,8 @@ import (
 // per completed rank (the rank's final report, coverage, and trace
 // lane). In-flight state — leases, partial frontier contents, cache
 // entries — is deliberately NOT journaled: leases are re-established
-// by worker heartbeats/publishes after a restart, frontier contents
-// are restored by the next full-coverage publish or delta resync, and
+// by worker heartbeats and batches after a restart, frontier contents
+// are restored by the batch publisher's delta resync, and
 // the plan cache is a pure memoization whose loss costs only repeated
 // solves, never a trajectory change. A restarted coordinator with
 // -resume therefore converges to the same merged report as one that

@@ -17,20 +17,20 @@ import (
 // flusher ships the accumulated delta (plus any queued cache stores)
 // every flushInterval, or sooner when flushEvery publishes have
 // coalesced. Deltas that carry neither new coverage nor vector
-// progress are never sent, which is where the wire reduction comes
-// from: under the synchronous protocol every interval boundary paid a
-// full cumulative snapshot round trip. Progress-only deltas (empty
-// coverage, advanced vector count) DO ship, at the count cadence, so
-// the coordinator's watch plane keeps receiving samples while
-// coverage plateaus.
+// progress are never sent, and no point is sent twice once acked,
+// which is what keeps the publish plane small next to shipping the
+// cumulative snapshot at every interval boundary. Progress-only
+// deltas (empty coverage, advanced vector count) DO ship, at the
+// count cadence, so the coordinator's watch plane keeps receiving
+// samples while coverage plateaus.
 //
 // Correctness does not depend on delivery: the frontier is a
 // trajectory-neutral sink, the final report ships the full cumulative
 // coverage, and deltas carry per-rank sequence numbers so a retried
 // batch is applied idempotently. When the coordinator restarts and
 // loses the acked baseline it answers Resync, and the publisher folds
-// everything it believes back into the next delta — the same
-// self-healing property the cumulative-snapshot protocol had.
+// everything it believes back into the next delta, so a restarted
+// coordinator's frontier heals without a full-snapshot protocol.
 type batchPublisher struct {
 	ctx      context.Context
 	cl       *Client

@@ -15,14 +15,110 @@ import (
 	"repro/internal/watch"
 )
 
+// CoordConfig parameterizes one campaign's coordinator-side state.
+type CoordConfig struct {
+	Spec CampaignSpec
+
+	// Name is the fleet campaign name this state serves under (empty
+	// for the implicit campaign of `symbfuzz -serve`). It is journaled
+	// so a fleet resume can sanity-check the file it picked up.
+	Name string
+
+	// LeaseTTL is how long a rank lease survives without a heartbeat
+	// or batch before the rank becomes claimable by another worker
+	// (default 5s).
+	LeaseTTL time.Duration
+
+	// JournalPath, when set, appends completed-rank reports to an
+	// append-only JSONL journal; Resume replays an existing journal so
+	// a restarted coordinator keeps the ranks that already finished.
+	JournalPath string
+	Resume      bool
+
+	// CompactBytes is the journal size past which the coordinator
+	// rewrites the file down to its live state (the campaign record
+	// plus the last report per rank), keeping resume O(live state)
+	// instead of O(appended history). 0 means the 1 MiB default;
+	// negative disables compaction.
+	CompactBytes int64
+
+	// Obs receives campaign telemetry: the coordinator emits
+	// campaign_start/campaign_end on the campaign lane and re-emits
+	// each rank's worker-lane event stream verbatim when its report
+	// arrives, so the resulting trace validates like an in-process
+	// parallel campaign's.
+	Obs *obs.Observer
+
+	// StopAtPoints / StopWhenAllCovered arm the frontier's opt-in stop
+	// conditions (propagated to workers through batch and heartbeat
+	// responses). Leave unset for deterministic fixed-budget runs.
+	StopAtPoints       int
+	StopWhenAllCovered bool
+
+	// OnPublish, when set, observes every applied coverage publish:
+	// the rank, its delta sequence (0 for final reports), the rank's
+	// cumulative vectors, and the global frontier point count after
+	// the merge. The fleet's watch plane synthesizes interval samples
+	// from it. Must not block.
+	OnPublish func(rank int, seq uint64, vectors uint64, points int)
+	// OnSolve, when set, observes every solver result folded into the
+	// shared plan cache: the solving rank, the target (cluster graph,
+	// node), the outcome string, and the solve wall time. Must not
+	// block.
+	OnSolve func(rank, graph, to int, outcome string, ns int64)
+}
+
+// specEqual compares campaign specs field by field (CampaignSpec
+// holds a slice, so == does not apply).
+func specEqual(a, b CampaignSpec) bool {
+	if len(a.Props) != len(b.Props) {
+		return false
+	}
+	for i := range a.Props {
+		if a.Props[i] != b.Props[i] {
+			return false
+		}
+	}
+	return a.Bench == b.Bench && a.Fixed == b.Fixed &&
+		a.Source == b.Source && a.Top == b.Top &&
+		a.Interval == b.Interval && a.Threshold == b.Threshold &&
+		a.MaxVectors == b.MaxVectors && a.Seed == b.Seed &&
+		a.Workers == b.Workers && a.UseSnapshots == b.UseSnapshots &&
+		a.ContinueAfterCoverage == b.ContinueAfterCoverage &&
+		a.DisableSlicing == b.DisableSlicing &&
+		a.Profile == b.Profile &&
+		a.SimBackend == b.SimBackend
+}
+
+// specConfig builds rank's engine configuration from the campaign
+// spec — the exact recipe par.RunContext uses for its in-process
+// workers, which is what makes the merged reports agree.
+func specConfig(s CampaignSpec, rank int) core.Config {
+	wc := core.Config{
+		Interval:              s.Interval,
+		Threshold:             s.Threshold,
+		MaxVectors:            s.MaxVectors,
+		Seed:                  par.WorkerSeed(s.Seed, rank),
+		SharedSeed:            s.Seed,
+		UseSnapshots:          s.UseSnapshots,
+		ContinueAfterCoverage: s.ContinueAfterCoverage,
+		DisableSlicing:        s.DisableSlicing,
+		SimBackend:            s.SimBackend,
+	}
+	if s.Workers > 1 {
+		wc.Shard = core.ShardSpec{Rank: rank, Workers: s.Workers}
+	}
+	return wc
+}
+
 // CampaignState is one campaign's complete coordinator-side state
-// machine, factored out of the HTTP host so a single-campaign
-// Coordinator and a multi-campaign fleet server can share it: the
-// elaborated partition, the global frontier, the shared plan cache,
-// the lease table, the batch sequence tracking, the journal, and the
-// finalize-once merged-report builder. All methods take decoded wire
-// requests and return wire responses; HTTP status mapping is the
-// host's job (methods that can reject return *HTTPError).
+// machine, independent of any HTTP host (internal/fleet routes wire
+// requests into it): the elaborated partition, the global frontier,
+// the shared plan cache, the lease table, the batch sequence
+// tracking, the journal, and the finalize-once merged-report builder.
+// All methods take decoded wire requests and return wire responses;
+// HTTP status mapping is the host's job (methods that can reject
+// return *HTTPError).
 type CampaignState struct {
 	cfg        CoordConfig
 	spec       CampaignSpec
@@ -41,7 +137,7 @@ type CampaignState struct {
 	// duplicates at or below it are skipped (idempotent redelivery).
 	pubSeq map[int]uint64
 	// vectors is the latest cumulative vector count per rank (from
-	// heartbeats, publishes, and batch deltas) — status annotation only.
+	// heartbeats and batch deltas) — status annotation only.
 	vectors  map[int]uint64
 	doneCh   chan struct{}
 	ended    bool
@@ -286,15 +382,14 @@ func (cs *CampaignState) DeadRanks() []int {
 
 // ---- wire-request state machine ----
 
-// Join answers a handshake. batch advertises the host's /v1/batch
-// endpoint support.
-func (cs *CampaignState) Join(req JoinRequest, batch bool) (JoinResponse, *HTTPError) {
+// Join answers a handshake.
+func (cs *CampaignState) Join(req JoinRequest) (JoinResponse, *HTTPError) {
 	if req.Proto != ProtoVersion {
 		return JoinResponse{}, &HTTPError{Code: 400, Msg: fmt.Sprintf(
 			"protocol version mismatch: coordinator speaks v%d, worker %q speaks v%d — rebuild the worker from the same revision",
 			ProtoVersion, req.WorkerID, req.Proto)}
 	}
-	return JoinResponse{Proto: ProtoVersion, CampaignID: cs.campaignID, Spec: cs.spec, Batch: batch}, nil
+	return JoinResponse{Proto: ProtoVersion, CampaignID: cs.campaignID, Spec: cs.spec, Batch: true}, nil
 }
 
 // Lease claims a shard rank for a worker.
@@ -337,7 +432,7 @@ func (cs *CampaignState) Lease(req LeaseRequest) LeaseResponse {
 
 // renewLease extends worker's lease on rank, adopting ownerless ranks:
 // after a coordinator restart the lease table is empty, so the first
-// heartbeat or publish from a surviving worker re-establishes its
+// heartbeat or batch from a surviving worker re-establishes its
 // claim. Returns false when the rank is finished or owned by another
 // live worker — the caller must abandon it.
 func (cs *CampaignState) renewLease(worker string, rank int) bool {
@@ -369,24 +464,6 @@ func (cs *CampaignState) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 		cs.mu.Unlock()
 	}
 	return HeartbeatResponse{OK: ok, Stop: cs.fr.ShouldStop()}
-}
-
-// Publish merges a synchronous full-snapshot publish (the v3 path,
-// kept for -sync-publish ablations and benchmarking).
-func (cs *CampaignState) Publish(req PublishRequest) PublishResponse {
-	if !cs.renewLease(req.WorkerID, req.Rank) {
-		return PublishResponse{OK: false}
-	}
-	cs.fr.Publish(req.Rank, CovFromWire(req.Coverage), req.Vectors)
-	cs.mu.Lock()
-	if req.Vectors > cs.vectors[req.Rank] {
-		cs.vectors[req.Rank] = req.Vectors
-	}
-	cs.mu.Unlock()
-	if cs.cfg.OnPublish != nil {
-		cs.cfg.OnPublish(req.Rank, 0, req.Vectors, cs.fr.Points())
-	}
-	return PublishResponse{OK: true, Stop: cs.fr.ShouldStop()}
 }
 
 // ApplyBatch applies a batched fire-and-forget message: coverage
@@ -449,39 +526,17 @@ func (cs *CampaignState) ApplyBatch(req BatchRequest) BatchResponse {
 	return resp
 }
 
-// Cache answers a shared-plan-cache lookup or store.
+// Cache answers a shared-plan-cache lookup. Stores travel only on
+// /v1/batch (ApplyBatch).
 func (cs *CampaignState) Cache(req CacheRequest) (CacheResponse, *HTTPError) {
-	switch req.Op {
-	case "lookup":
-		v, ok := cs.cache.Lookup(KeyFromWire(req.Key))
-		if !ok {
-			return CacheResponse{}, nil
-		}
-		return CacheResponse{Found: true, Value: PlanToWire(v)}, nil
-	case "store":
-		if req.Value == nil {
-			return CacheResponse{}, &HTTPError{Code: 400, Msg: "store without value"}
-		}
-		v, err := PlanFromWire(req.Value)
-		if err != nil {
-			return CacheResponse{}, &HTTPError{Code: 400, Msg: err.Error()}
-		}
-		cs.cache.Store(KeyFromWire(req.Key), v)
-		cs.addSolverNS(v.Stats.BlastNS + v.Stats.SolveNS)
-		if cs.cfg.OnSolve != nil {
-			// The cache RPC carries no rank; the originating lane is
-			// 1-based, so lane-1 recovers the rank (0 when unstamped).
-			rank := 0
-			if req.Value.OriginWorker > 0 {
-				rank = req.Value.OriginWorker - 1
-			}
-			cs.cfg.OnSolve(rank, req.Key.Graph, req.Key.To, req.Value.Stats.Outcome,
-				v.Stats.BlastNS+v.Stats.SolveNS)
-		}
-		return CacheResponse{}, nil
-	default:
+	if req.Op != "lookup" {
 		return CacheResponse{}, &HTTPError{Code: 400, Msg: fmt.Sprintf("unknown cache op %q", req.Op)}
 	}
+	v, ok := cs.cache.Lookup(KeyFromWire(req.Key))
+	if !ok {
+		return CacheResponse{}, nil
+	}
+	return CacheResponse{Found: true, Value: PlanToWire(v)}, nil
 }
 
 // Report accepts a rank's final report. The journal write happens
@@ -708,7 +763,7 @@ func (cs *CampaignState) CloseJournal() error { return cs.jr.Close() }
 
 // wireTally tallies per-RPC wire cost on the coordinator side: calls,
 // request/response bytes, and handler wall time per /v1 endpoint. It
-// is pure annotation — heartbeat and publish cadence are timer-driven,
+// is pure annotation — heartbeat and batch cadence are timer-driven,
 // so these numbers are not reproducible and never enter a canonical
 // ledger (Dump.Canonical drops the whole Wire section).
 type wireTally struct {

@@ -12,10 +12,14 @@
 //
 //	POST /v1/join       handshake: protocol version check, campaign spec
 //	POST /v1/lease      claim a shard rank (lowest available; hint honored)
-//	POST /v1/publish    merge local coverage into the global frontier
-//	POST /v1/cache      lookup/store in the shared solved-plan cache
+//	POST /v1/batch      coverage deltas + plan-cache stores, fire-and-forget
+//	POST /v1/cache      look up the shared solved-plan cache
 //	POST /v1/heartbeat  renew the rank lease; poll stop conditions
 //	POST /v1/report     deliver the rank's final report + coverage + trace lane
+//
+// The HTTP host is internal/fleet: every campaign, including the
+// implicit one `symbfuzz -serve` runs, is a CampaignState routed by
+// the fleet server.
 //
 // Determinism transfers from par unchanged because every cross-worker
 // coupling goes through the same three trajectory-neutral interfaces:
@@ -48,20 +52,22 @@ import (
 // restart count in solver statistics. v3 added the Profile flag on
 // the campaign spec and the rank cost ledger on /v1/report, so the
 // coordinator can merge per-rank profiling ledgers rank-ordered.
-// v4 added fleet multiplexing: the campaign name on every request (a
-// multi-campaign coordinator routes on it; a single-campaign
-// coordinator ignores it), the batched delta-encoded /v1/batch
-// message (coalesced coverage deltas + fire-and-forget cache stores,
-// with sequence numbers for idempotent redelivery and a resync signal
-// after a coordinator restart), and the Batch capability flag on the
-// join response.
+// v4 added fleet multiplexing: the campaign name on every request (the
+// coordinator routes on it; empty names the sole hosted campaign), the
+// batched delta-encoded /v1/batch message (coalesced coverage deltas +
+// fire-and-forget cache stores, with sequence numbers for idempotent
+// redelivery and a resync signal after a coordinator restart), and the
+// Batch capability flag on the join response. v4 also retired the v3
+// synchronous /v1/publish endpoint and the /v1/cache "store" op, so
+// /v1/batch is the only publish path.
 const ProtoVersion = 4
 
 // TraceCtx is the wire trace context: the emitting lane and span that
-// a message correlates with. On /v1/cache stores it names the solve
-// span that produced the plan, so a remote rank's cache hit links
-// back to the originating rank's solve span in the merged trace; on
-// /v1/publish and /v1/report it names the rank's campaign root span.
+// a message correlates with. On batched cache stores it names the
+// solve span that produced the plan, so a remote rank's cache hit
+// links back to the originating rank's solve span in the merged
+// trace; on /v1/batch and /v1/report it names the rank's campaign
+// root span.
 type TraceCtx struct {
 	Worker int    `json:"worker,omitempty"`
 	Span   string `json:"span,omitempty"`
@@ -108,8 +114,8 @@ type CampaignSpec struct {
 
 // JoinRequest opens a worker session. RankHint (-1 for none) asks the
 // coordinator to prefer a specific shard rank at the next lease.
-// Campaign names the target campaign on a fleet coordinator (empty on
-// a single-campaign coordinator, which ignores it).
+// Campaign names the target campaign (empty targets the coordinator's
+// sole campaign, e.g. the implicit one of `symbfuzz -serve`).
 type JoinRequest struct {
 	Proto    int    `json:"proto"`
 	WorkerID string `json:"worker_id"`
@@ -117,9 +123,9 @@ type JoinRequest struct {
 	Campaign string `json:"campaign,omitempty"`
 }
 
-// JoinResponse carries the campaign identity and spec. Batch=true
-// advertises the /v1/batch endpoint: the worker may switch coverage
-// publishes and cache stores to batched delta-encoded delivery.
+// JoinResponse carries the campaign identity and spec. Batch is
+// always true since /v1/batch became the only publish path; the field
+// stays so the v4 encoding is unchanged.
 type JoinResponse struct {
 	Proto      int          `json:"proto"`
 	CampaignID string       `json:"campaign_id"`
@@ -163,40 +169,15 @@ type HeartbeatResponse struct {
 	Stop bool `json:"stop,omitempty"`
 }
 
-// PublishRequest merges one worker's full local coverage snapshot
-// into the global frontier. Snapshots are cumulative (the frontier
-// insert is an idempotent set union), which makes publishes
-// self-healing across coordinator restarts: the next publish restores
-// everything a crashed coordinator forgot.
-type PublishRequest struct {
-	WorkerID string    `json:"worker_id"`
-	Rank     int       `json:"rank"`
-	Vectors  uint64    `json:"vectors"`
-	Coverage CovWire   `json:"coverage"`
-	Trace    *TraceCtx `json:"trace,omitempty"`
-	Campaign string    `json:"campaign,omitempty"`
-}
-
-// PublishResponse mirrors HeartbeatResponse (a publish renews the
-// lease implicitly).
-type PublishResponse struct {
-	OK   bool `json:"ok"`
-	Stop bool `json:"stop,omitempty"`
-}
-
-// CacheRequest is a shared-plan-cache operation: op "lookup" with a
-// key, or op "store" with a key and value.
+// CacheRequest is a shared-plan-cache lookup: op "lookup" (the only
+// op) with a key.
 type CacheRequest struct {
-	Op    string      `json:"op"`
-	Key   PlanKeyWire `json:"key"`
-	Value *PlanWire   `json:"value,omitempty"`
-	// Trace carries the originating solve's span context on stores
-	// (mirrors Value.OriginWorker/OriginSpan).
-	Trace    *TraceCtx `json:"trace,omitempty"`
-	Campaign string    `json:"campaign,omitempty"`
+	Op       string      `json:"op"`
+	Key      PlanKeyWire `json:"key"`
+	Campaign string      `json:"campaign,omitempty"`
 }
 
-// CacheResponse answers a lookup (Found + Value) or acks a store.
+// CacheResponse answers a lookup (Found + Value).
 type CacheResponse struct {
 	Found bool      `json:"found,omitempty"`
 	Value *PlanWire `json:"value,omitempty"`
@@ -247,7 +228,7 @@ type CacheStore struct {
 // BatchRequest is the v4 batched fire-and-forget channel: coalesced
 // coverage deltas and cache stores from one rank, flushed by a
 // background publisher instead of blocking the engine at interval
-// boundaries. A batch renews the rank's lease like a publish does.
+// boundaries. A batch renews the rank's lease like a heartbeat does.
 type BatchRequest struct {
 	Campaign  string         `json:"campaign,omitempty"`
 	WorkerID  string         `json:"worker_id"`

@@ -40,26 +40,8 @@ func goldenFixtures() map[string]any {
 		},
 		"heartbeat_request":  HeartbeatRequest{WorkerID: "host-1234", Rank: 1, Vectors: 1500},
 		"heartbeat_response": HeartbeatResponse{OK: true},
-		"publish_request": PublishRequest{
-			WorkerID: "host-1234", Rank: 1, Vectors: 1500, Coverage: cw,
-			Trace: &TraceCtx{Worker: 2, Span: "w2"},
-		},
-		"publish_response": PublishResponse{OK: true, Stop: false},
 		"cache_request_lookup": CacheRequest{
 			Op: "lookup", Key: PlanKeyWire{Graph: 2, To: 5, Ctx: 0xDEADBEEF},
-		},
-		"cache_request_store": CacheRequest{
-			Op:  "store",
-			Key: PlanKeyWire{Graph: 2, To: 5, Ctx: 0xDEADBEEF},
-			Value: &PlanWire{
-				Inputs: map[string]string{"din": "10x1", "we": "1"},
-				Stats: StatsWire{
-					Outcome: "sat", Conflicts: 3, Decisions: 17, Propagations: 120,
-					Restarts: 1, Clauses: 44, Vars: 18,
-				},
-				OriginWorker: 2, OriginSpan: "w2.i4.s2",
-			},
-			Trace: &TraceCtx{Worker: 2, Span: "w2.i4.s2"},
 		},
 		"cache_response": CacheResponse{
 			Found: true,

@@ -24,8 +24,8 @@ type WorkerConfig struct {
 	// WorkerID must be unique per worker process (the CLI derives one
 	// from hostname+pid).
 	WorkerID string
-	// Campaign names the target campaign on a fleet coordinator; empty
-	// against a single-campaign coordinator.
+	// Campaign names the target campaign; empty targets the
+	// coordinator's sole campaign (the implicit one of -serve).
 	Campaign string
 	// RankHint, when >= 0, asks for a specific shard rank first.
 	RankHint int
@@ -34,10 +34,6 @@ type WorkerConfig struct {
 	// serially drain every rank of a campaign).
 	MaxRanks int
 
-	// SyncPublish forces the v3 synchronous full-snapshot publish path
-	// even when the coordinator advertises /v1/batch — the ablation arm
-	// of the wire-overhead benchmark.
-	SyncPublish bool
 	// FlushEvery / FlushInterval tune the batch publisher (defaults 8
 	// publishes / 25ms; test knobs).
 	FlushEvery    int
@@ -95,8 +91,7 @@ func (b *bufTracer) take() []obs.Event {
 // then solves live, and because cached queries use canonical seeds
 // the result is byte-identical either way — cache availability can
 // change wall time, never a trajectory. Lookups are synchronous (the
-// engine needs the answer); stores ride the batch publisher when one
-// is attached, the synchronous cache RPC otherwise.
+// engine needs the answer); stores ride the batch publisher.
 type remoteCache struct {
 	ctx      context.Context
 	c        *Client
@@ -126,26 +121,18 @@ func (rc *remoteCache) Store(k core.PlanKey, v core.CachedPlan) {
 	// Best-effort: a lost store only costs other workers a re-solve.
 	// The trace context names the solve span that produced the plan,
 	// so a hit on another rank links back to it in the merged trace.
-	if rc.bp != nil {
-		rc.bp.enqueueStore(CacheStore{
-			Key: KeyToWire(k), Value: PlanToWire(v),
-			Trace: &TraceCtx{Worker: v.OriginWorker, Span: v.OriginSpan},
-		})
-		return
-	}
-	_, _ = rc.c.Cache(rc.ctx, CacheRequest{
-		Op: "store", Key: KeyToWire(k), Value: PlanToWire(v),
-		Trace:    &TraceCtx{Worker: v.OriginWorker, Span: v.OriginSpan},
-		Campaign: rc.campaign,
+	rc.bp.enqueueStore(CacheStore{
+		Key: KeyToWire(k), Value: PlanToWire(v),
+		Trace: &TraceCtx{Worker: v.OriginWorker, Span: v.OriginSpan},
 	})
 }
 
 // RunWorker joins the coordinator at c.Addr and runs shard ranks
 // until the campaign is done (or MaxRanks is reached, or ctx is
 // cancelled). Each rank runs the unmodified Algorithm-1 engine with
-// the seed the coordinator derived for that rank; coverage publishes
-// ride the engine's interval-boundary Sync hook and lease heartbeats
-// ride a background goroutine while the engine runs.
+// the seed the coordinator derived for that rank; the engine's
+// interval-boundary Sync hook feeds the batch publisher and lease
+// heartbeats ride a background goroutine while the engine runs.
 func RunWorker(ctx context.Context, c WorkerConfig) error {
 	if c.WorkerID == "" {
 		return fmt.Errorf("dist: WorkerID is required")
@@ -172,7 +159,6 @@ func RunWorker(ctx context.Context, c WorkerConfig) error {
 		spec:          spec,
 		bench:         bench,
 		properties:    properties,
-		batch:         join.Batch && !c.SyncPublish,
 		flushEvery:    c.FlushEvery,
 		flushInterval: c.FlushInterval,
 		publishesLeft: c.DieAfterPublishes,
@@ -235,9 +221,6 @@ type worker struct {
 	// worker runs (per-rank remoteCache adapters wrap it).
 	l1 *par.SolveCache
 
-	// batch selects the v4 batched publish path (the coordinator
-	// advertised /v1/batch and SyncPublish did not veto it).
-	batch         bool
 	flushEvery    int
 	flushInterval time.Duration
 
@@ -283,65 +266,34 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 		wc.Prof = profiler
 	}
 	rankTrace := &TraceCtx{Worker: lane.Lane(), Span: lane.RootSpan()}
-	var pub *batchPublisher
-	if w.batch {
-		pub = newBatchPublisher(rankCtx, w.cl, w.campaign, w.id, lr.Rank, rankTrace,
-			w.flushEvery, w.flushInterval)
-		defer pub.close()
-	}
+	pub := newBatchPublisher(rankCtx, w.cl, w.campaign, w.id, lr.Rank, rankTrace,
+		w.flushEvery, w.flushInterval)
+	defer pub.close()
 	if w.l1 != nil {
 		wc.PlanCache = &remoteCache{ctx: rankCtx, c: w.cl, l1: w.l1, campaign: w.campaign, bp: pub}
 	}
+	// The Sync hook only diffs local coverage into the publisher's
+	// pending delta — no I/O at interval boundaries. Lease loss and
+	// stop conditions surface through batch responses and heartbeats.
 	var publishErr error
-	if pub != nil {
-		// Batched path: the Sync hook only diffs local coverage into
-		// the publisher's pending delta — no I/O at interval
-		// boundaries. Lease loss and stop conditions surface through
-		// batch responses and heartbeats.
-		wc.Sync = func(cv *cov.CFGCov, rep *core.Report) bool {
-			pub.enqueuePublish(cv, rep.Vectors)
-			if w.publishesLeft > 0 {
-				w.publishesLeft--
-				if w.publishesLeft == 0 {
-					publishErr = ErrWorkerDied
-					return true
-				}
-			}
-			if pub.lost.Load() {
-				abandon()
+	wc.Sync = func(cv *cov.CFGCov, rep *core.Report) bool {
+		pub.enqueuePublish(cv, rep.Vectors)
+		if w.publishesLeft > 0 {
+			w.publishesLeft--
+			if w.publishesLeft == 0 {
+				publishErr = ErrWorkerDied
 				return true
 			}
-			if err := pub.Err(); err != nil {
-				publishErr = err
-				return true
-			}
-			return pub.stop.Load()
 		}
-	} else {
-		wc.Sync = func(cv *cov.CFGCov, rep *core.Report) bool {
-			resp, err := w.cl.Publish(rankCtx, PublishRequest{
-				WorkerID: w.id, Rank: lr.Rank, Vectors: rep.Vectors, Coverage: CovToWire(cv),
-				Trace: rankTrace, Campaign: w.campaign,
-			})
-			if err != nil {
-				// Coordinator unreachable past the client's retry budget:
-				// record and stop — the report can't be delivered either.
-				publishErr = err
-				return true
-			}
-			if !resp.OK {
-				abandon()
-				return true
-			}
-			if w.publishesLeft > 0 {
-				w.publishesLeft--
-				if w.publishesLeft == 0 {
-					publishErr = ErrWorkerDied
-					return true
-				}
-			}
-			return resp.Stop
+		if pub.lost.Load() {
+			abandon()
+			return true
 		}
+		if err := pub.Err(); err != nil {
+			publishErr = err
+			return true
+		}
+		return pub.stop.Load()
 	}
 
 	eng, err := core.New(d, w.properties, wc)
@@ -372,7 +324,7 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 					abandon()
 					return
 				}
-				if err == nil && resp.Stop && pub != nil {
+				if err == nil && resp.Stop {
 					// Batched publishes don't carry the stop signal back
 					// synchronously; relay it from the heartbeat.
 					pub.stop.Store(true)
@@ -396,12 +348,10 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if pub != nil {
-		// Drain the publisher before reporting so queued cache stores
-		// land; the report itself carries the full cumulative coverage,
-		// so lost deltas cannot cost correctness.
-		pub.close()
-	}
+	// Drain the publisher before reporting so queued cache stores land;
+	// the report itself carries the full cumulative coverage, so lost
+	// deltas cannot cost correctness.
+	pub.close()
 
 	resp, err := w.cl.Report(ctx, ReportRequest{
 		WorkerID: w.id,

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/prof"
 )
 
 // mailboxSpec is the shared campaign of the fleet tests — the same
@@ -573,5 +575,142 @@ func TestFleetCancel(t *testing.T) {
 	spec, name, err := dist.LoadJournalSpec(filepath.Join(dir, "doomed.jsonl"))
 	if err != nil || spec == nil || name != "doomed" {
 		t.Errorf("journal after cancel: spec=%v name=%q err=%v", spec, name, err)
+	}
+}
+
+// closeTracer is a trace sink that records whether it was closed.
+type closeTracer struct{ closed atomic.Bool }
+
+func (c *closeTracer) Emit(*obs.Event) {}
+func (c *closeTracer) Close() error    { c.closed.Store(true); return nil }
+
+// TestHostWaitCancelInterrupted pins -serve's ctrl-C semantics:
+// cancelling WaitCampaign on a Host'ed two-rank campaign mid-run trips
+// the stop signal without cancelling the campaign, so the workers stop
+// at their next boundary and deliver partial reports instead of
+// abandoning their ranks, and the merge is marked Interrupted. The
+// fleet leaves the caller's observer open.
+func TestHostWaitCancelInterrupted(t *testing.T) {
+	s := newTestServer(t, Config{})
+	tr := &closeTracer{}
+	spec := mailboxSpec(7)
+	spec.MaxVectors = 1_000_000
+	cs, err := s.Host(dist.CoordConfig{Spec: spec, Obs: obs.New(obs.Options{Tracer: tr})})
+	if err != nil {
+		t.Fatalf("Host: %v", err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = dist.RunWorker(context.Background(), dist.WorkerConfig{
+				Addr: s.Addr(), WorkerID: fmt.Sprintf("serve-w%d", i), RankHint: i,
+				Client: testClient(s.Addr(), int64(i)),
+			})
+		}(i)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for cs.Status().Vectors == 0 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := s.WaitCampaign(ctx, "")
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("WaitCampaign: %v", err)
+	}
+	for i, werr := range errs {
+		if werr != nil {
+			t.Errorf("worker %d: %v", i, werr)
+		}
+	}
+	if !rep.Merged.Interrupted {
+		t.Error("merged report of a cancelled wait is not marked Interrupted")
+	}
+	ranks := 0
+	for _, r := range rep.PerWorker {
+		if r != nil {
+			ranks++
+		}
+	}
+	if ranks == 0 {
+		t.Fatal("no rank delivered a partial report")
+	}
+	if full := spec.MaxVectors * uint64(spec.Workers); rep.Merged.Vectors >= full {
+		t.Errorf("stop did not shorten the campaign: %d vectors of %d", rep.Merged.Vectors, full)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if tr.closed.Load() {
+		t.Error("fleet closed an observer it did not create")
+	}
+}
+
+// TestFleetWireLedgerComplete pins the per-RPC wire tally: on a
+// profiled fleet campaign every campaign-routed RPC is counted once,
+// in its handler, with request and response bytes and wall time.
+func TestFleetWireLedgerComplete(t *testing.T) {
+	s := newTestServer(t, Config{})
+	spec := mailboxSpec(7)
+	spec.Profile = true
+	createCampaign(t, s.Addr(), CreateRequest{Name: "wired", Spec: spec})
+	runWorkers(t, s.Addr(), "wired", 2, 0)
+	if _, err := s.WaitCampaign(context.Background(), "wired"); err != nil {
+		t.Fatal(err)
+	}
+	c, herr := s.lookup("wired")
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	wire := map[string]prof.WireEntry{}
+	for _, e := range c.cs.WireLedger() {
+		wire[e.RPC] = e
+	}
+	for _, rpc := range []string{"join", "lease", "batch", "report"} {
+		if wire[rpc].Calls <= 0 {
+			t.Errorf("wire ledger has no %q calls: %+v", rpc, wire)
+		}
+	}
+	if b := wire["batch"]; b.BytesIn <= 0 || b.BytesOut <= 0 || b.WallNS <= 0 {
+		t.Errorf("batch wire entry incomplete: %+v", b)
+	}
+}
+
+// TestServeWorkerBeforeHost pins the -serve start-up order: the
+// listener is bound before the implicit campaign has elaborated, so an
+// unnamed RPC against the still-empty fleet must be retryable (503),
+// not a rejection, and a worker started before Host must drain the
+// campaign once it is installed.
+func TestServeWorkerBeforeHost(t *testing.T) {
+	s := newTestServer(t, Config{})
+	cl := testClient(s.Addr(), 1)
+	cl.MaxElapsed = 0 // one attempt
+	_, err := cl.Join(context.Background(), dist.JoinRequest{Proto: dist.ProtoVersion, WorkerID: "probe"})
+	var pe *dist.ProtoError
+	if err == nil || errors.As(err, &pe) {
+		t.Fatalf("join against an empty fleet: %v, want a retryable error", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		done <- dist.RunWorker(context.Background(), dist.WorkerConfig{
+			Addr: s.Addr(), WorkerID: "eager", RankHint: -1, Client: testClient(s.Addr(), 2),
+		})
+	}()
+	spec := mailboxSpec(7)
+	spec.Workers = 1
+	if _, err := s.Host(dist.CoordConfig{Spec: spec}); err != nil {
+		t.Fatalf("Host: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("early worker: %v", err)
+	}
+	if _, err := s.WaitCampaign(context.Background(), ""); err != nil {
+		t.Fatalf("WaitCampaign: %v", err)
 	}
 }

@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
-// ---- HTTP plumbing (mirrors the single-campaign coordinator's) ----
+// ---- HTTP plumbing ----
 
 func decode[T any](w http.ResponseWriter, r *http.Request, req *T) bool {
 	if r.Method != http.MethodPost {
@@ -34,167 +35,124 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(dist.ErrorResponse{Error: msg})
 }
 
-// write429 answers a quota rejection with the Retry-After the worker
-// client's backoff honors.
-func write429(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	writeErr(w, http.StatusTooManyRequests, msg)
+// countingWriter counts response bytes for the wire tally.
+type countingWriter struct {
+	http.ResponseWriter
+	n int64
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.n += int64(n)
+	return n, err
 }
 
 // ---- worker-facing endpoints (campaign-routed) ----
 
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req dist.JoinRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp, herr := c.cs.Join(req, true)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	writeJSON(w, resp)
+// routeWorkerRPCs registers the six worker RPCs. Each answers from the
+// campaign its request names.
+func (s *Server) routeWorkerRPCs(mux *http.ServeMux) {
+	mux.HandleFunc("/v1/join", routed(s, "join", func(q *dist.JoinRequest) string { return q.Campaign },
+		func(c *campaign, req *dist.JoinRequest, _ *http.Request) (any, *dist.HTTPError) {
+			return c.cs.Join(*req)
+		}))
+	mux.HandleFunc("/v1/lease", routed(s, "lease", func(q *dist.LeaseRequest) string { return q.Campaign },
+		func(c *campaign, req *dist.LeaseRequest, _ *http.Request) (any, *dist.HTTPError) {
+			if c.cancelled.Load() {
+				return dist.LeaseResponse{Rank: -1, Done: true}, nil
+			}
+			return c.cs.Lease(*req), nil
+		}))
+	mux.HandleFunc("/v1/heartbeat", routed(s, "heartbeat", func(q *dist.HeartbeatRequest) string { return q.Campaign },
+		func(c *campaign, req *dist.HeartbeatRequest, _ *http.Request) (any, *dist.HTTPError) {
+			resp := c.cs.Heartbeat(*req)
+			if c.cancelled.Load() {
+				resp.Stop = true
+			}
+			return resp, nil
+		}))
+	mux.HandleFunc("/v1/batch", routed(s, "batch", func(q *dist.BatchRequest) string { return q.Campaign }, s.serveBatch))
+	mux.HandleFunc("/v1/cache", routed(s, "cache", func(q *dist.CacheRequest) string { return q.Campaign },
+		func(c *campaign, req *dist.CacheRequest, _ *http.Request) (any, *dist.HTTPError) {
+			return c.cs.Cache(*req)
+		}))
+	mux.HandleFunc("/v1/report", routed(s, "report", func(q *dist.ReportRequest) string { return q.Campaign },
+		func(c *campaign, req *dist.ReportRequest, _ *http.Request) (any, *dist.HTTPError) {
+			return c.cs.Report(*req)
+		}))
 }
 
-func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req dist.LeaseRequest
-	if !decode(w, r, &req) {
-		return
+// routed adapts one campaign-routed worker RPC: decode the request,
+// resolve the campaign it names, answer it with serve, and charge the
+// round trip — request and response bytes, handler wall time including
+// any ingest-queue wait — to that campaign's wire tally. A nil answer
+// with no error writes nothing (the client went away). A 429 carries
+// the Retry-After the worker client's backoff honors.
+func routed[Req any](s *Server, rpc string, campaignOf func(*Req) string,
+	serve func(*campaign, *Req, *http.Request) (any, *dist.HTTPError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		var req Req
+		if !decode(w, r, &req) {
+			return
+		}
+		c, herr := s.lookup(campaignOf(&req))
+		if herr != nil {
+			writeErr(w, herr.Code, herr.Msg)
+			return
+		}
+		cw := &countingWriter{ResponseWriter: w}
+		resp, herr := serve(c, &req, r)
+		switch {
+		case herr != nil:
+			if herr.Code == http.StatusTooManyRequests {
+				cw.Header().Set("Retry-After", "1")
+			}
+			writeErr(cw, herr.Code, herr.Msg)
+		case resp != nil:
+			writeJSON(cw, resp)
+		}
+		c.cs.AddWire(rpc, r.ContentLength, cw.n, int64(time.Since(t0)))
 	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	if c.cancelled.Load() {
-		writeJSON(w, dist.LeaseResponse{Rank: -1, Done: true})
-		return
-	}
-	writeJSON(w, c.cs.Lease(req))
 }
 
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req dist.HeartbeatRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp := c.cs.Heartbeat(req)
-	if c.cancelled.Load() {
-		resp.Stop = true
-	}
-	writeJSON(w, resp)
-}
-
-func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	var req dist.PublishRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp := c.cs.Publish(req)
-	if c.cancelled.Load() {
-		resp.Stop = true
-	}
-	writeJSON(w, resp)
-}
-
-// handleBatch is the admission-controlled ingest path: the request is
+// serveBatch is the admission-controlled ingest path: the request is
 // enqueued on its campaign's bounded queue and the handler waits for
 // the drainer's response. A full queue (depth or bytes) answers 429 +
 // Retry-After without touching campaign state — that rejection is the
 // backpressure signal, and the worker's delta survives locally until
 // a later flush succeeds.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req dist.BatchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
+func (s *Server) serveBatch(c *campaign, req *dist.BatchRequest, r *http.Request) (any, *dist.HTTPError) {
 	n := r.ContentLength
 	if n < 0 {
 		n = 0
 	}
-	if c.queuedBytes.Load()+n > s.quota.QueueBytes {
+	reject := func(msg string) (any, *dist.HTTPError) {
 		c.c429.Inc()
 		s.cRejBatches.Inc()
 		s.cRejBytes.Add(n)
-		write429(w, "campaign ingest queue over byte budget")
-		return
+		return nil, &dist.HTTPError{Code: http.StatusTooManyRequests, Msg: msg}
 	}
-	in := ingest{req: req, bytes: n, resp: make(chan dist.BatchResponse, 1)}
+	if c.queuedBytes.Load()+n > s.quota.QueueBytes {
+		return reject("campaign ingest queue over byte budget")
+	}
+	in := ingest{req: *req, bytes: n, resp: make(chan dist.BatchResponse, 1)}
 	select {
 	case c.queue <- in:
 	default:
-		c.c429.Inc()
-		s.cRejBatches.Inc()
-		s.cRejBytes.Add(n)
-		write429(w, "campaign ingest queue full")
-		return
+		return reject("campaign ingest queue full")
 	}
 	c.queuedBytes.Add(n)
 	c.gDepth.Set(int64(len(c.queue)))
 	c.gBytes.Set(c.queuedBytes.Load())
 	select {
 	case resp := <-in.resp:
-		writeJSON(w, resp)
+		return resp, nil
 	case <-r.Context().Done():
 		// Client gave up; the drainer will still apply the batch and
 		// its buffered response just gets dropped.
+		return nil, nil
 	}
-}
-
-func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	var req dist.CacheRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp, herr := c.cs.Cache(req)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	var req dist.ReportRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp, herr := c.cs.Report(req)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	writeJSON(w, resp)
 }
 
 // ---- control surface ----

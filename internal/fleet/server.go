@@ -1,10 +1,13 @@
-// Package fleet is the multi-campaign coordinator: one process
-// hosting many named campaigns behind the v4 wire protocol. Each
-// campaign keeps its own frontier, plan cache, lease table, journal
-// and metrics registry — a dist.CampaignState — and every worker RPC
-// carries a campaign name that routes it to the right state machine.
+// Package fleet is the campaign coordinator: one process hosting one
+// or many campaigns behind the v4 wire protocol. Each campaign keeps
+// its own frontier, plan cache, lease table, journal and metrics
+// registry — a dist.CampaignState — and every worker RPC carries a
+// campaign name that routes it to the right state machine. An empty
+// name routes to the sole hosted campaign, which is how `symbfuzz
+// -serve` runs: a fleet hosting one implicit, unnamed campaign
+// (Server.Host).
 //
-// The fleet adds what a single-campaign coordinator does not need:
+// Around the state machines the fleet adds:
 //
 //   - Admission control: campaign names are validated, campaign count
 //     and per-campaign rank count are capped, and a full ingest queue
@@ -22,12 +25,14 @@
 //     fetch reports from, and cancel campaigns, plus a /metrics
 //     endpoint exporting every campaign's registry under a
 //     campaign="<name>" label.
+//   - A per-RPC wire tally on every campaign (calls, bytes each way,
+//     handler wall time), the Wire section of a profiled dump.
 //
-// Determinism is inherited, not re-proven: the fleet routes wire
-// requests to the same CampaignState a single-campaign coordinator
-// uses, so each campaign's merged report stays byte-identical to the
-// equivalent -serve or in-process -workers run, regardless of what
-// the other campaigns on the process are doing.
+// Determinism is inherited, not re-proven: every CampaignState merges
+// by rank through trajectory-neutral interfaces, so each campaign's
+// merged report stays byte-identical to the equivalent in-process
+// -workers run, regardless of what the other campaigns on the process
+// are doing.
 package fleet
 
 import (
@@ -170,7 +175,9 @@ type campaign struct {
 	name string
 	cs   *dist.CampaignState
 	reg  *obs.Registry
-	obs  *obs.Observer
+	// obs is the campaign observer when the fleet created it (closed
+	// on Shutdown); nil when a Host caller owns the observer.
+	obs *obs.Observer
 
 	queue       chan ingest
 	queuedBytes atomic.Int64
@@ -296,13 +303,7 @@ func NewServer(addr string, cfg Config) (*Server, error) {
 	}
 	s.ln = ln
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/join", s.handleJoin)
-	mux.HandleFunc("/v1/lease", s.handleLease)
-	mux.HandleFunc("/v1/heartbeat", s.handleHeartbeat)
-	mux.HandleFunc("/v1/publish", s.handlePublish)
-	mux.HandleFunc("/v1/batch", s.handleBatch)
-	mux.HandleFunc("/v1/cache", s.handleCache)
-	mux.HandleFunc("/v1/report", s.handleReport)
+	s.routeWorkerRPCs(mux)
 	mux.HandleFunc("/v1/campaigns", s.handleCampaigns)
 	mux.HandleFunc("/v1/campaigns/", s.handleCampaign)
 	mux.HandleFunc("/v1/fleet", s.handleFleet)
@@ -354,35 +355,23 @@ func (s *Server) resumeJournals() error {
 	return nil
 }
 
-// admit runs the admission pipeline and installs the campaign. The
-// quota errors are 4xx so a misbehaving tenant cannot distinguish
-// "rejected" from "broken" — both are its own problem, not ours.
+// admit creates a named campaign from a control-surface request: it
+// validates the name, opens the campaign's trace file and journal
+// path under the fleet directories, and installs the campaign through
+// the same path Host uses. The quota errors are 4xx so a misbehaving
+// tenant cannot distinguish "rejected" from "broken" — both are its
+// own problem, not ours.
 func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPError) {
 	if !nameRE.MatchString(req.Name) {
 		s.cRejCampaigns.Inc()
 		return nil, &dist.HTTPError{Code: 400, Msg: fmt.Sprintf("invalid campaign name %q (want %s)", req.Name, nameRE)}
 	}
-	if req.Spec.Workers > s.quota.MaxWorkers {
-		s.cRejRanks.Inc()
-		return nil, &dist.HTTPError{Code: 400, Msg: fmt.Sprintf(
-			"campaign %q wants %d ranks; quota allows %d", req.Name, req.Spec.Workers, s.quota.MaxWorkers)}
+	// Check for room before creating the trace file: a duplicate name
+	// must not truncate the live campaign's trace.
+	if herr := s.vacancy(req.Name, req.Spec.Workers); herr != nil {
+		return nil, herr
 	}
-
-	s.mu.Lock()
-	if s.camps[req.Name] != nil {
-		s.mu.Unlock()
-		return nil, &dist.HTTPError{Code: 409, Msg: fmt.Sprintf("campaign %q already exists", req.Name)}
-	}
-	if len(s.camps) >= s.quota.MaxCampaigns {
-		s.mu.Unlock()
-		s.cRejCampaigns.Inc()
-		return nil, &dist.HTTPError{Code: 429, Msg: fmt.Sprintf(
-			"fleet at capacity (%d campaigns); cancel one or retry later", s.quota.MaxCampaigns)}
-	}
-	s.mu.Unlock()
-
-	reg := obs.NewRegistry()
-	oo := obs.Options{Registry: reg}
+	oo := obs.Options{}
 	if s.cfg.TraceDir != "" {
 		f, err := os.Create(filepath.Join(s.cfg.TraceDir, req.Name+".trace.jsonl"))
 		if err != nil {
@@ -391,20 +380,84 @@ func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPErr
 		oo.Tracer = obs.NewJSONLTracer(f)
 	}
 	o := obs.New(oo)
+	cc := dist.CoordConfig{
+		Spec:               req.Spec,
+		Name:               req.Name,
+		Obs:                o,
+		StopAtPoints:       req.StopAtPoints,
+		StopWhenAllCovered: req.StopWhenAllCovered,
+	}
+	if s.cfg.JournalDir != "" {
+		cc.JournalPath = filepath.Join(s.cfg.JournalDir, req.Name+".jsonl")
+		cc.Resume = resume
+	}
+	c, herr := s.host(cc, true)
+	if herr != nil {
+		_ = o.Close()
+		return nil, herr
+	}
+	return c, nil
+}
+
+// Host installs a campaign configured by the caller, who supplies its
+// observer, journal path and resume flag and keeps ownership of the
+// observer (the fleet never closes it). With an empty cc.Name the
+// campaign is the fleet's implicit one: workers reach it without a
+// campaign name while it is the only campaign hosted. Zero LeaseTTL
+// and CompactBytes take the fleet Config's values.
+func (s *Server) Host(cc dist.CoordConfig) (*dist.CampaignState, error) {
+	c, herr := s.host(cc, false)
+	if herr != nil {
+		return nil, fmt.Errorf("fleet: host campaign %q: %s", cc.Name, herr.Msg)
+	}
+	return c.cs, nil
+}
+
+// vacancy checks the quota for a campaign of workers ranks under name
+// against the current campaign set.
+func (s *Server) vacancy(name string, workers int) *dist.HTTPError {
+	if workers > s.quota.MaxWorkers {
+		s.cRejRanks.Inc()
+		return &dist.HTTPError{Code: 400, Msg: fmt.Sprintf(
+			"campaign %q wants %d ranks; quota allows %d", name, workers, s.quota.MaxWorkers)}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.vacancyLocked(name)
+}
+
+// vacancyLocked is vacancy's name and capacity half, under s.mu.
+func (s *Server) vacancyLocked(name string) *dist.HTTPError {
+	if s.camps[name] != nil {
+		return &dist.HTTPError{Code: 409, Msg: fmt.Sprintf("campaign %q already exists", name)}
+	}
+	if len(s.camps) >= s.quota.MaxCampaigns {
+		s.cRejCampaigns.Inc()
+		return &dist.HTTPError{Code: 429, Msg: fmt.Sprintf(
+			"fleet at capacity (%d campaigns); cancel one or retry later", s.quota.MaxCampaigns)}
+	}
+	return nil
+}
+
+// host is the one admission path behind admit and Host: quota check,
+// campaign state (elaboration, journal replay), fleet instruments on
+// the observer's registry, install, and the campaign's drainer.
+// ownsObs hands cc.Obs to the fleet, which then closes it on Shutdown.
+func (s *Server) host(cc dist.CoordConfig, ownsObs bool) (*campaign, *dist.HTTPError) {
+	if herr := s.vacancy(cc.Name, cc.Spec.Workers); herr != nil {
+		return nil, herr
+	}
+	if cc.LeaseTTL == 0 {
+		cc.LeaseTTL = s.cfg.LeaseTTL
+	}
+	if cc.CompactBytes == 0 {
+		cc.CompactBytes = s.cfg.CompactBytes
+	}
 	// The watch hooks capture c by reference: it is assigned below,
 	// before the campaign becomes reachable (the mutex-guarded install
 	// publishes the write to every handler and the drain goroutine), so
 	// no hook ever observes it nil.
 	var c *campaign
-	cc := dist.CoordConfig{
-		Spec:               req.Spec,
-		Name:               req.Name,
-		LeaseTTL:           s.cfg.LeaseTTL,
-		CompactBytes:       s.cfg.CompactBytes,
-		Obs:                o,
-		StopAtPoints:       req.StopAtPoints,
-		StopWhenAllCovered: req.StopWhenAllCovered,
-	}
 	if s.watch != nil {
 		cc.OnPublish = func(rank int, seq uint64, vectors uint64, points int) {
 			s.watchPublish(c, rank, seq, vectors, points)
@@ -413,21 +466,19 @@ func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPErr
 			s.watchSolve(c, rank, graph, to, outcome, ns)
 		}
 	}
-	if s.cfg.JournalDir != "" {
-		cc.JournalPath = filepath.Join(s.cfg.JournalDir, req.Name+".jsonl")
-		cc.Resume = resume
-	}
 	cs, err := dist.NewCampaignState(cc)
 	if err != nil {
-		_ = o.Close()
 		return nil, &dist.HTTPError{Code: 400, Msg: err.Error()}
 	}
 
+	reg := cc.Obs.Registry()
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	c = &campaign{
-		name:     req.Name,
+		name:     cc.Name,
 		cs:       cs,
 		reg:      reg,
-		obs:      o,
 		queue:    make(chan ingest, s.quota.QueueDepth),
 		gDepth:   reg.Gauge("fleet_queue_depth"),
 		gBytes:   reg.Gauge("fleet_queue_bytes"),
@@ -446,22 +497,17 @@ func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPErr
 		c.cAlerts = reg.Counter("watch_alerts_total")
 	}
 
+	if ownsObs {
+		c.obs = cc.Obs
+	}
+
 	s.mu.Lock()
-	if s.camps[req.Name] != nil {
+	if herr := s.vacancyLocked(cc.Name); herr != nil {
 		s.mu.Unlock()
 		cs.CloseJournal()
-		_ = o.Close()
-		return nil, &dist.HTTPError{Code: 409, Msg: fmt.Sprintf("campaign %q already exists", req.Name)}
+		return nil, herr
 	}
-	if len(s.camps) >= s.quota.MaxCampaigns {
-		s.mu.Unlock()
-		s.cRejCampaigns.Inc()
-		cs.CloseJournal()
-		_ = o.Close()
-		return nil, &dist.HTTPError{Code: 429, Msg: fmt.Sprintf(
-			"fleet at capacity (%d campaigns); cancel one or retry later", s.quota.MaxCampaigns)}
-	}
-	s.camps[req.Name] = c
+	s.camps[cc.Name] = c
 	s.gHosted.Set(int64(len(s.camps)))
 	s.mu.Unlock()
 
@@ -496,7 +542,6 @@ func (s *Server) drain(c *campaign) {
 				c.cBatches.Inc()
 				c.hBytes.Observe(in.bytes)
 				c.hDeltas.Observe(int64(len(in.req.Publishes)))
-				c.cs.AddWire("batch", in.bytes, 0, 0)
 				if b := s.quota.SolverBudgetNS; b > 0 && c.cs.SolverNS() > b && !c.budgetStop.Swap(true) {
 					c.cs.ForceStop()
 					c.reg.Counter("fleet_budget_stops_total").Inc()
@@ -513,13 +558,18 @@ func (s *Server) drain(c *campaign) {
 }
 
 // lookup resolves a campaign by name. An empty name resolves when the
-// fleet hosts exactly one campaign, so a plain single-campaign worker
-// (no -campaign flag) can target a one-tenant fleet.
+// fleet hosts exactly one campaign, so a worker without -campaign
+// reaches the implicit campaign of -serve (or any one-tenant fleet).
+// Against a fleet that hosts nothing yet it answers 503, which workers
+// retry: -serve binds its listener before its campaign has elaborated.
 func (s *Server) lookup(name string) (*campaign, *dist.HTTPError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if name == "" {
-		if len(s.camps) == 1 {
+		switch len(s.camps) {
+		case 0:
+			return nil, &dist.HTTPError{Code: 503, Msg: "the fleet hosts no campaign yet"}
+		case 1:
 			for _, c := range s.camps {
 				return c, nil
 			}
@@ -573,10 +623,9 @@ func (s *Server) campaignsSorted() []*campaign {
 }
 
 // Report finalizes and returns a completed campaign's merged report —
-// the same par.Report a single-campaign coordinator's Wait returns.
-// It fails while ranks are still running unless the campaign was
-// cancelled (a cancelled campaign merges what completed, marked
-// Interrupted).
+// the same par.Report an in-process -workers run returns. It fails
+// while ranks are still running unless the campaign was cancelled (a
+// cancelled campaign merges what completed, marked Interrupted).
 func (s *Server) Report(name string) (*par.Report, error) {
 	c, herr := s.lookup(name)
 	if herr != nil {
@@ -592,8 +641,13 @@ func (s *Server) Report(name string) (*par.Report, error) {
 	return c.cs.Finalize(c.cancelled.Load())
 }
 
-// WaitCampaign blocks until the named campaign's ranks all report (or
-// ctx ends, which cancels the campaign) and returns its merged report.
+// WaitCampaign blocks until the named campaign's ranks all report and
+// returns its merged report. When ctx ends first (ctrl-C on -serve),
+// the stop signal is tripped — workers stop at their next boundary
+// and deliver partial reports — deliveries are drained for a bounded
+// time, and the merge covers the ranks that reported, marked
+// Interrupted. Unlike DELETE, this does not cancel the campaign:
+// batches still apply, so no worker abandons its rank.
 func (s *Server) WaitCampaign(ctx context.Context, name string) (*par.Report, error) {
 	c, herr := s.lookup(name)
 	if herr != nil {
@@ -604,7 +658,6 @@ func (s *Server) WaitCampaign(ctx context.Context, name string) (*par.Report, er
 	case <-c.cs.Done():
 	case <-ctx.Done():
 		interrupted = true
-		c.cancelled.Store(true)
 		c.cs.ForceStop()
 		select {
 		case <-c.cs.Done():

@@ -38,8 +38,8 @@ func (s *Server) watchTNS() int64 { return int64(time.Since(s.start)) }
 // it. The sample ordinal is the fleet's own per-rank arrival counter,
 // NOT the wire's delta sequence: batched publishers coalesce deltas on
 // a background flusher, so seq values are timing-dependent, while the
-// arrival count is deterministic whenever the publish cadence is
-// (synchronous publishers flush one per engine interval).
+// arrival count is a pure function of the sequence of applied deltas
+// (deterministic whenever the batch cadence is).
 func (s *Server) watchPublish(c *campaign, rank int, seq uint64, vectors uint64, points int) {
 	c.sampleMu.Lock()
 	if c.sampleIdx == nil {

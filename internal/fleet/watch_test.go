@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/watch"
@@ -99,12 +100,54 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// driveFixedRank plays rank 0 of a one-rank campaign by hand over the
+// wire: twelve /v1/batch calls, each carrying one delta that advances
+// the vector count, of which only the first and the seventh add a
+// coverage node, then a final report. Each applied delta is one watch
+// sample, so the sample sequence — and every alert ID derived from it
+// (stall episodes at samples 3 and 9 under quietRules) — is a pure
+// function of this input, independent of batching cadence.
+func driveFixedRank(t *testing.T, addr, campaign string) {
+	t.Helper()
+	ctx := context.Background()
+	cl := testClient(addr, 40)
+	const id = "fixed-w0"
+	if _, err := cl.Join(ctx, dist.JoinRequest{Proto: dist.ProtoVersion, WorkerID: id, Campaign: campaign}); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if lr, err := cl.Lease(ctx, dist.LeaseRequest{WorkerID: id, Rank: 0, Campaign: campaign}); err != nil || lr.Rank != 0 {
+		t.Fatalf("lease: %+v %v", lr, err)
+	}
+	node := func(ids ...int) dist.CovWire { return dist.CovWire{Nodes: [][]int{ids}, Edges: [][]int{{}}} }
+	for seq := uint64(1); seq <= 12; seq++ {
+		delta := node()
+		switch seq {
+		case 1:
+			delta = node(0)
+		case 7:
+			delta = node(1)
+		}
+		resp, err := cl.Batch(ctx, dist.BatchRequest{
+			Campaign: campaign, WorkerID: id, Rank: 0,
+			Publishes: []dist.PublishDelta{{Seq: seq, Vectors: 250 * seq, Delta: delta}},
+		})
+		if err != nil || !resp.OK || resp.AckSeq != seq {
+			t.Fatalf("batch %d: %+v %v", seq, resp, err)
+		}
+	}
+	if _, err := cl.Report(ctx, dist.ReportRequest{
+		WorkerID: id, Rank: 0, Campaign: campaign,
+		Report: core.Report{Vectors: 3000, Cycles: 3000}, Coverage: node(0, 1),
+	}); err != nil {
+		t.Fatalf("report: %v", err)
+	}
+}
+
 // TestWatchStallAlertDeterministic is the tentpole determinism pin:
 // two identical single-rank campaigns on two watch-enabled fleets must
-// journal byte-identical alert ID sequences (a saturated mailbox
-// campaign stalls deterministically), the alerts must surface on the
-// status and snapshot surfaces, and the merged trace must carry them
-// as typed spans and still validate.
+// journal byte-identical alert ID sequences, the alerts must surface
+// on the status and snapshot surfaces, and the merged trace must carry
+// them as typed spans and still validate.
 func TestWatchStallAlertDeterministic(t *testing.T) {
 	run := func() ([]watch.Alert, string, *Server, string) {
 		dir := t.TempDir()
@@ -117,18 +160,7 @@ func TestWatchStallAlertDeterministic(t *testing.T) {
 		spec := mailboxSpec(7)
 		spec.Workers = 1
 		createCampaign(t, s.Addr(), CreateRequest{Name: "solo", Spec: spec})
-		// The synchronous publish path flushes exactly one publish per
-		// engine interval, so the fleet's per-rank sample counter — and
-		// with it every alert ID — is a pure function of the
-		// deterministic engine run (batched publishers coalesce on a
-		// timer and are only statistically stable).
-		if err := dist.RunWorker(context.Background(), dist.WorkerConfig{
-			Addr: s.Addr(), Campaign: "solo", WorkerID: "solo-w0", RankHint: 0,
-			SyncPublish: true,
-			Client:      testClient(s.Addr(), 40),
-		}); err != nil {
-			t.Fatalf("worker: %v", err)
-		}
+		driveFixedRank(t, s.Addr(), "solo")
 		if _, err := s.WaitCampaign(context.Background(), "solo"); err != nil {
 			t.Fatalf("wait: %v", err)
 		}
@@ -137,8 +169,8 @@ func TestWatchStallAlertDeterministic(t *testing.T) {
 	}
 
 	alerts1, trace1, s1, _ := run()
-	if len(alerts1) == 0 {
-		t.Fatal("saturated campaign journaled no alerts; stall detector never fired")
+	if want := []string{"solo/coverage_stall/r0/i3", "solo/coverage_stall/r0/i9"}; !reflect.DeepEqual(alertIDs(alerts1), want) {
+		t.Fatalf("journaled alert IDs = %v, want %v", alertIDs(alerts1), want)
 	}
 	stalls := 0
 	for _, a := range alerts1 {

@@ -24,12 +24,7 @@ type Options struct {
 	// XZEveryN injects X/Z bits into roughly one in N input vectors
 	// (0 disables injection).
 	XZEveryN int
-	// Levelized runs the compiled machine with the levelized drain. In
-	// that mode only settled values are compared, not branch-event
-	// streams (transient re-evaluation order is allowed to differ).
-	Levelized bool
-	// CompareEvents also demands identical branch-event streams and is
-	// the default for FIFO mode.
+	// CompareEvents also demands identical branch-event streams.
 	CompareEvents bool
 }
 
@@ -46,13 +41,12 @@ func Run(d *elab.Design, seed int64, opts Options) error {
 	if err != nil {
 		return fmt.Errorf("interp new: %w", err)
 	}
-	mc, err := simc.NewWith(d, simc.Options{Levelized: opts.Levelized})
+	mc, err := simc.New(d)
 	if err != nil {
 		return fmt.Errorf("compiled new: %w", err)
 	}
-	compareEvents := opts.CompareEvents && !opts.Levelized
 	recI, recC := &recorder{}, &recorder{}
-	if compareEvents {
+	if opts.CompareEvents {
 		si.SetTracer(recI)
 		mc.SetTracer(recC)
 	}
@@ -83,7 +77,7 @@ func Run(d *elab.Design, seed int64, opts Options) error {
 	}
 
 	for cyc := 0; cyc < opts.Cycles; cyc++ {
-		if compareEvents {
+		if opts.CompareEvents {
 			recI.events = recI.events[:0]
 			recC.events = recC.events[:0]
 		}
@@ -126,7 +120,7 @@ func Run(d *elab.Design, seed int64, opts Options) error {
 		if err := compareState(si, mc, fmt.Sprintf("cycle %d", cyc)); err != nil {
 			return err
 		}
-		if compareEvents {
+		if opts.CompareEvents {
 			if err := compareEventStreams(recI.events, recC.events, cyc); err != nil {
 				return err
 			}

@@ -41,19 +41,6 @@ func TestDiffRandomIR(t *testing.T) {
 	}
 }
 
-// TestDiffRandomIRLevelized checks that the levelized drain reaches the
-// same settled values as the interpreter on acyclic generated designs
-// (event streams are allowed to differ in this mode).
-func TestDiffRandomIRLevelized(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		d := Generate(seed)
-		opts := Options{Cycles: 32, XZEveryN: 4, Levelized: true}
-		if err := Run(d, seed*104729+7, opts); err != nil {
-			t.Fatalf("seed %d: levelized machine diverged: %v", seed, err)
-		}
-	}
-}
-
 // TestSnapshotTransfersBetweenBackends restores an interpreter snapshot
 // into a compiled machine (and back) and checks the states agree: the
 // checkpoint format is backend-independent.

@@ -7,37 +7,21 @@
 // logic.BV) when unknowns appear.
 //
 // The Machine implements the same sim.DUV contract as the interpreter
-// and — in its default configuration — replicates the interpreter's
-// event scheduler exactly: same FIFO combinational queue, same edge
-// detection, same non-blocking commit order, same settle limits. That
-// makes the two backends observationally identical: same values, same
-// branch-event stream (hence byte-identical coverage and campaign
-// reports), same snapshot bytes. The optional levelized drain orders
-// combinational evaluation by the dependency levels computed in
-// internal/analysis, reaching the same fixpoint with fewer transient
-// re-evaluations at the cost of a different (coarser) branch-event
-// stream.
+// and replicates the interpreter's event scheduler exactly: same FIFO
+// combinational queue, same edge detection, same non-blocking commit
+// order, same settle limits. That makes the two backends
+// observationally identical: same values, same branch-event stream
+// (hence byte-identical coverage and campaign reports), same snapshot
+// bytes.
 package simc
 
 import (
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/elab"
 	"repro/internal/logic"
 	"repro/internal/sim"
 )
-
-// Options configures machine construction.
-type Options struct {
-	// Levelized drains the combinational queue in dependency-level
-	// order (internal/analysis levelization) instead of the
-	// interpreter's FIFO order. The settled values are identical for
-	// acyclic combinational logic, but transient re-evaluations — and
-	// therefore the branch-event stream seen by coverage — may differ.
-	// Leave false when report parity with the interpreter matters.
-	Levelized bool
-}
 
 // slot locates one signal's planes inside the arena.
 type slot struct {
@@ -87,9 +71,6 @@ type Machine struct {
 	tracer  sim.Tracer
 	onCycle []sim.CycleListener
 
-	levelized bool
-	procLevel []int
-
 	// two-state fast-path counters (BENCH_sim metric)
 	hits, misses uint64
 
@@ -107,10 +88,7 @@ var _ sim.DUV = (*Machine)(nil)
 
 // New compiles a design and settles it once, with every signal and
 // memory word starting unknown ('X') exactly like the interpreter.
-func New(d *elab.Design) (*Machine, error) { return NewWith(d, Options{}) }
-
-// NewWith compiles a design with explicit options.
-func NewWith(d *elab.Design, opts Options) (*Machine, error) {
+func New(d *elab.Design) (*Machine, error) {
 	m := &Machine{
 		d:         d,
 		slots:     make([]slot, len(d.Signals)),
@@ -120,7 +98,6 @@ func NewWith(d *elab.Design, opts Options) (*Machine, error) {
 		combByMem: make([][]int, len(d.Memories)),
 		seqBySig:  make([][]int, len(d.Signals)),
 		queued:    make([]bool, len(d.Procs)),
-		levelized: opts.Levelized,
 	}
 	// Lay out the arena and initialize: declaration initializer when
 	// present, all-X otherwise.
@@ -183,17 +160,6 @@ func NewWith(d *elab.Design, opts Options) (*Machine, error) {
 	m.bodies = make([][]stmtF, len(d.Procs))
 	for pi, p := range d.Procs {
 		m.bodies[pi] = c.compileStmts(p.Body)
-	}
-	if m.levelized {
-		g := analysis.BuildDepGraph(d)
-		m.procLevel = make([]int, len(d.Procs))
-		for pi, p := range d.Procs {
-			for _, w := range p.Writes {
-				if lv := g.Level[w]; lv > m.procLevel[pi] {
-					m.procLevel[pi] = lv
-				}
-			}
-		}
 	}
 	// Initial settle: evaluate every comb process once.
 	for pi, p := range d.Procs {
@@ -371,24 +337,11 @@ func (m *Machine) scheduleNB(sig int, p *pval) {
 	m.nbaSig = append(m.nbaSig, nbaSlot{sig: sig, off: off, nw: len(p.a)})
 }
 
-// popProc removes the next combinational process from the queue: FIFO
-// by default (interpreter parity), lowest dependency level first in
-// levelized mode.
+// popProc removes the next combinational process from the FIFO queue
+// (interpreter order).
 func (m *Machine) popProc() int {
-	if !m.levelized || len(m.queue) == 1 {
-		pi := m.queue[0]
-		m.queue = m.queue[1:]
-		return pi
-	}
-	best := 0
-	for i := 1; i < len(m.queue); i++ {
-		a, b := m.queue[i], m.queue[best]
-		if m.procLevel[a] < m.procLevel[b] || (m.procLevel[a] == m.procLevel[b] && a < b) {
-			best = i
-		}
-	}
-	pi := m.queue[best]
-	m.queue = append(m.queue[:best], m.queue[best+1:]...)
+	pi := m.queue[0]
+	m.queue = m.queue[1:]
 	return pi
 }
 
