@@ -10,13 +10,18 @@ import (
 )
 
 // benchtab -diff is the repo's perf-regression gate: it compares any
-// two bench records of the same schema (BENCH_obs.json,
-// BENCH_slice.json, BENCH_flight.json, BENCH_prof.json, ...) metric by
-// metric, with each schema declaring which of its fields are
-// performance metrics and which direction is better. A metric that
-// moves the wrong way past -warn-tol prints a warning; past -fail-tol
-// the diff exits nonzero — warn-then-fail, so CI can keep a soft gate
-// while the tolerance is tuned.
+// two bench records of the same schema (BENCH_slice.json,
+// BENCH_flight.json, BENCH_prof.json, ...) metric by metric, with each
+// schema declaring which of its fields are performance metrics and
+// which direction is better. A metric that moves the wrong way past
+// warnTol prints a warning; past failTol the diff exits nonzero —
+// warn-then-fail, so CI can keep a soft gate while the tolerance is
+// tuned.
+
+const (
+	warnTol = 0.10
+	failTol = 0.25
+)
 
 // metricDef declares one gated metric: a dotted JSON path ("*" matches
 // any array index) and the direction of goodness.
@@ -29,22 +34,10 @@ type metricDef struct {
 // here (counts, byte sizes, notes, wall-clock raw values already
 // summarized by a ratio) are informational, not gated.
 var diffMetrics = map[string][]metricDef{
-	"symbfuzz-bench-obs/v1": {
-		{"vectors_per_sec", true},
-		{"cycles_per_sec", true},
-		{"solves_per_sec", true},
-		{"mean_solve_ns", false},
-		{"mean_blast_ns", false},
-		{"mean_interval_ns", false},
-		{"mean_rollback_ns", false},
-	},
 	"symbfuzz-bench-slice/v1": {
 		{"rows.*.blast_reduction", true},
 	},
-	"symbfuzz-bench-flight/v1": {
-		{"overhead", false},
-	},
-	"symbfuzz-bench-prof/v1": {
+	"symbfuzz-bench-overhead/v1": {
 		{"overhead", false},
 	},
 	"symbfuzz-bench-par/v1": {
@@ -58,9 +51,6 @@ var diffMetrics = map[string][]metricDef{
 		{"rows.*.batch_bytes", false},
 		{"fleet_vectors_per_sec", true},
 	},
-	"symbfuzz-bench-watch/v1": {
-		{"overhead", false},
-	},
 	"symbfuzz-bench-sim/v1": {
 		{"rows.*.interp_vectors_per_sec", true},
 		{"rows.*.compiled_vectors_per_sec", true},
@@ -70,10 +60,11 @@ var diffMetrics = map[string][]metricDef{
 }
 
 // runDiff compares baseline -> candidate. Returns true when at least
-// one metric regressed past failTol. A registered metric missing from
-// either record is an error: a renamed or dropped field must not turn
-// the gate into a silent pass.
-func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (bool, error) {
+// one metric regressed past failTol. A registered metric that is
+// missing from either record, or reads 0 in either, is an error: a
+// renamed, dropped or unmeasured field must not turn the gate into a
+// silent pass.
+func runDiff(basePath, newPath string, w io.Writer) (bool, error) {
 	base, baseSchema, err := readRecord(basePath)
 	if err != nil {
 		return false, err
@@ -85,12 +76,12 @@ func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (b
 	if baseSchema != candSchema {
 		return false, fmt.Errorf("schema mismatch: %s is %q, %s is %q", basePath, baseSchema, newPath, candSchema)
 	}
+	if be, ce := base["experiment"], cand["experiment"]; be != ce {
+		return false, fmt.Errorf("experiment mismatch: %s is %v, %s is %v", basePath, be, newPath, ce)
+	}
 	metrics, ok := diffMetrics[baseSchema]
 	if !ok {
 		return false, fmt.Errorf("no metric registry for schema %q", baseSchema)
-	}
-	if failTol < warnTol {
-		return false, fmt.Errorf("-fail-tol (%.2f) must be >= -warn-tol (%.2f)", failTol, warnTol)
 	}
 
 	fmt.Fprintf(w, "perf diff (%s): %s -> %s  [warn > %.0f%%, fail > %.0f%%]\n",
@@ -108,6 +99,9 @@ func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (b
 			nv, nok := lookupNumber(cand, p)
 			if !ook || !nok {
 				return false, fmt.Errorf("metric %s is not a number in both %s and %s", p, basePath, newPath)
+			}
+			if ov == 0 || nv == 0 {
+				return false, fmt.Errorf("metric %s reads 0 in %s or %s: a gated metric must be measured", p, basePath, newPath)
 			}
 			change, worse := relChange(ov, nv, m.higherIsBetter)
 			verdict := "ok"
@@ -129,10 +123,8 @@ func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (b
 
 // relChange returns the signed relative change and how much of it is
 // in the "worse" direction (0 when the metric moved the right way).
+// oldV must be nonzero.
 func relChange(oldV, newV float64, higherIsBetter bool) (change, worse float64) {
-	if oldV == 0 {
-		return 0, 0 // nothing to normalize against
-	}
 	change = (newV - oldV) / oldV
 	if oldV < 0 {
 		change = -change // preserve "higher is better" semantics

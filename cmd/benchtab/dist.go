@@ -1,15 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/designs"
-	"repro/internal/dist"
 	"repro/internal/par"
 )
 
@@ -21,8 +17,7 @@ import (
 // to the coverage a single worker discovers on the budget. The two
 // trajectories are identical by construction — the record isolates
 // the protocol overhead (serialized publishes, remote plan cache,
-// lease heartbeats) in the time-to-coverage and wall columns. The
-// record is written as BENCH_dist.json.
+// lease heartbeats) in the time-to-coverage and wall columns.
 
 // DistRow is one design's in-process vs distributed measurement.
 type DistRow struct {
@@ -30,10 +25,8 @@ type DistRow struct {
 	Budget       uint64 `json:"budget"`
 	TargetPoints int    `json:"target_points"`
 
-	InprocWallNS  int64 `json:"inproc_wall_ns"`
-	InprocReached bool  `json:"inproc_reached"`
-	DistWallNS    int64 `json:"dist_wall_ns"`
-	DistReached   bool  `json:"dist_reached"`
+	InprocWallNS int64 `json:"inproc_wall_ns"`
+	DistWallNS   int64 `json:"dist_wall_ns"`
 
 	// WireOverhead is dist wall over in-process wall to the same
 	// coverage target — the cost of crossing the loopback for batched
@@ -51,13 +44,13 @@ type DistRow struct {
 
 // DistBench is the BENCH_dist.json record.
 type DistBench struct {
-	Schema  string    `json:"schema"`
+	recordHeader
 	Workers int       `json:"workers"`
-	Cores   int       `json:"cores"`
-	Seed    int64     `json:"seed"`
-	Note    string    `json:"note"`
 	Rows    []DistRow `json:"rows"`
 }
+
+// distWorkers is the rank count of both arms.
+const distWorkers = 2
 
 var distTargets = []struct {
 	name   string
@@ -67,61 +60,39 @@ var distTargets = []struct {
 	{"bus_arb", 8000},
 }
 
-func runDistExp(workers int, seed int64, outPath string, w io.Writer) error {
-	if workers < 2 {
-		workers = 2
-	}
+func runDist(seed int64, _ int, w io.Writer) (any, error) {
 	bench := DistBench{
-		Schema:  "symbfuzz-bench-dist/v1",
-		Workers: workers,
-		Cores:   runtime.NumCPU(),
-		Seed:    seed,
-		Note: "dist runs the full /v1 wire protocol over loopback HTTP in one OS process; " +
-			"wire_overhead therefore excludes physical network latency but includes " +
-			"serialization, the remote plan cache, and lease traffic",
+		recordHeader: header("symbfuzz-bench-dist/v1", seed,
+			"dist runs the full /v1 wire protocol over loopback HTTP in one OS process; "+
+				"wire_overhead therefore excludes physical network latency but includes "+
+				"serialization, the remote plan cache, and lease traffic"),
+		Workers: distWorkers,
 	}
 	for _, tgt := range distTargets {
 		b, ok := designs.FindBenchmark(tgt.name)
 		if !ok {
-			return fmt.Errorf("dist: unknown benchmark %q", tgt.name)
+			return nil, fmt.Errorf("unknown benchmark %q", tgt.name)
 		}
-		row, err := measureDist(b, tgt.name, tgt.budget, workers, seed)
+		row, err := measureDist(b, tgt.budget, seed)
 		if err != nil {
-			return fmt.Errorf("dist: %s: %w", tgt.name, err)
+			return nil, fmt.Errorf("%s: %w", tgt.name, err)
 		}
 		bench.Rows = append(bench.Rows, *row)
 	}
 
-	fmt.Fprintf(w, "Distributed overhead (time to single-worker coverage, %d workers, loopback)\n", workers)
-	fmt.Fprintf(w, "%-16s %8s %8s %14s %14s %10s %8s\n",
-		"bench", "budget", "target", "inproc wall", "dist wall", "overhead", "parity")
+	fmt.Fprintf(w, "Distributed overhead (time to single-worker coverage, %d workers, loopback)\n", distWorkers)
+	fmt.Fprintf(w, "%-16s %8s %8s %14s %14s %10s\n",
+		"bench", "budget", "target", "inproc wall", "dist wall", "overhead")
 	for _, r := range bench.Rows {
-		parity := "ok"
-		if !r.MergedEqual {
-			parity = "MISMATCH"
-		}
-		fmt.Fprintf(w, "%-16s %8d %8d %12.2fms %12.2fms %9.2fx %8s\n",
+		fmt.Fprintf(w, "%-16s %8d %8d %12.2fms %12.2fms %9.2fx\n",
 			r.Bench, r.Budget, r.TargetPoints,
-			float64(r.InprocWallNS)/1e6, float64(r.DistWallNS)/1e6,
-			r.WireOverhead, parity)
+			float64(r.InprocWallNS)/1e6, float64(r.DistWallNS)/1e6, r.WireOverhead)
 	}
-
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+	return bench, nil
 }
 
-func measureDist(b *designs.Benchmark, benchName string, budget uint64, workers int, seed int64) (*DistRow, error) {
-	cc := core.Config{
-		Interval:              100,
-		Threshold:             2,
-		MaxVectors:            budget,
-		Seed:                  seed,
-		UseSnapshots:          true,
-		ContinueAfterCoverage: true,
-	}
+func measureDist(b *designs.Benchmark, budget uint64, seed int64) (*DistRow, error) {
+	spec, cc := campaign(b.Name, budget, distWorkers, seed)
 
 	// Discovery: what does one lane reach on this budget?
 	disc, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: 1})
@@ -132,40 +103,32 @@ func measureDist(b *designs.Benchmark, benchName string, budget uint64, workers 
 
 	// In-process: N workers race the shared-memory frontier.
 	inproc, err := par.Run(b.Elaborate, b.Properties,
-		par.Config{Config: cc, Workers: workers, StopAtPoints: target})
+		par.Config{Config: cc, Workers: distWorkers, StopAtPoints: target})
 	if err != nil {
 		return nil, err
 	}
 
 	// Distributed: the same campaign over the loopback wire.
-	distRep, _, err := hostOnFleet(dist.CampaignSpec{
-		Bench:                 benchName,
-		Interval:              cc.Interval,
-		Threshold:             cc.Threshold,
-		MaxVectors:            cc.MaxVectors,
-		Seed:                  cc.Seed,
-		Workers:               workers,
-		UseSnapshots:          cc.UseSnapshots,
-		ContinueAfterCoverage: cc.ContinueAfterCoverage,
-	}, target)
+	distRep, _, err := hostOnFleet(spec, target)
 	if err != nil {
 		return nil, err
 	}
-
-	row := &DistRow{
-		Bench:         b.Name,
-		Budget:        budget,
-		TargetPoints:  target,
-		InprocWallNS:  inproc.TimeToTargetNS,
-		InprocReached: inproc.TimeToTargetNS > 0,
-		DistWallNS:    distRep.TimeToTargetNS,
-		DistReached:   distRep.TimeToTargetNS > 0,
-		MergedEqual:   mergedAgree(inproc.Merged, distRep.Merged),
+	if inproc.TimeToTargetNS <= 0 || distRep.TimeToTargetNS <= 0 {
+		return nil, fmt.Errorf("an arm missed the %d-point target (in-process: %dns, dist: %dns)",
+			target, inproc.TimeToTargetNS, distRep.TimeToTargetNS)
 	}
-	if row.InprocReached && row.DistReached {
-		row.WireOverhead = float64(row.DistWallNS) / float64(row.InprocWallNS)
+	if !mergedAgree(inproc.Merged, distRep.Merged) {
+		return nil, fmt.Errorf("merged reports disagree on graph totals or pruning")
 	}
-	return row, nil
+	return &DistRow{
+		Bench:        b.Name,
+		Budget:       budget,
+		TargetPoints: target,
+		InprocWallNS: inproc.TimeToTargetNS,
+		DistWallNS:   distRep.TimeToTargetNS,
+		WireOverhead: float64(distRep.TimeToTargetNS) / float64(inproc.TimeToTargetNS),
+		MergedEqual:  true,
+	}, nil
 }
 
 // mergedAgree compares the campaign-invariant merged-report fields.

@@ -8,12 +8,9 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"reflect"
-	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fleet"
 	"repro/internal/par"
@@ -27,8 +24,7 @@ import (
 // piggybacked plan-cache stores); the merged report must equal the
 // in-process par.Run of the same campaign. Arm two multiplexes several
 // named campaigns on one fleet server and records the aggregate vector
-// throughput across all ranks. The record is written as
-// BENCH_fleet.json.
+// throughput across all ranks.
 
 // FleetRow is one design's batched-wire measurement.
 type FleetRow struct {
@@ -50,11 +46,7 @@ type FleetRow struct {
 
 // FleetBench is the BENCH_fleet.json record.
 type FleetBench struct {
-	Schema string `json:"schema"`
-	Cores  int    `json:"cores"`
-	Seed   int64  `json:"seed"`
-	Note   string `json:"note"`
-
+	recordHeader
 	Rows []FleetRow `json:"rows"`
 
 	// The multi-campaign arm: Campaigns concurrent named campaigns of
@@ -75,71 +67,46 @@ var fleetTargets = []struct {
 	{"bus_arb", 8000},
 }
 
-func runFleetExp(seed int64, outPath string, w io.Writer) error {
+func runFleet(seed int64, _ int, w io.Writer) (any, error) {
 	const workers = 2
 	bench := FleetBench{
-		Schema: "symbfuzz-bench-fleet/v1",
-		Cores:  runtime.NumCPU(),
-		Seed:   seed,
-		Note: "batch_bytes tallies the /v1/batch payloads (coverage deltas + plan-cache stores) of a " +
-			"fixed-budget campaign; fleet_vectors_per_sec is aggregate throughput of concurrent campaigns " +
-			"multiplexed on one fleet coordinator over loopback",
+		recordHeader: header("symbfuzz-bench-fleet/v1", seed,
+			"batch_bytes tallies the /v1/batch payloads (coverage deltas + plan-cache stores) of a "+
+				"fixed-budget campaign; fleet_vectors_per_sec is aggregate throughput of concurrent campaigns "+
+				"multiplexed on one fleet coordinator over loopback"),
 	}
-
 	for _, tgt := range fleetTargets {
 		row, err := measureWire(tgt.name, tgt.budget, workers, seed)
 		if err != nil {
-			return fmt.Errorf("fleet: %s: %w", tgt.name, err)
+			return nil, fmt.Errorf("%s: %w", tgt.name, err)
 		}
 		bench.Rows = append(bench.Rows, *row)
 	}
-
 	if err := measureFleetAggregate(&bench, seed); err != nil {
-		return fmt.Errorf("fleet: aggregate: %w", err)
+		return nil, fmt.Errorf("aggregate: %w", err)
 	}
 
 	fmt.Fprintf(w, "Publish wire (delta batches, %d workers, full budget)\n", workers)
-	fmt.Fprintf(w, "%-16s %8s %10s %12s %8s\n", "bench", "budget", "batch rpcs", "batch bytes", "parity")
+	fmt.Fprintf(w, "%-16s %8s %10s %12s\n", "bench", "budget", "batch rpcs", "batch bytes")
 	for _, r := range bench.Rows {
-		parity := "ok"
-		if !r.MergedEqual {
-			parity = "MISMATCH"
-		}
-		fmt.Fprintf(w, "%-16s %8d %10d %12d %8s\n", r.Bench, r.Budget, r.BatchCalls, r.BatchBytes, parity)
+		fmt.Fprintf(w, "%-16s %8d %10d %12d\n", r.Bench, r.Budget, r.BatchCalls, r.BatchBytes)
 	}
 	fmt.Fprintf(w, "\nFleet aggregate: %d campaigns x %d workers, %d vectors in %.2fs = %.0f vectors/sec\n",
 		bench.FleetCampaigns, bench.FleetWorkers, bench.FleetTotalVectors,
 		float64(bench.FleetWallNS)/1e9, bench.FleetVectorsPerSec)
-
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+	return bench, nil
 }
 
 // measureWire runs the campaign on a loopback fleet, tallies what
 // crossed the wire on the publish plane, and checks the merged report
 // against the in-process run.
 func measureWire(benchName string, budget uint64, workers int, seed int64) (*FleetRow, error) {
-	spec := dist.CampaignSpec{
-		Bench:                 benchName,
-		Interval:              100,
-		Threshold:             2,
-		MaxVectors:            budget,
-		Seed:                  seed,
-		Workers:               workers,
-		UseSnapshots:          true,
-		ContinueAfterCoverage: true,
-	}
+	spec, cc := campaign(benchName, budget, workers, seed)
 	b, properties, err := dist.ResolveSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	local, err := par.Run(b.Elaborate, properties, par.Config{Config: core.Config{
-		Interval: spec.Interval, Threshold: spec.Threshold, MaxVectors: spec.MaxVectors, Seed: spec.Seed,
-		UseSnapshots: spec.UseSnapshots, ContinueAfterCoverage: spec.ContinueAfterCoverage,
-	}, Workers: workers})
+	local, err := par.Run(b.Elaborate, properties, par.Config{Config: cc, Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("in-process run: %w", err)
 	}
@@ -147,9 +114,11 @@ func measureWire(benchName string, budget uint64, workers int, seed int64) (*Fle
 	if err != nil {
 		return nil, err
 	}
+	if !sameReport(local.Merged, rep.Merged) {
+		return nil, fmt.Errorf("fleet merged report differs from the in-process run")
+	}
 
-	row := &FleetRow{Bench: benchName, Budget: budget, Workers: workers,
-		MergedEqual: sameReport(local.Merged, rep.Merged)}
+	row := &FleetRow{Bench: benchName, Budget: budget, Workers: workers, MergedEqual: true}
 	for _, e := range wire {
 		if e.RPC == "batch" {
 			row.BatchCalls += e.Calls
@@ -180,6 +149,25 @@ func hostOnFleet(spec dist.CampaignSpec, stopAt int) (*par.Report, []prof.WireEn
 	return rep, cs.WireLedger(), err
 }
 
+// createCampaign submits spec as a named campaign through the fleet's
+// /v1/campaigns API.
+func createCampaign(addr, name string, spec dist.CampaignSpec) error {
+	body, err := json.Marshal(fleet.CreateRequest{Name: name, Spec: spec})
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post("http://"+addr+"/v1/campaigns", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		return fmt.Errorf("create %s: status %d", name, resp.StatusCode)
+	}
+	return nil
+}
+
 // drainCampaign runs one worker per rank against the named campaign
 // (empty: the fleet's sole campaign) and waits for all of them.
 func drainCampaign(addr, campaign string, ranks int, idPrefix string) error {
@@ -201,22 +189,6 @@ func drainCampaign(addr, campaign string, ranks int, idPrefix string) error {
 		}
 	}
 	return nil
-}
-
-// sameReport compares two merged reports on every deterministic field:
-// wall-clock timings are zeroed, and the plan-cache hit/miss split,
-// which depends on which rank solved first, is folded into its sum.
-func sameReport(a, b *core.Report) bool {
-	norm := func(r *core.Report) core.Report {
-		c := *r
-		c.Timings.TotalNS, c.Timings.FuzzNS, c.Timings.SymbolicNS = 0, 0, 0
-		c.Timings.RollbackNS, c.Timings.VCDNS = 0, 0
-		c.Timings.Solve.BlastNS, c.Timings.Solve.CDCLNS = 0, 0
-		c.SolveCacheHits += c.SolveCacheMisses
-		c.SolveCacheMisses = 0
-		return c
-	}
-	return reflect.DeepEqual(norm(a), norm(b))
 }
 
 // measureFleetAggregate multiplexes campaigns on one fleet server and
@@ -243,31 +215,9 @@ func measureFleetAggregate(bench *FleetBench, seed int64) error {
 	start := time.Now()
 	for i := 0; i < campaigns; i++ {
 		names[i] = fmt.Sprintf("bench-%d", i)
-		req := fleet.CreateRequest{
-			Name: names[i],
-			Spec: dist.CampaignSpec{
-				Bench:                 "scmi_mailbox",
-				Interval:              100,
-				Threshold:             2,
-				MaxVectors:            budget,
-				Seed:                  seed + int64(i),
-				Workers:               workers,
-				UseSnapshots:          true,
-				ContinueAfterCoverage: true,
-			},
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
+		spec, _ := campaign("scmi_mailbox", budget, workers, seed+int64(i))
+		if err := createCampaign(srv.Addr(), names[i], spec); err != nil {
 			return err
-		}
-		resp, err := http.Post("http://"+srv.Addr()+"/v1/campaigns", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			return fmt.Errorf("create %s: status %d", names[i], resp.StatusCode)
 		}
 	}
 

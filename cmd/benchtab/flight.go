@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -16,136 +13,64 @@ import (
 // The flight experiment measures what the flight recorder costs: the
 // same fixed-budget bus_arb campaign runs with the full span layer
 // enabled (observer + JSONL tracer draining to io.Discard) and with a
-// nil observer (the engine's no-op telemetry path). Runs interleave
-// and each arm keeps its minimum wall time, so transient machine noise
-// inflates neither side. The record is written as BENCH_flight.json
-// and the experiment fails if spans cost more than 5% wall time.
+// nil observer (the engine's no-op telemetry path). The work counter is
+// the number of trace events the on arm emitted.
 
-// FlightBench is the BENCH_flight.json record.
-type FlightBench struct {
-	Schema string `json:"schema"`
-	Bench  string `json:"bench"`
-	Budget uint64 `json:"budget"`
-	Runs   int    `json:"runs"`
-	Cores  int    `json:"cores"`
-	Seed   int64  `json:"seed"`
-	Note   string `json:"note"`
-
-	SpansWallNS   int64 `json:"spans_wall_ns"`
-	NoSpansWallNS int64 `json:"no_spans_wall_ns"`
-	TraceEvents   int   `json:"trace_events"`
-	TraceSpans    int   `json:"trace_spans"`
-
-	// Overhead is spans-enabled wall over spans-disabled wall (min of
-	// Runs interleaved runs per arm).
-	Overhead float64 `json:"overhead"`
-	Within5  bool    `json:"within_5pct"`
-}
-
-const flightBudget = 20_000
-
-func runFlight(seed int64, runs int, outPath string, w io.Writer) error {
-	if runs < 1 {
-		runs = 3
-	}
+func runFlight(seed int64, runs int, w io.Writer) (any, error) {
+	const budget = 20_000
 	b, ok := designs.FindBenchmark("bus_arb")
 	if !ok {
-		return fmt.Errorf("flight: bus_arb benchmark missing")
+		return nil, fmt.Errorf("bus_arb benchmark missing")
 	}
-	cc := core.Config{
-		Interval:              100,
-		Threshold:             2,
-		MaxVectors:            flightBudget,
-		Seed:                  seed,
-		UseSnapshots:          true,
-		ContinueAfterCoverage: true,
-	}
-
-	campaign := func(o *obs.Observer) (int64, error) {
-		d, err := b.Elaborate()
-		if err != nil {
-			return 0, err
-		}
-		c := cc
-		c.Obs = o
-		eng, err := core.New(d, b.Properties, c)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if _, err := eng.Run(); err != nil {
-			return 0, err
-		}
-		return time.Since(start).Nanoseconds(), nil
-	}
-
-	// One counted traced run to size the trace, outside the timing arms.
-	counter := &countTracer{}
-	if _, err := campaign(obs.New(obs.Options{Tracer: counter})); err != nil {
-		return err
-	}
-
-	minSpans, minPlain := int64(0), int64(0)
-	for i := 0; i < runs; i++ {
-		tn, err := campaign(obs.New(obs.Options{Tracer: obs.NewJSONLTracer(io.Discard)}))
-		if err != nil {
-			return err
-		}
-		pn, err := campaign(nil)
-		if err != nil {
-			return err
-		}
-		if minSpans == 0 || tn < minSpans {
-			minSpans = tn
-		}
-		if minPlain == 0 || pn < minPlain {
-			minPlain = pn
-		}
-	}
-
-	rec := FlightBench{
-		Schema: "symbfuzz-bench-flight/v1",
-		Bench:  "bus_arb",
-		Budget: flightBudget,
-		Runs:   runs,
-		Cores:  runtime.NumCPU(),
-		Seed:   seed,
-		Note: "spans arm drives the full observer + causal-span layer into a JSONL tracer " +
-			"draining to io.Discard; the no-spans arm runs the engine's nil-observer no-op " +
-			"path; each arm keeps its minimum wall time over interleaved runs",
-		SpansWallNS:   minSpans,
-		NoSpansWallNS: minPlain,
-		TraceEvents:   counter.events,
-		TraceSpans:    counter.spans,
-		Overhead:      float64(minSpans) / float64(minPlain),
-	}
-	rec.Within5 = rec.Overhead <= 1.05
-
-	fmt.Fprintf(w, "Flight-recorder overhead (bus_arb, %d vectors, min of %d runs per arm)\n",
-		flightBudget, runs)
-	fmt.Fprintf(w, "  spans on:  %10.2fms  (%d events, %d spans)\n",
-		float64(rec.SpansWallNS)/1e6, rec.TraceEvents, rec.TraceSpans)
-	fmt.Fprintf(w, "  spans off: %10.2fms\n", float64(rec.NoSpansWallNS)/1e6)
-	fmt.Fprintf(w, "  overhead:  %10.4fx\n", rec.Overhead)
-
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	if !rec.Within5 {
-		return fmt.Errorf("flight: span layer costs %.2f%% wall time, budget is 5%%",
-			(rec.Overhead-1)*100)
-	}
-	return nil
+	_, cc := campaign(b.Name, budget, 1, seed)
+	return runOverhead(overheadExp{
+		name:     "flight",
+		title:    "Flight-recorder overhead",
+		bench:    b.Name,
+		budget:   budget,
+		workers:  1,
+		runs:     3,
+		workUnit: "trace_events",
+		note: "on arm drives the full observer + causal-span layer into a JSONL tracer draining to " +
+			"io.Discard, closed inside the timed region; off arm runs the engine's nil-observer no-op path",
+		run: func(on bool) (instrumentRun, error) {
+			d, err := b.Elaborate()
+			if err != nil {
+				return instrumentRun{}, err
+			}
+			c := cc
+			tr := &countTracer{}
+			if on {
+				tr.next = obs.NewJSONLTracer(io.Discard)
+				c.Obs = obs.New(obs.Options{Tracer: tr})
+			}
+			eng, err := core.New(d, b.Properties, c)
+			if err != nil {
+				return instrumentRun{}, err
+			}
+			start := time.Now()
+			rep, err := eng.Run()
+			if err != nil {
+				return instrumentRun{}, err
+			}
+			if err := c.Obs.Close(); err != nil {
+				return instrumentRun{}, err
+			}
+			return instrumentRun{
+				wallNS: time.Since(start).Nanoseconds(),
+				report: rep,
+				work:   tr.events,
+				info:   map[string]int64{"trace_spans": tr.spans},
+			}, nil
+		},
+	}, seed, runs, w)
 }
 
-// countTracer tallies events and spans without formatting them.
+// countTracer tallies events and spans on their way to the next tracer.
 type countTracer struct {
-	events int
-	spans  int
+	next   obs.Tracer
+	events int64
+	spans  int64
 }
 
 func (c *countTracer) Emit(ev *obs.Event) {
@@ -153,6 +78,7 @@ func (c *countTracer) Emit(ev *obs.Event) {
 	if ev.Type == obs.EvSpan {
 		c.spans++
 	}
+	c.next.Emit(ev)
 }
 
-func (c *countTracer) Close() error { return nil }
+func (c *countTracer) Close() error { return c.next.Close() }

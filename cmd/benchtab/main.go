@@ -1,9 +1,7 @@
 // Command benchtab regenerates the paper's evaluation tables and
-// figures (§5) at a configurable budget and prints them as text. With
-// -metrics it instead converts a campaign's telemetry snapshot (the
-// JSON written by symbfuzz -metrics / served at /status) into a
-// BENCH_obs.json performance record: vectors/sec, solves/sec, mean
-// solve latency — the repo's bench trajectory format.
+// figures (§5) at a configurable budget and prints them as text, and
+// writes the repo's component perf records (BENCH_<exp>.json at the
+// root; the end-to-end campaign benchmark lives in bench/).
 //
 // Usage:
 //
@@ -11,52 +9,85 @@
 //	benchtab -exp table2 -budget 60000 -runs 4
 //	benchtab -exp fig4 -budget 20000
 //	benchtab -exp all
-//	benchtab -metrics metrics.json -obs-out BENCH_obs.json
+//
+// Record experiments time arms against each other, so they run only by
+// name, never under -exp all. Each writes BENCH_<exp>.json unless -out
+// names another path; -runs sets the interleaved runs per arm of the
+// overhead and sim experiments (0 keeps the experiment's default). A
+// failed gate exits 1: a parity break, a missed target or an instrument
+// that did no work writes nothing, an overhead past 5% is still written
+// with within_5pct false:
+//
+//	benchtab -exp prof
+//	benchtab -exp watch -runs 7 -out BENCH_watch_new.json
 //
 // -diff compares two bench records of the same schema as a
-// perf-regression gate (warn past -warn-tol, exit 1 past -fail-tol):
+// perf-regression gate (warn past 10%, exit 1 past 25%):
 //
-//	benchtab -diff BENCH_obs.json -with BENCH_obs_new.json
-//	benchtab -diff BENCH_prof.json -with BENCH_prof_new.json -warn-tol 0.10 -fail-tol 0.25
+//	benchtab -diff BENCH_prof.json -with BENCH_prof_new.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/eval"
-	"repro/internal/obs"
 )
+
+// experiment is one -exp target: either a paper table, printed as text
+// and run under -exp all, or a record experiment, which returns the
+// record to write.
+type experiment struct {
+	name   string
+	table  func(c eval.Config, w io.Writer) error
+	record func(seed int64, runs int, w io.Writer) (any, error)
+}
+
+var experiments = []experiment{
+	{name: "table1", table: table(eval.RunTable1, eval.WriteTable1)},
+	{name: "table2", table: table(eval.RunTable2, eval.WriteTable2)},
+	{name: "table3", table: table(eval.RunTable3, eval.WriteTable3)},
+	{name: "fig4", table: table(eval.RunFigure4, func(w io.Writer, fig *eval.Figure4) {
+		eval.WriteFigure4a(w, fig)
+		fmt.Fprintln(w)
+		eval.WriteFigure4b(w, fig)
+		fmt.Fprintln(w, eval.Summary(fig))
+	})},
+	{name: "sec54", table: table(eval.RunSection54, eval.WriteSection54)},
+	{name: "scalability", table: table(eval.RunScalability, eval.WriteScalability)},
+	{name: "par", record: runPar},
+	{name: "dist", record: runDist},
+	{name: "flight", record: runFlight},
+	{name: "slice", record: runSlice},
+	{name: "prof", record: runProf},
+	{name: "sim", record: runSim},
+	{name: "fleet", record: runFleet},
+	{name: "watch", record: runWatch},
+}
+
+// table adapts an eval experiment and its printer to a table entry.
+func table[T any](run func(eval.Config) (T, error), write func(io.Writer, T)) func(eval.Config, io.Writer) error {
+	return func(c eval.Config, w io.Writer) error {
+		v, err := run(c)
+		if err == nil {
+			write(w, v)
+		}
+		return err
+	}
+}
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|sec54|scalability|par|dist|flight|slice|prof|sim|fleet|watch|all (par, dist, flight, slice, prof, sim, fleet and watch never run under all)")
-		budget     = flag.Uint64("budget", 0, "vector budget per IP run (0 = defaults)")
-		soc        = flag.Uint64("soc-budget", 0, "vector budget for SoC curves")
-		runs       = flag.Int("runs", 0, "runs averaged (figure 4, table 2)")
-		seed       = flag.Int64("seed", 1, "base seed")
-		metrics    = flag.String("metrics", "", "telemetry snapshot JSON (from symbfuzz -metrics); emits a perf record instead of running experiments")
-		obsOut     = flag.String("obs-out", "BENCH_obs.json", "perf record output path (with -metrics)")
-		parWorkers = flag.Int("par-workers", 4, "worker count for -exp par")
-		parOut     = flag.String("par-out", "BENCH_par.json", "scaling record output path (with -exp par)")
-		distOut    = flag.String("dist-out", "BENCH_dist.json", "wire-overhead record output path (with -exp dist)")
-		flightOut  = flag.String("flight-out", "BENCH_flight.json", "span-overhead record output path (with -exp flight)")
-		flightRuns = flag.Int("flight-runs", 3, "interleaved runs per arm for -exp flight")
-		sliceOut   = flag.String("slice-out", "BENCH_slice.json", "slicing record output path (with -exp slice)")
-		profOut    = flag.String("prof-out", "BENCH_prof.json", "profiler-overhead record output path (with -exp prof)")
-		profRuns   = flag.Int("prof-runs", 3, "interleaved runs per arm for -exp prof")
-		simOut     = flag.String("sim-out", "BENCH_sim.json", "backend-throughput record output path (with -exp sim)")
-		fleetOut   = flag.String("fleet-out", "BENCH_fleet.json", "fleet wire-reduction record output path (with -exp fleet)")
-		watchOut   = flag.String("watch-out", "BENCH_watch.json", "watch-plane overhead record output path (with -exp watch)")
-		watchRuns  = flag.Int("watch-runs", 3, "interleaved runs per arm for -exp watch")
-		simCycles  = flag.Int("sim-cycles", 2000, "vectors per design per run for -exp sim")
-		simRuns    = flag.Int("sim-runs", 3, "interleaved runs per arm for -exp sim")
-		diffBase   = flag.String("diff", "", "baseline bench record for the perf-regression gate")
-		diffWith   = flag.String("with", "", "candidate bench record to compare against -diff")
-		warnTol    = flag.Float64("warn-tol", 0.10, "relative regression that prints a warning (with -diff)")
-		failTol    = flag.Float64("fail-tol", 0.25, "relative regression that exits nonzero (with -diff)")
+		exp      = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|sec54|scalability|par|dist|flight|slice|prof|sim|fleet|watch|all (par through watch write records and never run under all)")
+		budget   = flag.Uint64("budget", 0, "vector budget per IP run (0 = defaults)")
+		soc      = flag.Uint64("soc-budget", 0, "vector budget for SoC curves")
+		runs     = flag.Int("runs", 0, "runs averaged (figure 4, table 2) or interleaved runs per arm (overhead and sim records); 0 = the experiment's default")
+		seed     = flag.Int64("seed", 1, "base seed")
+		out      = flag.String("out", "", "record output path (default BENCH_<exp>.json)")
+		diffBase = flag.String("diff", "", "baseline bench record for the perf-regression gate")
+		diffWith = flag.String("with", "", "candidate bench record to compare against -diff")
 	)
 	flag.Parse()
 
@@ -65,103 +96,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchtab: -diff and -with must both be set")
 			os.Exit(2)
 		}
-		failed, err := runDiff(*diffBase, *diffWith, *warnTol, *failTol, os.Stdout)
+		failed, err := runDiff(*diffBase, *diffWith, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab: diff:", err)
 			os.Exit(2)
 		}
 		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *metrics != "" {
-		if err := emitObsBench(*metrics, *obsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// The par experiment is wall-clock-sensitive (it times campaigns
-	// against each other), so it only runs when asked for by name —
-	// never as part of -exp all.
-	if *exp == "par" {
-		if err := runPar(*parWorkers, *seed, *parOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: par:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// Same rule for dist: it races the in-process orchestrator against
-	// the loopback wire protocol, so it is wall-clock-sensitive too.
-	if *exp == "dist" {
-		if err := runDistExp(2, *seed, *distOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: dist:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for flight: it times the span layer against the nil-observer
-	// no-op path, so it is wall-clock-sensitive too.
-	if *exp == "flight" {
-		if err := runFlight(*seed, *flightRuns, *flightOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: flight:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for prof: it times the cost-profiler against the nil-profiler
-	// no-op path, so it is wall-clock-sensitive too.
-	if *exp == "prof" {
-		if err := runProf(*seed, *profRuns, *profOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: prof:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for sim: it races the interpreter against the compiled
-	// backend on raw stepping throughput, so it is wall-clock-sensitive
-	// too.
-	if *exp == "sim" {
-		if err := runSimExp(*simCycles, *simRuns, *seed, *simOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for fleet: it compares publish-plane wire bytes between the
-	// sync-snapshot ablation and the delta-batched default, and times
-	// aggregate multi-campaign throughput — wall-clock-sensitive too.
-	if *exp == "fleet" {
-		if err := runFleetExp(*seed, *fleetOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: fleet:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for watch: it times the streaming health plane against the
-	// nil-hook path, so it is wall-clock-sensitive too.
-	if *exp == "watch" {
-		if err := runWatchExp(*seed, *watchRuns, *watchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: watch:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for slice: it compares mean per-dispatch blast wall time
-	// between the sliced path and the DisableSlicing ablation.
-	if *exp == "slice" {
-		if err := runSlice(*seed, *sliceOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: slice:", err)
 			os.Exit(1)
 		}
 		return
@@ -175,145 +115,42 @@ func main() {
 		Interval:  100,
 		Threshold: 2,
 	}
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
+	matched := false
+	for _, e := range experiments {
+		if e.name != *exp && (*exp != "all" || e.table == nil) {
+			continue
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", name, err)
+		matched = true
+		if err := e.run(c, *out, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Println()
 	}
-
-	run("table1", func() error {
-		rows, err := eval.RunTable1(c)
-		if err != nil {
-			return err
-		}
-		eval.WriteTable1(os.Stdout, rows)
-		return nil
-	})
-	run("table2", func() error {
-		rows, err := eval.RunTable2(c)
-		if err != nil {
-			return err
-		}
-		eval.WriteTable2(os.Stdout, rows)
-		return nil
-	})
-	run("table3", func() error {
-		rows, err := eval.RunTable3(c)
-		if err != nil {
-			return err
-		}
-		eval.WriteTable3(os.Stdout, rows)
-		return nil
-	})
-	run("fig4", func() error {
-		fig, err := eval.RunFigure4(c)
-		if err != nil {
-			return err
-		}
-		eval.WriteFigure4a(os.Stdout, fig)
-		fmt.Println()
-		eval.WriteFigure4b(os.Stdout, fig)
-		fmt.Println(eval.Summary(fig))
-		return nil
-	})
-	run("sec54", func() error {
-		rows, err := eval.RunSection54(c)
-		if err != nil {
-			return err
-		}
-		eval.WriteSection54(os.Stdout, rows)
-		return nil
-	})
-	run("scalability", func() error {
-		s, err := eval.RunScalability(c)
-		if err != nil {
-			return err
-		}
-		eval.WriteScalability(os.Stdout, s)
-		return nil
-	})
+	if !matched {
+		fmt.Fprintf(os.Stderr, "benchtab: unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 }
 
-// ObsBench is the BENCH_obs.json performance record derived from one
-// campaign's telemetry snapshot.
-type ObsBench struct {
-	Schema string `json:"schema"`
-
-	WallNS         int64   `json:"wall_ns"`
-	Vectors        int64   `json:"vectors"`
-	Cycles         int64   `json:"cycles"`
-	CoveragePoints int64   `json:"coverage_points"`
-	VectorsPerSec  float64 `json:"vectors_per_sec"`
-	CyclesPerSec   float64 `json:"cycles_per_sec"`
-
-	SolverDispatches int64   `json:"solver_dispatches"`
-	SolvesPerSec     float64 `json:"solves_per_sec"`
-	MeanSolveNS      int64   `json:"mean_solve_ns"`
-	MeanBlastNS      int64   `json:"mean_blast_ns"`
-	MeanIntervalNS   int64   `json:"mean_interval_ns"`
-
-	Rollbacks       int64 `json:"rollbacks"`
-	MeanRollbackNS  int64 `json:"mean_rollback_ns"`
-	Checkpoints     int64 `json:"checkpoints"`
-	CheckpointBytes int64 `json:"checkpoint_bytes"`
-	CovDropped      int64 `json:"cov_events_dropped"`
-	BugsFound       int64 `json:"bugs_found"`
-}
-
-// emitObsBench converts a telemetry snapshot into the perf record.
-func emitObsBench(metricsPath, outPath string) error {
-	data, err := os.ReadFile(metricsPath)
-	if err != nil {
-		return err
-	}
-	var snap obs.StatusSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("%s: %w", metricsPath, err)
-	}
-	if snap.Schema != obs.SnapshotSchema {
-		return fmt.Errorf("%s: schema %q, want %q", metricsPath, snap.Schema, obs.SnapshotSchema)
-	}
-	m := snap.Metrics
-	perSec := func(n int64) float64 {
-		if snap.UptimeNS == 0 {
-			return 0
+// run executes the experiment: a table prints to w; a record, when the
+// experiment returns one, is written to out (default BENCH_<name>.json)
+// even if it comes back with a failed gate.
+func (e experiment) run(c eval.Config, out string, w io.Writer) error {
+	if e.table != nil {
+		if err := e.table(c, w); err != nil {
+			return err
 		}
-		return float64(n) / (float64(snap.UptimeNS) / 1e9)
+		fmt.Fprintln(w)
+		return nil
 	}
-	hist := func(name string) obs.HistogramSnapshot { return m.Histograms[name] }
-	b := ObsBench{
-		Schema:           "symbfuzz-bench-obs/v1",
-		WallNS:           snap.UptimeNS,
-		Vectors:          m.Gauges["vectors_applied"],
-		Cycles:           m.Gauges["cycles"],
-		CoveragePoints:   m.Gauges["coverage_points"],
-		VectorsPerSec:    perSec(m.Gauges["vectors_applied"]),
-		CyclesPerSec:     perSec(m.Gauges["cycles"]),
-		SolverDispatches: m.Counters["solver_dispatches"],
-		SolvesPerSec:     perSec(m.Counters["solver_dispatches"]),
-		MeanSolveNS:      hist("solver_cdcl_ns").Mean + hist("solver_blast_ns").Mean,
-		MeanBlastNS:      hist("solver_blast_ns").Mean,
-		MeanIntervalNS:   hist("fuzz_interval_ns").Mean,
-		Rollbacks:        m.Counters["rollbacks_snapshot"] + m.Counters["rollbacks_replay"],
-		MeanRollbackNS:   hist("rollback_ns").Mean,
-		Checkpoints:      m.Counters["checkpoints"],
-		CheckpointBytes:  m.Counters["checkpoint_bytes"],
-		CovDropped:       m.Counters["cov_events_dropped"],
-		BugsFound:        m.Counters["bugs_found"],
+	rec, err := e.record(c.Seed, c.Runs, w)
+	if rec != nil {
+		if out == "" {
+			out = "BENCH_" + e.name + ".json"
+		}
+		if werr := writeRecord(out, rec); werr != nil {
+			return werr
+		}
 	}
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %.0f vectors/sec, %.2f solves/sec, mean solve %dus over %.1fs\n",
-		outPath, b.VectorsPerSec, b.SolvesPerSec, b.MeanSolveNS/1000, float64(b.WallNS)/1e9)
-	return nil
+	return err
 }

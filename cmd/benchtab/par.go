@@ -1,13 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 
-	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/par"
 )
@@ -27,8 +23,8 @@ import (
 // workers are CPU-bound simulation lanes. The record therefore also
 // carries the scheduling-independent measure (total vectors to target,
 // which a k-core machine divides across lanes) and the wall ratio
-// projected for a machine with at least `workers` cores. The record is
-// written as BENCH_par.json — the repo's bench trajectory format.
+// projected for a machine with at least `workers` cores. Both arms
+// must reach the target; a miss is an error, never a zero speedup.
 
 // ParRow is one design's scaling measurement.
 type ParRow struct {
@@ -40,7 +36,6 @@ type ParRow struct {
 	SingleVec    uint64 `json:"single_vectors_to_target"`
 	ParWallNS    int64  `json:"par_wall_ns"`
 	ParVec       uint64 `json:"par_vectors_to_target"`
-	ParReached   bool   `json:"par_reached"`
 
 	// WallSpeedup is single wall over parallel wall on this machine.
 	WallSpeedup float64 `json:"wall_speedup"`
@@ -56,13 +51,13 @@ type ParRow struct {
 
 // ParBench is the BENCH_par.json record.
 type ParBench struct {
-	Schema  string   `json:"schema"`
+	recordHeader
 	Workers int      `json:"workers"`
-	Cores   int      `json:"cores"`
-	Seed    int64    `json:"seed"`
-	Note    string   `json:"note"`
 	Rows    []ParRow `json:"rows"`
 }
+
+// parWorkers is the lane count of the parallel arm.
+const parWorkers = 4
 
 // parTargets maps the experiment's design names to their discovery
 // budgets: the SoC is the paper's headline target, the bus arbiter the
@@ -77,86 +72,66 @@ var parTargets = []struct {
 	{"bus_arb", 20000},
 }
 
-func runPar(workers int, seed int64, outPath string, w io.Writer) error {
-	if workers < 2 {
-		workers = 4
-	}
+func runPar(seed int64, _ int, w io.Writer) (any, error) {
 	bench := ParBench{
-		Schema:  "symbfuzz-bench-par/v1",
-		Workers: workers,
-		Cores:   runtime.NumCPU(),
-		Seed:    seed,
-		Note: "wall_speedup is measured on this machine and bounded by cores; " +
-			"projected_wall_ratio assumes >= workers cores (lanes are CPU-bound and independent)",
+		recordHeader: header("symbfuzz-bench-par/v1", seed,
+			"wall_speedup is measured on this machine and bounded by cores; "+
+				"projected_wall_ratio assumes >= workers cores (lanes are CPU-bound and independent)"),
+		Workers: parWorkers,
 	}
 	for _, tgt := range parTargets {
 		b, ok := designs.FindBenchmark(tgt.name)
 		if !ok {
-			return fmt.Errorf("par: unknown benchmark %q", tgt.name)
+			return nil, fmt.Errorf("unknown benchmark %q", tgt.name)
 		}
-		row, err := measurePar(b, tgt.budget, workers, seed)
+		row, err := measurePar(b, tgt.budget, seed)
 		if err != nil {
-			return fmt.Errorf("par: %s: %w", tgt.name, err)
+			return nil, fmt.Errorf("%s: %w", tgt.name, err)
 		}
 		bench.Rows = append(bench.Rows, *row)
 	}
 
 	fmt.Fprintf(w, "Parallel scaling (time to single-worker coverage, %d workers, %d cores)\n",
-		workers, bench.Cores)
+		parWorkers, bench.Cores)
 	fmt.Fprintf(w, "%-16s %8s %8s %12s %12s %8s %8s %10s\n",
-		"bench", "budget", "target", "1w wall", fmt.Sprintf("%dw wall", workers),
+		"bench", "budget", "target", "1w wall", fmt.Sprintf("%dw wall", parWorkers),
 		"speedup", "vec-eff", "proj-ratio")
 	for _, r := range bench.Rows {
-		status := fmt.Sprintf("%.2fx", r.WallSpeedup)
-		if !r.ParReached {
-			status = "miss"
-		}
-		fmt.Fprintf(w, "%-16s %8d %8d %10.2fms %10.2fms %8s %8.2f %10.2f\n",
+		fmt.Fprintf(w, "%-16s %8d %8d %10.2fms %10.2fms %7.2fx %8.2f %10.2f\n",
 			r.Bench, r.Budget, r.TargetPoints,
 			float64(r.SingleWallNS)/1e6, float64(r.ParWallNS)/1e6,
-			status, r.VectorEfficiency, r.ProjectedWallRatio)
+			r.WallSpeedup, r.VectorEfficiency, r.ProjectedWallRatio)
 	}
-
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+	return bench, nil
 }
 
-func measurePar(b *designs.Benchmark, budget uint64, workers int, seed int64) (*ParRow, error) {
-	cfg := func(nworkers, stopAt int) par.Config {
-		return par.Config{
-			Config: core.Config{
-				Interval:              100,
-				Threshold:             2,
-				MaxVectors:            budget,
-				Seed:                  seed,
-				UseSnapshots:          true,
-				ContinueAfterCoverage: true,
-			},
-			Workers:      nworkers,
-			StopAtPoints: stopAt,
-		}
+func measurePar(b *designs.Benchmark, budget uint64, seed int64) (*ParRow, error) {
+	_, cc := campaign(b.Name, budget, 1, seed)
+	run := func(workers, stopAt int) (*par.Report, error) {
+		return par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: workers, StopAtPoints: stopAt})
 	}
 
 	// Discovery: what does one lane reach on this budget?
-	disc, err := par.Run(b.Elaborate, b.Properties, cfg(1, 0))
+	disc, err := run(1, 0)
 	if err != nil {
 		return nil, err
 	}
 	target := disc.Merged.FinalPoints
 
 	// Baseline: time for the same lane to get there.
-	single, err := par.Run(b.Elaborate, b.Properties, cfg(1, target))
+	single, err := run(1, target)
 	if err != nil {
 		return nil, err
 	}
 
 	// Parallel: N lanes race the merged frontier to the same target.
-	parallel, err := par.Run(b.Elaborate, b.Properties, cfg(workers, target))
+	parallel, err := run(parWorkers, target)
 	if err != nil {
 		return nil, err
+	}
+	if single.TimeToTargetNS <= 0 || parallel.TimeToTargetNS <= 0 {
+		return nil, fmt.Errorf("an arm missed the %d-point target (1 worker: %dns, %d workers: %dns)",
+			target, single.TimeToTargetNS, parWorkers, parallel.TimeToTargetNS)
 	}
 
 	row := &ParRow{
@@ -167,16 +142,10 @@ func measurePar(b *designs.Benchmark, budget uint64, workers int, seed int64) (*
 		SingleVec:    vectorsToTarget(single, target),
 		ParWallNS:    parallel.TimeToTargetNS,
 		ParVec:       vectorsToTarget(parallel, target),
-		ParReached:   parallel.TimeToTargetNS > 0,
 	}
-	if row.ParReached && row.ParWallNS > 0 && row.SingleWallNS > 0 {
-		row.WallSpeedup = float64(row.SingleWallNS) / float64(row.ParWallNS)
-		row.ProjectedWallRatio = float64(row.ParWallNS) /
-			(float64(workers) * float64(row.SingleWallNS))
-	}
-	if row.ParVec > 0 {
-		row.VectorEfficiency = float64(row.SingleVec) / float64(row.ParVec)
-	}
+	row.WallSpeedup = float64(row.SingleWallNS) / float64(row.ParWallNS)
+	row.ProjectedWallRatio = float64(row.ParWallNS) / (parWorkers * float64(row.SingleWallNS))
+	row.VectorEfficiency = float64(row.SingleVec) / float64(row.ParVec)
 	return row, nil
 }
 

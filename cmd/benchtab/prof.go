@@ -2,11 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -17,143 +14,72 @@ import (
 // The prof experiment measures what cost profiling costs: the same
 // fixed-budget bus_arb campaign runs with a Profiler attached (eval
 // counting, sampled eval timing, per-target solver ledgers) and with
-// the nil-profiler no-op path. Runs interleave and each arm keeps its
-// minimum wall time, mirroring the flight experiment. As a free side
-// check, the canonical ledgers of the interleaved profiled runs must
-// be byte-identical — the determinism contract under the load the
-// benchmark itself generates. The record is written as BENCH_prof.json
-// and the experiment fails if profiling costs more than 5% wall time.
+// the nil-profiler no-op path. The work counter is the number of sim
+// evals the profiler counted. As a free side check, the canonical
+// ledgers of the profiled runs must be byte-identical — the determinism
+// contract under the load the benchmark itself generates.
 
-// ProfBench is the BENCH_prof.json record.
-type ProfBench struct {
-	Schema string `json:"schema"`
-	Bench  string `json:"bench"`
-	Budget uint64 `json:"budget"`
-	Runs   int    `json:"runs"`
-	Cores  int    `json:"cores"`
-	Seed   int64  `json:"seed"`
-	Note   string `json:"note"`
-
-	ProfWallNS   int64 `json:"prof_wall_ns"`
-	NoProfWallNS int64 `json:"no_prof_wall_ns"`
-
-	SimEvals         uint64 `json:"sim_evals"`
-	SolverDispatches int64  `json:"solver_dispatches"`
-	LedgerBytes      int    `json:"ledger_bytes"`
-
-	// Overhead is profiling-on wall over profiling-off wall (min of
-	// Runs interleaved runs per arm).
-	Overhead float64 `json:"overhead"`
-	Within5  bool    `json:"within_5pct"`
-}
-
-const profBudget = 20_000
-
-func runProf(seed int64, runs int, outPath string, w io.Writer) error {
-	if runs < 1 {
-		runs = 3
-	}
+func runProf(seed int64, runs int, w io.Writer) (any, error) {
+	const budget = 20_000
 	b, ok := designs.FindBenchmark("bus_arb")
 	if !ok {
-		return fmt.Errorf("prof: bus_arb benchmark missing")
+		return nil, fmt.Errorf("bus_arb benchmark missing")
 	}
-	cc := core.Config{
-		Interval:              100,
-		Threshold:             2,
-		MaxVectors:            profBudget,
-		Seed:                  seed,
-		UseSnapshots:          true,
-		ContinueAfterCoverage: true,
-	}
-
-	campaign := func(p *prof.Profiler) (int64, error) {
-		d, err := b.Elaborate()
-		if err != nil {
-			return 0, err
-		}
-		c := cc
-		c.Prof = p
-		eng, err := core.New(d, b.Properties, c)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if _, err := eng.Run(); err != nil {
-			return 0, err
-		}
-		return time.Since(start).Nanoseconds(), nil
-	}
-
-	var rec ProfBench
+	_, cc := campaign(b.Name, budget, 1, seed)
 	var canonRef []byte
-	minProf, minPlain := int64(0), int64(0)
-	for i := 0; i < runs; i++ {
-		p := prof.New(prof.Options{})
-		tn, err := campaign(p)
-		if err != nil {
-			return err
-		}
-		d := prof.NewDump("bus_arb", seed, p.Ledgers())
-		canon, err := d.Canonical().MarshalIndent()
-		if err != nil {
-			return err
-		}
-		if canonRef == nil {
-			canonRef = canon
-			rec.SimEvals = d.Totals.Evals
-			rec.SolverDispatches = d.Totals.Dispatches
-			full, err := d.MarshalIndent()
+	return runOverhead(overheadExp{
+		name:     "prof",
+		title:    "Cost-profiler overhead",
+		bench:    b.Name,
+		budget:   budget,
+		workers:  1,
+		runs:     3,
+		workUnit: "sim_evals",
+		note: "on arm counts every sim eval, samples eval wall time, and keeps per-target solver " +
+			"ledgers; off arm runs the engine's nil-profiler no-op path; the profiled runs' " +
+			"canonical ledgers are asserted byte-identical",
+		run: func(on bool) (instrumentRun, error) {
+			d, err := b.Elaborate()
 			if err != nil {
-				return err
+				return instrumentRun{}, err
 			}
-			rec.LedgerBytes = len(full)
-		} else if !bytes.Equal(canon, canonRef) {
-			return fmt.Errorf("prof: canonical ledger diverged between identical runs")
-		}
-		pn, err := campaign(nil)
-		if err != nil {
-			return err
-		}
-		if minProf == 0 || tn < minProf {
-			minProf = tn
-		}
-		if minPlain == 0 || pn < minPlain {
-			minPlain = pn
-		}
-	}
-
-	rec.Schema = "symbfuzz-bench-prof/v1"
-	rec.Bench = "bus_arb"
-	rec.Budget = profBudget
-	rec.Runs = runs
-	rec.Cores = runtime.NumCPU()
-	rec.Seed = seed
-	rec.Note = "prof arm counts every sim eval, samples eval wall time, and keeps per-target " +
-		"solver ledgers; the no-prof arm runs the engine's nil-profiler no-op path; each arm " +
-		"keeps its minimum wall time over interleaved runs, and the profiled runs' canonical " +
-		"ledgers are asserted byte-identical"
-	rec.ProfWallNS = minProf
-	rec.NoProfWallNS = minPlain
-	rec.Overhead = float64(minProf) / float64(minPlain)
-	rec.Within5 = rec.Overhead <= 1.05
-
-	fmt.Fprintf(w, "Cost-profiler overhead (bus_arb, %d vectors, min of %d runs per arm)\n",
-		profBudget, runs)
-	fmt.Fprintf(w, "  prof on:  %10.2fms  (%d sim evals, %d dispatches, %d-byte ledger)\n",
-		float64(rec.ProfWallNS)/1e6, rec.SimEvals, rec.SolverDispatches, rec.LedgerBytes)
-	fmt.Fprintf(w, "  prof off: %10.2fms\n", float64(rec.NoProfWallNS)/1e6)
-	fmt.Fprintf(w, "  overhead: %10.4fx\n", rec.Overhead)
-
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	if !rec.Within5 {
-		return fmt.Errorf("prof: profiling costs %.2f%% wall time, budget is 5%%",
-			(rec.Overhead-1)*100)
-	}
-	return nil
+			c := cc
+			if on {
+				c.Prof = prof.New(prof.Options{})
+			}
+			eng, err := core.New(d, b.Properties, c)
+			if err != nil {
+				return instrumentRun{}, err
+			}
+			start := time.Now()
+			rep, err := eng.Run()
+			if err != nil {
+				return instrumentRun{}, err
+			}
+			run := instrumentRun{wallNS: time.Since(start).Nanoseconds(), report: rep}
+			if !on {
+				return run, nil
+			}
+			dump := prof.NewDump(b.Name, seed, c.Prof.Ledgers())
+			canon, err := dump.Canonical().MarshalIndent()
+			if err != nil {
+				return instrumentRun{}, err
+			}
+			if canonRef == nil {
+				canonRef = canon
+			} else if !bytes.Equal(canon, canonRef) {
+				return instrumentRun{}, fmt.Errorf("canonical ledger diverged between identical runs")
+			}
+			full, err := dump.MarshalIndent()
+			if err != nil {
+				return instrumentRun{}, err
+			}
+			run.work = int64(dump.Totals.Evals)
+			run.info = map[string]int64{
+				"solver_dispatches": dump.Totals.Dispatches,
+				"ledger_bytes":      int64(len(full)),
+			}
+			return run, nil
+		},
+	}, seed, runs, w)
 }

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/designs"
@@ -19,13 +16,14 @@ import (
 // The sim experiment measures raw simulation throughput: for every
 // builtin design, the same pre-generated stimulus stream is driven
 // through the event-driven interpreter and the compiled closure
-// backend, and each arm keeps its minimum wall time over interleaved
-// runs. Because both backends replicate the same scheduler the
-// trajectories are identical by construction (the differential harness
-// in internal/simc/diff proves that); this experiment only asks how
-// fast each gets there, plus how often the compiled backend's
-// word-packed two-state fast path is taken. The record is written as
-// BENCH_sim.json and gated by benchtab -diff.
+// backend as two interleaved arms. Because both backends replicate the
+// same scheduler the trajectories are identical by construction (the
+// differential harness in internal/simc/diff proves that); this
+// experiment only asks how fast each gets there, plus how often the
+// compiled backend's word-packed two-state fast path is taken.
+
+// simCycles is the number of vectors driven per design per run.
+const simCycles = 2000
 
 // SimBenchRow is one design's throughput comparison.
 type SimBenchRow struct {
@@ -46,12 +44,9 @@ type SimBenchRow struct {
 
 // SimBench is the BENCH_sim.json record.
 type SimBench struct {
-	Schema string        `json:"schema"`
+	recordHeader
 	Cycles int           `json:"cycles"`
 	Runs   int           `json:"runs"`
-	Cores  int           `json:"cores"`
-	Seed   int64         `json:"seed"`
-	Note   string        `json:"note"`
 	Rows   []SimBenchRow `json:"rows"`
 
 	// BestSpeedup summarizes the table: the largest compiled-over-
@@ -114,87 +109,69 @@ func driveStim(s sim.DUV, st simStim) (int64, error) {
 	return time.Since(start).Nanoseconds(), nil
 }
 
-func runSimExp(cycles, runs int, seed int64, outPath string, w io.Writer) error {
-	if cycles < 1 {
-		cycles = 2000
-	}
+func runSim(seed int64, runs int, w io.Writer) (any, error) {
 	if runs < 1 {
 		runs = 3
 	}
 	rec := SimBench{
-		Schema: "symbfuzz-bench-sim/v1",
-		Cycles: cycles,
+		recordHeader: header("symbfuzz-bench-sim/v1", seed,
+			"identical pre-generated stimulus driven through the interpreter and the "+
+				"compiled closure backend per design; vectors/sec from each arm's median stepping "+
+				"wall time over interleaved runs; two_state_hit_rate is the fraction of compiled "+
+				"kernel evaluations that stayed on the all-known word-packed fast path"),
+		Cycles: simCycles,
 		Runs:   runs,
-		Cores:  runtime.NumCPU(),
-		Seed:   seed,
-		Note: "identical pre-generated stimulus driven through the interpreter and the " +
-			"compiled closure backend per design; each arm keeps its minimum stepping wall " +
-			"time over interleaved runs; two_state_hit_rate is the fraction of compiled " +
-			"kernel evaluations that stayed on the all-known word-packed fast path",
 	}
 
-	fmt.Fprintf(w, "Simulation backend throughput (%d vectors, min of %d runs per arm)\n", cycles, runs)
+	fmt.Fprintf(w, "Simulation backend throughput (%d vectors, median of %d runs per arm)\n", simCycles, runs)
 	fmt.Fprintf(w, "  %-16s %14s %14s %9s %9s\n", "design", "interp vec/s", "compiled vec/s", "speedup", "2-state")
 
 	for _, b := range designs.AllBenchmarks() {
 		d, err := b.Elaborate()
 		if err != nil {
-			return fmt.Errorf("sim: elaborate %s: %w", b.Name, err)
+			return nil, fmt.Errorf("elaborate %s: %w", b.Name, err)
 		}
-		st := genStim(d, cycles, seed)
-		var minInterp, minCompiled int64
+		st := genStim(d, simCycles, seed)
 		var hitRate float64
-		for r := 0; r < runs; r++ {
-			si, err := sim.New(d)
-			if err != nil {
-				return fmt.Errorf("sim: interp %s: %w", b.Name, err)
-			}
-			in, err := driveStim(si, st)
-			if err != nil {
-				return fmt.Errorf("sim: interp %s: %w", b.Name, err)
-			}
-			mc, err := simc.New(d)
-			if err != nil {
-				return fmt.Errorf("sim: compile %s: %w", b.Name, err)
-			}
-			cn, err := driveStim(mc, st)
-			if err != nil {
-				return fmt.Errorf("sim: compiled %s: %w", b.Name, err)
-			}
-			if minInterp == 0 || in < minInterp {
-				minInterp = in
-			}
-			if minCompiled == 0 || cn < minCompiled {
-				minCompiled = cn
-			}
-			hits, misses := mc.TwoStateStats()
-			if total := hits + misses; total > 0 {
-				hitRate = float64(hits) / float64(total)
-			}
+		stats, err := runArms(runs,
+			func() (int64, error) {
+				si, err := sim.New(d)
+				if err != nil {
+					return 0, err
+				}
+				return driveStim(si, st)
+			},
+			func() (int64, error) {
+				mc, err := simc.New(d)
+				if err != nil {
+					return 0, err
+				}
+				ns, err := driveStim(mc, st)
+				if hits, misses := mc.TwoStateStats(); hits+misses > 0 {
+					hitRate = float64(hits) / float64(hits+misses)
+				}
+				return ns, err
+			})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
+		perSec := func(s armStats) float64 { return float64(simCycles) / (float64(s.MedianNS) / 1e9) }
 		row := SimBenchRow{
 			Design:                b.Name,
 			Signals:               len(d.Signals),
 			Procs:                 len(d.Procs),
-			Cycles:                cycles,
-			InterpVectorsPerSec:   float64(cycles) / (float64(minInterp) / 1e9),
-			CompiledVectorsPerSec: float64(cycles) / (float64(minCompiled) / 1e9),
+			Cycles:                simCycles,
+			InterpVectorsPerSec:   perSec(stats[0]),
+			CompiledVectorsPerSec: perSec(stats[1]),
 			TwoStateHitRate:       hitRate,
 		}
 		row.Speedup = row.CompiledVectorsPerSec / row.InterpVectorsPerSec
-		if row.Speedup > rec.BestSpeedup {
-			rec.BestSpeedup = row.Speedup
-		}
+		rec.BestSpeedup = max(rec.BestSpeedup, row.Speedup)
 		rec.Rows = append(rec.Rows, row)
 		fmt.Fprintf(w, "  %-16s %14.0f %14.0f %8.2fx %8.1f%%\n",
 			row.Design, row.InterpVectorsPerSec, row.CompiledVectorsPerSec,
 			row.Speedup, row.TwoStateHitRate*100)
 	}
-
 	fmt.Fprintf(w, "  best speedup: %.2fx\n", rec.BestSpeedup)
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+	return rec, nil
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/designs"
@@ -16,7 +14,7 @@ import (
 // ablation, and the record compares mean per-dispatch bit-blast time.
 // Slicing is trajectory-neutral — both arms must agree on coverage and
 // solved plans — so the blast-time delta is attributable to the smaller
-// queries alone. The record is written as BENCH_slice.json.
+// queries alone.
 
 // SliceRow is one design's slicing measurement.
 type SliceRow struct {
@@ -41,10 +39,8 @@ type SliceRow struct {
 
 // SliceBench is the BENCH_slice.json record.
 type SliceBench struct {
-	Schema string     `json:"schema"`
-	Seed   int64      `json:"seed"`
-	Note   string     `json:"note"`
-	Rows   []SliceRow `json:"rows"`
+	recordHeader
+	Rows []SliceRow `json:"rows"`
 }
 
 // sliceTargets reuses the par experiment's design/budget pairs: the SoC
@@ -52,21 +48,20 @@ type SliceBench struct {
 // control.
 var sliceTargets = parTargets
 
-func runSlice(seed int64, outPath string, w io.Writer) error {
+func runSlice(seed int64, _ int, w io.Writer) (any, error) {
 	bench := SliceBench{
-		Schema: "symbfuzz-bench-slice/v1",
-		Seed:   seed,
-		Note: "both arms run the identical campaign (slicing is trajectory-neutral); " +
-			"blast_reduction compares mean per-dispatch bit-blast wall time",
+		recordHeader: header("symbfuzz-bench-slice/v1", seed,
+			"both arms run the identical campaign (slicing is trajectory-neutral); "+
+				"blast_reduction compares mean per-dispatch bit-blast wall time"),
 	}
 	for _, tgt := range sliceTargets {
 		b, ok := designs.FindBenchmark(tgt.name)
 		if !ok {
-			return fmt.Errorf("slice: unknown benchmark %q", tgt.name)
+			return nil, fmt.Errorf("unknown benchmark %q", tgt.name)
 		}
 		row, err := measureSlice(b, tgt.budget, seed)
 		if err != nil {
-			return fmt.Errorf("slice: %s: %w", tgt.name, err)
+			return nil, fmt.Errorf("%s: %w", tgt.name, err)
 		}
 		bench.Rows = append(bench.Rows, *row)
 	}
@@ -80,33 +75,20 @@ func runSlice(seed int64, outPath string, w io.Writer) error {
 			r.Bench, r.Budget, r.Dispatches,
 			float64(r.FullBlastNS)/1e3, float64(r.SlicedBlastNS)/1e3,
 			100*r.BlastReduction, r.SlicedVars, r.InfeasibleTargets)
-		if !r.CoverageAgrees {
-			fmt.Fprintf(w, "  WARNING: %s arms diverged — slicing is not trajectory-neutral here\n", r.Bench)
-		}
 	}
-
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+	return bench, nil
 }
 
 func measureSlice(b *designs.Benchmark, budget uint64, seed int64) (*SliceRow, error) {
+	_, cc := campaign(b.Name, budget, 1, seed)
 	run := func(disable bool) (*core.Report, error) {
 		d, err := b.Elaborate()
 		if err != nil {
 			return nil, err
 		}
-		eng, err := core.New(d, b.Properties, core.Config{
-			Interval:              100,
-			Threshold:             2,
-			MaxVectors:            budget,
-			Seed:                  seed,
-			UseSnapshots:          true,
-			ContinueAfterCoverage: true,
-			DisableSlicing:        disable,
-		})
+		c := cc
+		c.DisableSlicing = disable
+		eng, err := core.New(d, b.Properties, c)
 		if err != nil {
 			return nil, err
 		}
@@ -120,30 +102,27 @@ func measureSlice(b *designs.Benchmark, budget uint64, seed int64) (*SliceRow, e
 	if err != nil {
 		return nil, err
 	}
-	mean := func(total, n int64) int64 {
-		if n == 0 {
-			return 0
-		}
-		return total / n
+	if sliced.FinalPoints != full.FinalPoints || sliced.Vectors != full.Vectors ||
+		sliced.SolvedPlans != full.SolvedPlans {
+		return nil, fmt.Errorf("sliced and unsliced arms diverged: slicing is not trajectory-neutral here")
 	}
 	fs, ss := &full.Timings.Solve, &sliced.Timings.Solve
+	if fs.Dispatches == 0 || ss.Dispatches == 0 {
+		return nil, fmt.Errorf("no solver dispatches to compare")
+	}
 	row := &SliceRow{
 		Bench:             b.Name,
 		Budget:            budget,
 		Dispatches:        int64(ss.Dispatches),
 		SolvedPlans:       sliced.SolvedPlans,
-		FullBlastNS:       mean(fs.BlastNS, int64(fs.Dispatches)),
-		SlicedBlastNS:     mean(ss.BlastNS, int64(ss.Dispatches)),
-		FullSolveNS:       mean(fs.BlastNS+fs.CDCLNS, int64(fs.Dispatches)),
-		SlicedSolveNS:     mean(ss.BlastNS+ss.CDCLNS, int64(ss.Dispatches)),
+		FullBlastNS:       fs.BlastNS / int64(fs.Dispatches),
+		SlicedBlastNS:     ss.BlastNS / int64(ss.Dispatches),
+		FullSolveNS:       (fs.BlastNS + fs.CDCLNS) / int64(fs.Dispatches),
+		SlicedSolveNS:     (ss.BlastNS + ss.CDCLNS) / int64(ss.Dispatches),
 		SlicedVars:        sliced.SlicedVars,
 		InfeasibleTargets: sliced.InfeasibleTargets,
-		CoverageAgrees: sliced.FinalPoints == full.FinalPoints &&
-			sliced.Vectors == full.Vectors &&
-			sliced.SolvedPlans == full.SolvedPlans,
+		CoverageAgrees:    true,
 	}
-	if row.FullBlastNS > 0 {
-		row.BlastReduction = 1 - float64(row.SlicedBlastNS)/float64(row.FullBlastNS)
-	}
+	row.BlastReduction = 1 - float64(row.SlicedBlastNS)/float64(row.FullBlastNS)
 	return row, nil
 }
