@@ -108,7 +108,7 @@ func cmdCreate(base string, args []string) error {
 	replay := fs.Bool("replay", false, "use reset+replay instead of snapshots")
 	keepGoing := fs.Bool("keep-going", true, "continue after full CFG coverage")
 	noSlice := fs.Bool("no-slice", false, "disable cone-of-influence slicing")
-	simBack := fs.String("sim", "interp", "simulation backend: interp or compiled")
+	simBack := fs.String("sim", "compiled", "simulation backend: compiled or interp")
 	profile := fs.Bool("prof", false, "collect per-rank cost ledgers")
 	stopAt := fs.Int("stop-at-points", 0, "stop once the merged frontier reaches this many points")
 	fs.Parse(args)

@@ -26,7 +26,7 @@ func main() {
 		cycles  = flag.Int("cycles", 100, "clock cycles to simulate")
 		seed    = flag.Int64("seed", 1, "stimulus seed")
 		vcdOut  = flag.String("vcd", "", "VCD output file (optional)")
-		simBack = flag.String("sim", "interp", "simulation backend: interp or compiled")
+		simBack = flag.String("sim", "compiled", "simulation backend: compiled or interp")
 	)
 	flag.Parse()
 	if *srcF == "" || *top == "" {

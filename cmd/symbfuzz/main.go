@@ -92,7 +92,7 @@ func main() {
 		replay    = flag.Bool("replay", false, "use reset+replay instead of snapshots")
 		keepGoing = flag.Bool("keep-going", true, "continue after full CFG coverage")
 		noSlice   = flag.Bool("no-slice", false, "disable cone-of-influence slicing (ablation)")
-		simBack   = flag.String("sim", "interp", "simulation backend: interp (event-driven interpreter) or compiled (closure-compiled; identical trajectories, faster)")
+		simBack   = flag.String("sim", "compiled", "simulation backend: compiled (closure-compiled, the default) or interp (event-driven interpreter; identical trajectories, slower)")
 		traceOut  = flag.String("trace", "", "write the JSONL campaign event trace to this file")
 		metricOut = flag.String("metrics", "", "write the final metrics/status snapshot JSON to this file")
 		statusOn  = flag.String("status", "", "serve the live status+pprof endpoint on this address (e.g. :6060)")

@@ -13,9 +13,11 @@
 package cov
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cfg"
+	"repro/internal/elab"
 	"repro/internal/sim"
 )
 
@@ -70,49 +72,160 @@ type CFGCov struct {
 	// reports it as the cov_events_dropped metric.
 	Dropped uint64
 
-	// branchRegs[id] lists the control registers branch id reads.
-	branchRegs [][]int
+	// The sampling state below is built by the first Sample or
+	// SyncPosition (initSampling), so a CFGCov built as a struct
+	// literal samples like one from NewCFGCov. Its caches remember only
+	// points this monitor has already put in the exported sets, which
+	// never shrink, so Merge need not touch them.
 
-	prevKey  []string
-	prevNode []int
-	events   [][2]int
-	hasPrev  bool
+	// clusters[gi] interns cluster gi's valuations.
+	clusters []clusterCache
+	// branches[id] holds branch id's control registers and last tuple.
+	branches []branchCache
+	// tuples holds the packed key of every tuple this monitor has put
+	// in Tuples.
+	tuples map[string]struct{}
+	// prev[gi] is cluster gi's valuation at the last Sample or
+	// SyncPosition, -1 after ResetPosition.
+	prev []int32
+	// key is the reused buffer packed keys are built in.
+	key []byte
+
+	events  [][2]int
+	hasPrev bool
+}
+
+// clusterCache interns one cluster's control-register valuations by
+// their exact packed aval/bval words. The key is exact, not a hash: a
+// collision would merge two valuations and silently drop coverage. A
+// valuation's node key, ByKey lookup and DynNodes entry are rendered
+// once, on its first sighting.
+type clusterCache struct {
+	regs []int
+	// last holds the words of regs at the last sighting, which was
+	// valuation lastVal (-1 before the first): a cycle that leaves the
+	// cluster unchanged costs a word compare and no lookup.
+	last    []uint64
+	lastVal int32
+	ids     map[string]int32 // packed words -> index into vals
+	vals    []valuation
+	// trans holds every (from, to) valuation pair, from != to, whose
+	// transition is already in EdgesSeen or DynEdges.
+	trans map[[2]int32]struct{}
+}
+
+// valuation is one interned cluster valuation.
+type valuation struct {
+	key  string // nodeKeyOf rendering
+	node int    // static node ID, -1 off-graph
+	self int    // static self-loop edge of node, -1 none
+	// recorded is set once the valuation is in NodesSeen or DynNodes
+	// (SyncPosition interns a valuation without recording it), and
+	// selfRecorded once self is in EdgesSeen.
+	recorded, selfRecorded bool
+}
+
+// branchCache is one branch's control registers and the (arm, words)
+// of its last interaction tuple, so a branch that repeats its last
+// tuple costs a word compare and no lookup.
+type branchCache struct {
+	regs []int
+	last []uint64
+	arm  int // -1 before the first tuple
 }
 
 // NewCFGCov builds the SymbFuzz coverage monitor over a clustered CFG.
 func NewCFGCov(p *cfg.Partition) *CFGCov {
 	c := &CFGCov{
-		P:          p,
-		NodesSeen:  make([]map[int]bool, len(p.Graphs)),
-		EdgesSeen:  make([]map[int]bool, len(p.Graphs)),
-		DynNodes:   map[string]bool{},
-		DynEdges:   map[string]bool{},
-		Tuples:     map[string]bool{},
-		branchRegs: make([][]int, p.Design.Branches),
-		prevKey:    make([]string, len(p.Graphs)),
-		prevNode:   make([]int, len(p.Graphs)),
+		P:         p,
+		NodesSeen: make([]map[int]bool, len(p.Graphs)),
+		EdgesSeen: make([]map[int]bool, len(p.Graphs)),
+		DynNodes:  map[string]bool{},
+		DynEdges:  map[string]bool{},
+		Tuples:    map[string]bool{},
 	}
 	for i := range p.Graphs {
 		c.NodesSeen[i] = map[int]bool{}
 		c.EdgesSeen[i] = map[int]bool{}
-		c.prevNode[i] = -1
-	}
-	ctrl := map[int]bool{}
-	for _, g := range p.Graphs {
-		for _, cr := range g.Regs {
-			ctrl[cr.Sig.Index] = true
-		}
-	}
-	for _, bi := range p.Design.BranchInfo {
-		var regs []int
-		for _, s := range bi.CondSignals {
-			if ctrl[s] {
-				regs = append(regs, s)
-			}
-		}
-		c.branchRegs[bi.ID] = regs
 	}
 	return c
+}
+
+// initSampling builds the sampling state on first use.
+func (c *CFGCov) initSampling() {
+	if c.clusters != nil {
+		return
+	}
+	p := c.P
+	d := p.Design
+	c.clusters = make([]clusterCache, len(p.Graphs))
+	c.prev = make([]int32, len(p.Graphs))
+	ctrl := map[int]bool{}
+	for gi, g := range p.Graphs {
+		cc := &c.clusters[gi]
+		for _, cr := range g.Regs {
+			ctrl[cr.Sig.Index] = true
+			cc.regs = append(cc.regs, cr.Sig.Index)
+		}
+		cc.last = make([]uint64, planeWords(d, cc.regs))
+		cc.lastVal = -1
+		cc.ids = map[string]int32{}
+		cc.trans = map[[2]int32]struct{}{}
+		c.prev[gi] = -1
+	}
+	c.branches = make([]branchCache, d.Branches)
+	for i := range c.branches {
+		c.branches[i].arm = -1
+	}
+	for _, bi := range d.BranchInfo {
+		bc := &c.branches[bi.ID]
+		for _, s := range bi.CondSignals {
+			if ctrl[s] {
+				bc.regs = append(bc.regs, s)
+			}
+		}
+		bc.last = make([]uint64, planeWords(d, bc.regs))
+	}
+	c.tuples = map[string]struct{}{}
+}
+
+// planeWords is the number of aval plus bval words of the signals.
+func planeWords(d *elab.Design, sigs []int) int {
+	n := 0
+	for _, s := range sigs {
+		n += 2 * ((d.Signals[s].Width + 63) / 64)
+	}
+	return n
+}
+
+// loadWords copies the current words of sigs into last, each signal's
+// aval words then its bval words, and reports whether any changed.
+func loadWords(s sim.DUV, sigs []int, last []uint64) bool {
+	changed := false
+	off := 0
+	for _, sig := range sigs {
+		a, b := s.Words(sig)
+		for _, plane := range [2][]uint64{a, b} {
+			for _, w := range plane {
+				if last[off] != w {
+					last[off] = w
+					changed = true
+				}
+				off++
+			}
+		}
+	}
+	return changed
+}
+
+// appendKey appends words to a packed key as uvarints. A register
+// list's word count is fixed, so two keys built from the same list are
+// equal iff the words are.
+func appendKey(k []byte, words []uint64) []byte {
+	for _, w := range words {
+		k = binary.AppendUvarint(k, w)
+	}
+	return k
 }
 
 // Name implements Monitor.
@@ -159,50 +272,122 @@ func nodeKeyOf(g *cfg.Graph, s sim.DUV) string {
 	return key
 }
 
+// valuationOf interns cluster gi's current valuation and returns its
+// index. A new valuation's node key is rendered and resolved here.
+func (c *CFGCov) valuationOf(gi int, s sim.DUV) int32 {
+	cc := &c.clusters[gi]
+	if !loadWords(s, cc.regs, cc.last) && cc.lastVal >= 0 {
+		return cc.lastVal
+	}
+	c.key = appendKey(c.key[:0], cc.last)
+	id, ok := cc.ids[string(c.key)]
+	if !ok {
+		g := c.P.Graphs[gi]
+		v := valuation{key: nodeKeyOf(g, s), node: -1, self: -1}
+		if n, ok := g.ByKey[canonKey(v.key)]; ok {
+			v.node = n
+			v.self = edgeBetween(g, n, n)
+		}
+		id = int32(len(cc.vals))
+		cc.vals = append(cc.vals, v)
+		cc.ids[string(c.key)] = id
+	}
+	cc.lastVal = id
+	return id
+}
+
+// edgeBetween returns the first static edge from node from to node to,
+// or -1.
+func edgeBetween(g *cfg.Graph, from, to int) int {
+	for _, eid := range g.Nodes[from].Out {
+		if g.Edges[eid].To == to {
+			return eid
+		}
+	}
+	return -1
+}
+
 // Sample implements Monitor: map the cycle onto every cluster graph
 // (Alg. 1 l.9) and record the interaction tuples.
 func (c *CFGCov) Sample(s sim.DUV) {
-	for gi, g := range c.P.Graphs {
-		key := nodeKeyOf(g, s)
-		nid := -1
-		if id, ok := g.ByKey[canonKey(key)]; ok {
-			nid = id
-			c.NodesSeen[gi][id] = true
-		} else {
-			c.DynNodes[fmt.Sprintf("g%d:%s", gi, key)] = true
+	c.initSampling()
+	for gi := range c.P.Graphs {
+		cc := &c.clusters[gi]
+		vi := c.valuationOf(gi, s)
+		v := &cc.vals[vi]
+		if !v.recorded {
+			v.recorded = true
+			if v.node >= 0 {
+				c.NodesSeen[gi][v.node] = true
+			} else {
+				c.DynNodes[fmt.Sprintf("g%d:%s", gi, v.key)] = true
+			}
 		}
 		if c.hasPrev {
-			covered := false
-			if c.prevNode[gi] >= 0 && nid >= 0 {
-				for _, eid := range g.Nodes[c.prevNode[gi]].Out {
-					if g.Edges[eid].To == nid {
-						c.EdgesSeen[gi][eid] = true
-						covered = true
-						break
-					}
-				}
-			}
-			if !covered && key != c.prevKey[gi] {
-				c.DynEdges[fmt.Sprintf("g%d:%s>%s", gi, c.prevKey[gi], key)] = true
+			if pi := c.prev[gi]; pi != vi {
+				c.transition(gi, pi, vi)
+			} else if v.self >= 0 && !v.selfRecorded {
+				v.selfRecorded = true
+				c.EdgesSeen[gi][v.self] = true
 			}
 		}
-		c.prevKey[gi] = key
-		c.prevNode[gi] = nid
+		c.prev[gi] = vi
 	}
 	// Interaction tuples: each branch arm exercised this cycle paired
 	// with the valuations of the control registers the branch reads.
 	for _, ev := range c.events {
-		id, arm := ev[0], ev[1]
-		tuple := fmt.Sprintf("b%d.%d", id, arm)
-		if id < len(c.branchRegs) {
-			for _, ridx := range c.branchRegs[id] {
-				tuple += "|" + s.Get(ridx).BitString()
-			}
-		}
-		c.Tuples[tuple] = true
+		c.tuple(s, ev[0], ev[1])
 	}
 	c.drainEvents()
 	c.hasPrev = true
+}
+
+// transition records cluster gi's move between two distinct
+// valuations: the static edge between their nodes when there is one,
+// an off-graph DynEdges entry otherwise.
+func (c *CFGCov) transition(gi int, from, to int32) {
+	cc := &c.clusters[gi]
+	pair := [2]int32{from, to}
+	if _, ok := cc.trans[pair]; ok {
+		return
+	}
+	cc.trans[pair] = struct{}{}
+	f, t := cc.vals[from], cc.vals[to]
+	if f.node >= 0 && t.node >= 0 {
+		if eid := edgeBetween(c.P.Graphs[gi], f.node, t.node); eid >= 0 {
+			c.EdgesSeen[gi][eid] = true
+			return
+		}
+	}
+	c.DynEdges[fmt.Sprintf("g%d:%s>%s", gi, f.key, t.key)] = true
+}
+
+// tuple records the interaction tuple of branch id's arm: the arm
+// paired with the current words of the control registers the branch
+// reads, rendered into Tuples on its first sighting.
+func (c *CFGCov) tuple(s sim.DUV, id, arm int) {
+	var regs []int
+	k := binary.AppendUvarint(c.key[:0], uint64(id))
+	k = binary.AppendUvarint(k, uint64(arm))
+	if id < len(c.branches) {
+		bc := &c.branches[id]
+		if !loadWords(s, bc.regs, bc.last) && bc.arm == arm {
+			return
+		}
+		bc.arm = arm
+		regs = bc.regs
+		k = appendKey(k, bc.last)
+	}
+	c.key = k
+	if _, ok := c.tuples[string(k)]; ok {
+		return
+	}
+	c.tuples[string(k)] = struct{}{}
+	tuple := fmt.Sprintf("b%d.%d", id, arm)
+	for _, ridx := range regs {
+		tuple += "|" + s.Get(ridx).BitString()
+	}
+	c.Tuples[tuple] = true
 }
 
 // canonKey maps a four-state key to the graph's canonical (X->0) key.
@@ -263,7 +448,7 @@ func (c *CFGCov) AllEdgesCovered() bool {
 // covered both locally and globally counts exactly once and repeated
 // publishes of the same monitor are safe: Merge(a, a) leaves a
 // unchanged, and Points never double-counts. The Dropped counter and
-// the position-tracking state (prevNode, the event buffer) are local
+// the position-tracking state (prev, the event buffer) are local
 // simulation artifacts, not coverage, and are deliberately untouched.
 // Merge must not run concurrently with either monitor's Sample.
 func (c *CFGCov) Merge(o *CFGCov) {
@@ -294,10 +479,10 @@ func (c *CFGCov) Merge(o *CFGCov) {
 
 // PrevNode returns the last mapped node of cluster gi (-1 off-graph).
 func (c *CFGCov) PrevNode(gi int) int {
-	if gi < 0 || gi >= len(c.prevNode) {
+	if gi < 0 || gi >= len(c.prev) || c.prev[gi] < 0 {
 		return -1
 	}
-	return c.prevNode[gi]
+	return c.clusters[gi].vals[c.prev[gi]].node
 }
 
 // EdgeSeen reports whether cluster gi's edge eid has been exercised.
@@ -307,9 +492,8 @@ func (c *CFGCov) EdgeSeen(gi, eid int) bool { return c.EdgesSeen[gi][eid] }
 // the rollback jump is not recorded as a spurious edge.
 func (c *CFGCov) ResetPosition() {
 	c.hasPrev = false
-	for i := range c.prevNode {
-		c.prevNode[i] = -1
-		c.prevKey[i] = ""
+	for i := range c.prev {
+		c.prev[i] = -1
 	}
 	c.drainEvents()
 }
@@ -319,13 +503,9 @@ func (c *CFGCov) ResetPosition() {
 // of the restored state is credited as an edge without recording the
 // rollback jump itself.
 func (c *CFGCov) SyncPosition(s sim.DUV) {
-	for gi, g := range c.P.Graphs {
-		key := nodeKeyOf(g, s)
-		c.prevKey[gi] = key
-		c.prevNode[gi] = -1
-		if id, ok := g.ByKey[canonKey(key)]; ok {
-			c.prevNode[gi] = id
-		}
+	c.initSampling()
+	for gi := range c.P.Graphs {
+		c.prev[gi] = c.valuationOf(gi, s)
 	}
 	c.hasPrev = true
 	c.drainEvents()

@@ -44,8 +44,9 @@ func (b Bit) IsKnown() bool { return b == L0 || b == L1 }
 const wordBits = 64
 
 // BV is a four-state bit-vector of fixed width. The zero value is an
-// invalid vector; use the constructors. Vectors are immutable: all
-// operations return fresh vectors.
+// invalid vector; use the constructors. Vectors are immutable:
+// operations never modify their operands, and the 1-bit results of
+// reductions, logical operators and comparisons are shared values.
 type BV struct {
 	width int
 	a     []uint64 // value plane
@@ -388,11 +389,11 @@ func (v BV) ReduceAnd() BV {
 	}
 	switch {
 	case anyZero:
-		return Zero(1)
+		return zero
 	case anyUnk:
-		return X(1)
+		return unknown
 	default:
-		return Ones(1)
+		return one
 	}
 }
 
@@ -409,27 +410,27 @@ func (v BV) ReduceOr() BV {
 	}
 	switch {
 	case anyOne:
-		return Ones(1)
+		return one
 	case anyUnk:
-		return X(1)
+		return unknown
 	default:
-		return Zero(1)
+		return zero
 	}
 }
 
 // ReduceXor returns the 1-bit XOR (parity) of all bits; X if any unknown.
 func (v BV) ReduceXor() BV {
 	if v.HasUnknown() {
-		return X(1)
+		return unknown
 	}
 	parity := 0
 	for _, w := range v.a {
 		parity ^= bits.OnesCount64(w) & 1
 	}
 	if parity == 1 {
-		return Ones(1)
+		return one
 	}
-	return Zero(1)
+	return zero
 }
 
 // ---- logical (truthiness) operators ----
@@ -456,14 +457,17 @@ func (v BV) Truthy() Bit {
 	}
 }
 
+// one, zero and unknown are the shared 1-bit results (see BV).
+var one, zero, unknown = Ones(1), Zero(1), X(1)
+
 func bitToBV(b Bit) BV {
 	switch b {
 	case L1:
-		return Ones(1)
+		return one
 	case L0:
-		return Zero(1)
+		return zero
 	default:
-		return X(1)
+		return unknown
 	}
 }
 
@@ -471,11 +475,11 @@ func bitToBV(b Bit) BV {
 func (v BV) LogicalNot() BV {
 	switch v.Truthy() {
 	case L1:
-		return Zero(1)
+		return zero
 	case L0:
-		return Ones(1)
+		return one
 	default:
-		return X(1)
+		return unknown
 	}
 }
 
@@ -484,11 +488,11 @@ func (v BV) LogicalAnd(o BV) BV {
 	x, y := v.Truthy(), o.Truthy()
 	switch {
 	case x == L0 || y == L0:
-		return Zero(1)
+		return zero
 	case x == L1 && y == L1:
-		return Ones(1)
+		return one
 	default:
-		return X(1)
+		return unknown
 	}
 }
 
@@ -497,11 +501,11 @@ func (v BV) LogicalOr(o BV) BV {
 	x, y := v.Truthy(), o.Truthy()
 	switch {
 	case x == L1 || y == L1:
-		return Ones(1)
+		return one
 	case x == L0 && y == L0:
-		return Zero(1)
+		return zero
 	default:
-		return X(1)
+		return unknown
 	}
 }
 
@@ -584,7 +588,7 @@ func (v BV) cmp(o BV) int {
 func (v BV) Eq(o BV) BV {
 	checkSameWidth(v, o)
 	if v.HasUnknown() || o.HasUnknown() {
-		return X(1)
+		return unknown
 	}
 	return bitToBV(boolBit(v.cmp(o) == 0))
 }
@@ -596,7 +600,7 @@ func (v BV) Neq(o BV) BV { return v.Eq(o).LogicalNot() }
 func (v BV) Lt(o BV) BV {
 	checkSameWidth(v, o)
 	if v.HasUnknown() || o.HasUnknown() {
-		return X(1)
+		return unknown
 	}
 	return bitToBV(boolBit(v.cmp(o) < 0))
 }
@@ -605,7 +609,7 @@ func (v BV) Lt(o BV) BV {
 func (v BV) Le(o BV) BV {
 	checkSameWidth(v, o)
 	if v.HasUnknown() || o.HasUnknown() {
-		return X(1)
+		return unknown
 	}
 	return bitToBV(boolBit(v.cmp(o) <= 0))
 }

@@ -588,3 +588,26 @@ func TestFromWordsShortPlanesZeroExtend(t *testing.T) {
 		t.Error("missing high words must read as known 0")
 	}
 }
+
+// TestOneBitResultsDoNotAllocate pins the shared 1-bit results of
+// reductions, logical operators and comparisons.
+func TestOneBitResultsDoNotAllocate(t *testing.T) {
+	a, b, x := FromUint64(8, 5), FromUint64(8, 9), X(8)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, v := range []BV{
+			a.Eq(b), a.Neq(b), a.Lt(b), a.Le(x), a.LogicalAnd(b), a.LogicalOr(x),
+			x.LogicalNot(), a.ReduceAnd(), a.ReduceOr(), x.ReduceXor(),
+		} {
+			_ = v
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("1-bit results allocate %.1f times", allocs)
+	}
+	if got := a.Lt(b).String(); got != "1'b1" {
+		t.Errorf("5 < 9 = %s", got)
+	}
+	if got := a.Eq(x).String(); got != "1'bx" {
+		t.Errorf("5 == X = %s", got)
+	}
+}

@@ -96,8 +96,8 @@ func mergeTimings(dst, src *core.Timings) {
 }
 
 // FinalizeMetrics folds the merged campaign totals into the
-// campaign-level (unprefixed) instruments, so /status and downstream
-// consumers (benchtab -metrics) see campaign sums next to the w<N>_
+// campaign-level (unprefixed) instruments, so /status and the
+// symbfuzz -metrics snapshot show campaign sums next to the w<N>_
 // per-worker series. Shared by the in-process orchestrator and the
 // distributed coordinator.
 func FinalizeMetrics(o *obs.Observer, m *core.Report) {

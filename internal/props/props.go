@@ -24,6 +24,14 @@ type Ctx interface {
 	Cycle() uint64
 }
 
+// The 1-bit results evaluation returns. BVs are immutable, so these are
+// shared rather than built per evaluation.
+var (
+	bvOne  = logic.Ones(1)
+	bvZero = logic.Zero(1)
+	bvX    = logic.X(1)
+)
+
 // Expr is a property expression node.
 type Expr interface {
 	Eval(c Ctx) logic.BV
@@ -54,9 +62,9 @@ func U(width int, v uint64) Expr { return constExpr{logic.FromUint64(width, v)} 
 // B builds a 1-bit constant from a bool.
 func B(v bool) Expr {
 	if v {
-		return constExpr{logic.Ones(1)}
+		return constExpr{bvOne}
 	}
-	return constExpr{logic.Zero(1)}
+	return constExpr{bvZero}
 }
 
 func (e constExpr) Eval(Ctx) logic.BV      { return e.v }
@@ -91,9 +99,9 @@ func Stable(name string) Expr { return stableExpr{name} }
 
 func (e stableExpr) Eval(c Ctx) logic.BV {
 	if c.Val(e.name).Eq4(c.PastVal(e.name, 1)) {
-		return logic.Ones(1)
+		return bvOne
 	}
-	return logic.Zero(1)
+	return bvZero
 }
 func (e stableExpr) Signals(set map[string]int) { set[e.name] = max(set[e.name], 1) }
 func (e stableExpr) String() string             { return fmt.Sprintf("$stable(%s)", e.name) }
@@ -105,9 +113,9 @@ func IsUnknown(x Expr) Expr { return isUnknownExpr{x} }
 
 func (e isUnknownExpr) Eval(c Ctx) logic.BV {
 	if e.x.Eval(c).HasUnknown() {
-		return logic.Ones(1)
+		return bvOne
 	}
-	return logic.Zero(1)
+	return bvZero
 }
 func (e isUnknownExpr) Signals(set map[string]int) { e.x.Signals(set) }
 func (e isUnknownExpr) String() string             { return fmt.Sprintf("$isunknown(%s)", e.x) }
@@ -266,16 +274,16 @@ func Implies(a, c Expr) Expr { return impliesExpr{a, c} }
 func (e impliesExpr) Eval(c Ctx) logic.BV {
 	av := e.a.Eval(c).Truthy()
 	if av != logic.L1 {
-		return logic.Ones(1) // vacuous (or unknown antecedent)
+		return bvOne // vacuous (or unknown antecedent)
 	}
 	cv := e.c.Eval(c).Truthy()
 	switch cv {
 	case logic.L0:
-		return logic.Zero(1)
+		return bvZero
 	case logic.L1:
-		return logic.Ones(1)
+		return bvOne
 	default:
-		return logic.X(1)
+		return bvX
 	}
 }
 func (e impliesExpr) Signals(set map[string]int) {
@@ -331,27 +339,59 @@ type Violation struct {
 }
 
 // Checker samples signals each cycle and evaluates properties. It keeps
-// per-signal history rings deep enough for every $past reference.
+// a history ring, deep enough for every $past reference, for each
+// signal a property reads.
+//
+// Signal names are resolved once, at AddProperty or Bind: each distinct
+// name gets a slot, and every property is evaluated through a copy of
+// its expressions whose signal references point at slots. A slot keeps
+// the last value read and reuses it while the signal's words are
+// unchanged, so reading a signal that holds still copies nothing.
 type Checker struct {
-	props      []*Property
-	depth      map[string]int        // history depth needed per signal
-	history    map[string][]logic.BV // ring buffers
+	props      []boundProp
+	names      map[string]int // signal name -> index into slots
+	slots      []slot
+	depth      int // length of every history ring (>= 2)
 	histPos    int
 	histFilled int
 	sim        sim.DUV
 	violations []Violation
 	// FirstOnly reports each property at most once.
 	FirstOnly bool
-	seen      map[string]bool
+}
+
+// boundProp is a property with its Expr and DisableIff bound to slots.
+type boundProp struct {
+	*Property
+	expr, disable Expr
+	seen          bool // a property of this name has been reported
+}
+
+// slot is one signal the checker reads.
+type slot struct {
+	name  string
+	sig   int      // DUV signal index, -1 for a name the design lacks
+	width int      // of the signal's values; 1 for a missing name
+	cur   logic.BV // last value read
+	// ring holds the signal's history. An entry whose value was not
+	// read when it was pushed keeps only its words, in words, and past
+	// builds its value on first use.
+	ring  []entry
+	words []uint64
+}
+
+// entry is one history position of a slot.
+type entry struct {
+	v       logic.BV // the value; invalid while only its words are kept
+	written bool
 }
 
 // NewChecker builds a checker over the given properties.
 func NewChecker(properties ...*Property) *Checker {
 	c := &Checker{
-		depth:     map[string]int{},
-		history:   map[string][]logic.BV{},
+		names:     map[string]int{},
+		depth:     2,
 		FirstOnly: true,
-		seen:      map[string]bool{},
 	}
 	for _, p := range properties {
 		c.AddProperty(p)
@@ -359,63 +399,234 @@ func NewChecker(properties ...*Property) *Checker {
 	return c
 }
 
-// AddProperty registers another property.
+// AddProperty registers another property. After Bind it resolves the
+// property's new signals against the bound DUV. History restarts
+// either way.
 func (c *Checker) AddProperty(p *Property) {
-	c.props = append(c.props, p)
 	set := map[string]int{}
 	p.Expr.Signals(set)
 	if p.DisableIff != nil {
 		p.DisableIff.Signals(set)
 	}
 	for name, d := range set {
-		need := d + 1
-		if need < 2 {
-			need = 2
+		if _, ok := c.names[name]; !ok {
+			c.names[name] = len(c.slots)
+			c.slots = append(c.slots, slot{name: name})
+			if c.sim != nil {
+				c.resolve(len(c.slots) - 1)
+			}
 		}
-		if need > c.depth[name] {
-			c.depth[name] = need
-		}
+		c.depth = max(c.depth, d+1)
 	}
+	b := boundProp{Property: p, expr: c.bind(p.Expr)}
+	if p.DisableIff != nil {
+		b.disable = c.bind(p.DisableIff)
+	}
+	for _, q := range c.props {
+		b.seen = b.seen || q.seen && q.Name == p.Name
+	}
+	c.props = append(c.props, b)
 	// All rings share the global depth so a single write cursor works.
-	L := c.maxDepth()
-	for name := range c.depth {
-		if len(c.history[name]) != L {
-			c.history[name] = make([]logic.BV, L)
+	for i := range c.slots {
+		if len(c.slots[i].ring) != c.depth {
+			c.slots[i].ring = make([]entry, c.depth)
 		}
 	}
 	c.histPos = -1
 	c.histFilled = 0
 }
 
+// bind copies e with every signal reference resolved to its slot.
+// Expression types from outside this package stay as they are and
+// read through Ctx.
+func (c *Checker) bind(e Expr) Expr {
+	switch e := e.(type) {
+	case sigExpr:
+		return slotExpr{e, c, c.names[e.name]}
+	case pastExpr:
+		return pastSlotExpr{e, c, c.names[e.name]}
+	case stableExpr:
+		return stableSlotExpr{e, c, c.names[e.name]}
+	case isUnknownExpr:
+		return isUnknownExpr{c.bind(e.x)}
+	case binExpr:
+		return binExpr{e.op, c.bind(e.x), c.bind(e.y)}
+	case notExpr:
+		return notExpr{c.bind(e.x)}
+	case redOrExpr:
+		return redOrExpr{c.bind(e.x)}
+	case sliceExpr:
+		return sliceExpr{c.bind(e.x), e.hi, e.lo}
+	case concatExpr:
+		parts := make([]Expr, len(e.parts))
+		for i, p := range e.parts {
+			parts[i] = c.bind(p)
+		}
+		return concatExpr{parts}
+	case impliesExpr:
+		return impliesExpr{c.bind(e.a), c.bind(e.c)}
+	}
+	return e
+}
+
+// slotExpr, pastSlotExpr and stableSlotExpr are signal references bound
+// to a checker slot. They print and list signals like the originals.
+type slotExpr struct {
+	sigExpr
+	c *Checker
+	i int
+}
+
+func (e slotExpr) Eval(Ctx) logic.BV { return e.c.value(e.i) }
+
+type pastSlotExpr struct {
+	pastExpr
+	c *Checker
+	i int
+}
+
+func (e pastSlotExpr) Eval(Ctx) logic.BV { return e.c.past(e.i, e.n) }
+
+type stableSlotExpr struct {
+	stableExpr
+	c *Checker
+	i int
+}
+
+func (e stableSlotExpr) Eval(Ctx) logic.BV {
+	if e.c.value(e.i).Eq4(e.c.past(e.i, 1)) {
+		return bvOne
+	}
+	return bvZero
+}
+
 // Bind attaches the checker to a DUV backend; it samples on every
 // cycle.
 func (c *Checker) Bind(s sim.DUV) {
 	c.sim = s
+	for i := range c.slots {
+		c.resolve(i)
+	}
 	s.OnCycle(func(sim.DUV) { c.Sample() })
+}
+
+// resolve looks slot i's signal up in the bound DUV.
+func (c *Checker) resolve(i int) {
+	sl := &c.slots[i]
+	sl.sig = c.sim.SignalIndex(sl.name)
+	sl.cur, sl.width = logic.BV{}, 1
+	if sl.sig < 0 {
+		sl.cur = bvX
+	} else {
+		sl.width = c.sim.Design().Signals[sl.sig].Width
+	}
+}
+
+// value returns slot i's current value, reusing the last one read
+// while the signal's words still equal it.
+func (c *Checker) value(i int) logic.BV {
+	sl := &c.slots[i]
+	if sl.sig >= 0 {
+		if a, b := c.sim.Words(sl.sig); !holds(a, b, sl.cur) {
+			sl.cur = c.sim.Get(sl.sig)
+		}
+	}
+	return sl.cur
+}
+
+// holds reports whether the planes a, b are exactly v's.
+func holds(a, b []uint64, v logic.BV) bool {
+	va, vb := v.Words()
+	if len(va) != len(a) {
+		return false
+	}
+	for i := range a {
+		if a[i] != va[i] || b[i] != vb[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// push records slot i's current value at history position pos: the
+// last value read when the signal still holds it, and otherwise a copy
+// of its words, from which past builds the value if asked.
+func (c *Checker) push(i, pos int) {
+	sl := &c.slots[i]
+	e := &sl.ring[pos]
+	var a, b []uint64
+	if sl.sig >= 0 {
+		a, b = c.sim.Words(sl.sig)
+	}
+	if sl.sig < 0 || holds(a, b, sl.cur) {
+		// A signal that held still for the whole ring finds its value
+		// already in place.
+		if !e.written || !sameValue(e.v, sl.cur) {
+			*e = entry{v: sl.cur, written: true}
+		}
+		return
+	}
+	*e = entry{written: true}
+	nw := len(a)
+	// The words are sized on first use after the ring is (re)made;
+	// every entry written before that holds its value.
+	if len(sl.words) != 2*nw*len(sl.ring) {
+		sl.words = make([]uint64, 2*nw*len(sl.ring))
+	}
+	w := sl.words[2*nw*pos:]
+	copy(w[:nw], a)
+	copy(w[nw:2*nw], b)
+}
+
+// sameValue reports whether a and b are one value: equal widths and
+// the same planes, which an immutable BV never shares with another
+// value.
+func sameValue(a, b logic.BV) bool {
+	aw, _ := a.Words()
+	bw, _ := b.Words()
+	return len(aw) > 0 && len(bw) > 0 && &aw[0] == &bw[0] && a.Width() == b.Width()
+}
+
+// past returns slot i's value n cycles ago (X before enough history).
+func (c *Checker) past(i, n int) logic.BV {
+	sl := &c.slots[i]
+	if n > len(sl.ring) || n > c.histFilled {
+		return bvX
+	}
+	pos := ((c.histPos-(n-1))%len(sl.ring) + len(sl.ring)) % len(sl.ring)
+	e := &sl.ring[pos]
+	if !e.written {
+		return bvX
+	}
+	if !e.v.Valid() {
+		nw := (sl.width + 63) / 64
+		w := sl.words[2*nw*pos:]
+		e.v = logic.FromWords(sl.width, w[:nw], w[nw:2*nw])
+	}
+	return e.v
 }
 
 // Val implements Ctx.
 func (c *Checker) Val(name string) logic.BV {
+	if i, ok := c.names[name]; ok {
+		return c.value(i)
+	}
 	idx := c.sim.SignalIndex(name)
 	if idx < 0 {
-		return logic.X(1)
+		return bvX
 	}
 	return c.sim.Get(idx)
 }
 
 // PastVal implements Ctx. PastVal(name, 1) is the value at the previous
-// cycle's sample point.
+// cycle's sample point. History is kept for the signals properties
+// read; any other name is X.
 func (c *Checker) PastVal(name string, n int) logic.BV {
-	ring := c.history[name]
-	if ring == nil || n > len(ring) || n > c.histFilled {
-		return logic.X(1)
+	i, ok := c.names[name]
+	if !ok {
+		return bvX
 	}
-	pos := ((c.histPos-(n-1))%len(ring) + len(ring)) % len(ring)
-	v := ring[pos]
-	if !v.Valid() {
-		return logic.X(1)
-	}
-	return v
+	return c.past(i, n)
 }
 
 // Cycle implements Ctx.
@@ -429,42 +640,35 @@ func (c *Checker) Cycle() uint64 {
 // Sample evaluates every property against the current state, then
 // pushes current values into the history rings.
 func (c *Checker) Sample() {
-	for _, p := range c.props {
-		if c.FirstOnly && c.seen[p.Name] {
+	for i := range c.props {
+		p := &c.props[i]
+		if c.FirstOnly && p.seen {
 			continue
 		}
-		if p.DisableIff != nil && p.DisableIff.Eval(c).Truthy() == logic.L1 {
+		if p.disable != nil && p.disable.Eval(c).Truthy() == logic.L1 {
 			continue
 		}
-		if p.Expr.Eval(c).Truthy() == logic.L0 {
+		if p.expr.Eval(c).Truthy() == logic.L0 {
 			c.violations = append(c.violations, Violation{
 				Property: p.Name,
 				CWE:      p.CWE,
 				Cycle:    c.Cycle(),
 				Detail:   p.Expr.String(),
 			})
-			c.seen[p.Name] = true
+			for j := range c.props {
+				if c.props[j].Name == p.Name {
+					c.props[j].seen = true
+				}
+			}
 		}
 	}
-	// Push current values into the rings.
-	L := c.maxDepth()
-	c.histPos = (c.histPos + 1 + L) % L
-	for name, ring := range c.history {
-		ring[c.histPos] = c.Val(name)
+	c.histPos = (c.histPos + 1 + c.depth) % c.depth
+	for i := range c.slots {
+		c.push(i, c.histPos)
 	}
-	if c.histFilled < L {
+	if c.histFilled < c.depth {
 		c.histFilled++
 	}
-}
-
-func (c *Checker) maxDepth() int {
-	m := 2
-	for _, d := range c.depth {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Violations returns the recorded violations.
@@ -475,7 +679,9 @@ func (c *Checker) Violations() []Violation { return c.violations }
 func (c *Checker) Reset() {
 	c.violations = nil
 	c.histFilled = 0
-	c.seen = map[string]bool{}
+	for i := range c.props {
+		c.props[i].seen = false
+	}
 }
 
 // ResetHistory clears only sampled history, keeping found violations.

@@ -1,12 +1,15 @@
 package props
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/elab"
 	"repro/internal/hdl"
 	"repro/internal/logic"
 	"repro/internal/sim"
+	"repro/internal/simc"
 )
 
 func newSim(t *testing.T, src, top string) *sim.Simulator {
@@ -236,5 +239,168 @@ func TestUnknownSignalNameIsX(t *testing.T) {
 	_ = s.ApplyReset(info, 2)
 	if len(chk.Violations()) != 0 {
 		t.Error("unknown signal comparisons are X and must not fire")
+	}
+}
+
+// TestAddPropertyAfterBind registers a property over a signal the
+// checker has not read yet, with a deeper $past than any before it,
+// after Bind: the new signal must resolve against the bound DUV and
+// the history must deepen to cover $past(st, 3).
+func TestAddPropertyAfterBind(t *testing.T) {
+	s := newSim(t, fsmSrc, "fsm")
+	chk := NewChecker(&Property{Name: "in_reset_or_not", Expr: Implies(Sig("rst_ni"), Sig("rst_ni"))})
+	chk.Bind(s)
+	info := sim.DetectClockReset(s.Design())
+	_ = s.ApplyReset(info, 2)
+	_ = s.Poke("go", logic.Ones(1))
+	_ = s.Tick(info.Clock)
+	chk.AddProperty(&Property{
+		Name:       "not_two_before",
+		Expr:       Ne(Past("st", 3), U(2, 2)),
+		DisableIff: Not(Sig("rst_ni")),
+	})
+	if got, want := chk.Val("st"), s.Get(s.SignalIndex("st")); !got.Eq4(want) {
+		t.Fatalf("Val(st) after AddProperty = %v, want %v", got, want)
+	}
+	// With go held, st cycles 0 -> 1 -> 2 -> 0, so the property fails
+	// on the first cycle with three cycles of history at which st was
+	// 2 three samples back, and not before.
+	for i := 0; i < 3; i++ {
+		_ = s.Tick(info.Clock)
+	}
+	if len(chk.Violations()) != 0 {
+		t.Fatalf("fired before three cycles of history: %+v", chk.Violations())
+	}
+	if got := chk.PastVal("st", 3); !got.Eq4(logic.FromUint64(2, 2)) {
+		t.Fatalf("PastVal(st, 3) = %v, want 2'b10", got)
+	}
+	for i := 0; i < 3; i++ {
+		_ = s.Tick(info.Clock)
+	}
+	vs := chk.Violations()
+	if len(vs) != 1 || vs[0].Property != "not_two_before" {
+		t.Fatalf("violations = %+v, want not_two_before once", vs)
+	}
+}
+
+// TestCheckerSampleSteadyStateDoesNotAllocate pins the bound read
+// path on the compiled backend: once warm, a Sample whose signals hold
+// still allocates nothing, through signal, $past, $stable, $isunknown
+// and |-> reads, with one property already reported and skipped.
+func TestCheckerSampleSteadyStateDoesNotAllocate(t *testing.T) {
+	d := newSim(t, fsmSrc, "fsm").Design()
+	m, err := simc.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := NewChecker(
+		&Property{Name: "out_of_reset", Expr: Sig("rst_ni"), DisableIff: IsUnknown(Sig("clk_i"))},
+		&Property{Name: "st_stable", Expr: Implies(Past("rst_ni", 2), Stable("st"))},
+		&Property{Name: "go_unknown", Expr: Implies(Sig("rst_ni"), IsUnknown(Sig("go")))},
+	)
+	info := sim.DetectClockReset(d)
+	if err := m.ApplyReset(info, 2); err != nil {
+		t.Fatal(err)
+	}
+	chk.Bind(m)
+	m.Set(m.SignalIndex("go"), logic.Zero(1))
+	for i := 0; i < 4; i++ {
+		if err := m.Tick(info.Clock); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, chk.Sample)
+	if allocs != 0 {
+		t.Errorf("steady-state Sample allocates %.1f times", allocs)
+	}
+	vs := chk.Violations()
+	if len(vs) != 1 || vs[0].Property != "go_unknown" {
+		t.Fatalf("violations = %+v, want go_unknown once", vs)
+	}
+}
+
+// randExpr builds a random property expression over the fsm design's
+// signals (and one name it lacks) from every constructor.
+func randExpr(rng *rand.Rand, depth int) Expr {
+	names := []string{"st", "go", "rst_ni", "clk_i", "nope"}
+	name := names[rng.Intn(len(names))]
+	if depth == 0 || rng.Intn(4) == 0 {
+		switch rng.Intn(5) {
+		case 0:
+			return Past(name, 1+rng.Intn(3))
+		case 1:
+			return Stable(name)
+		case 2:
+			return U(1+rng.Intn(3), uint64(rng.Intn(8)))
+		case 3:
+			return B(rng.Intn(2) == 0)
+		}
+		return Sig(name)
+	}
+	x, y := randExpr(rng, depth-1), randExpr(rng, depth-1)
+	ops := []func() Expr{
+		func() Expr { return Eq(x, y) }, func() Expr { return Ne(x, y) },
+		func() Expr { return Lt(x, y) }, func() Expr { return Le(x, y) },
+		func() Expr { return And(x, y) }, func() Expr { return Or(x, y) },
+		func() Expr { return BAnd(x, y) }, func() Expr { return BOr(x, y) },
+		func() Expr { return BXor(x, y) }, func() Expr { return Add(x, y) },
+		func() Expr { return Sub(x, y) }, func() Expr { return Not(x) },
+		func() Expr { return RedOr(x) }, func() Expr { return IsUnknown(x) },
+		func() Expr { return Slice(x, 1+rng.Intn(2), rng.Intn(2)) },
+		func() Expr { return Index(x, rng.Intn(2)) },
+		func() Expr { return Concat(x, y, randExpr(rng, 0)) },
+		func() Expr { return Implies(x, y) },
+		func() Expr { return IsInside(x, y, U(2, 1)) },
+	}
+	return ops[rng.Intn(len(ops))]()
+}
+
+// TestBoundEvalMatchesUnbound drives random properties through a
+// random walk with X inputs, rollbacks and history resets, and holds
+// the checker's bound, memoized evaluation of every property to the
+// unbound expression read through Ctx.
+func TestBoundEvalMatchesUnbound(t *testing.T) {
+	s := newSim(t, fsmSrc, "fsm")
+	rng := rand.New(rand.NewSource(3))
+	chk := NewChecker()
+	chk.FirstOnly = false
+	for i := 0; i < 60; i++ {
+		p := &Property{Name: fmt.Sprint("p", i), Expr: randExpr(rng, 4)}
+		if rng.Intn(3) == 0 {
+			p.DisableIff = randExpr(rng, 2)
+		}
+		chk.AddProperty(p)
+	}
+	chk.Bind(s)
+	info := sim.DetectClockReset(s.Design())
+	_ = s.ApplyReset(info, 2)
+	goVals := []logic.BV{logic.Zero(1), logic.Ones(1), logic.X(1)}
+	var snap *sim.Snapshot
+	for step := 0; step < 400; step++ {
+		switch rng.Intn(20) {
+		case 0:
+			snap = s.Snapshot()
+		case 1:
+			if snap != nil {
+				s.Restore(snap)
+				chk.ResetHistory()
+			}
+		}
+		_ = s.Poke("go", goVals[rng.Intn(len(goVals))])
+		_ = s.Tick(info.Clock)
+		for _, p := range chk.props {
+			if got, want := p.expr.Eval(chk), p.Expr.Eval(chk); !got.Eq4(want) {
+				t.Fatalf("step %d: %s = %v bound, %v unbound", step, p.Expr, got, want)
+			}
+			if p.disable == nil {
+				continue
+			}
+			if got, want := p.disable.Eval(chk), p.DisableIff.Eval(chk); !got.Eq4(want) {
+				t.Fatalf("step %d: disable %s = %v bound, %v unbound", step, p.DisableIff, got, want)
+			}
+		}
+	}
+	if len(chk.Violations()) == 0 {
+		t.Fatal("no property ever failed: the walk checks nothing")
 	}
 }

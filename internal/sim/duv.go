@@ -17,6 +17,15 @@ type DUV interface {
 	Design() *elab.Design
 	// Get returns the current value of a signal by index.
 	Get(sig int) logic.BV
+	// Words returns the current aval/bval planes of a signal by index,
+	// LSB-word first, without copying. They alias the backend's state:
+	// the compiled arena on simc, the stored value's planes on the
+	// interpreter. They are read-only, and valid only until the next
+	// Set, Settle, Tick, AdvanceCycle or Restore: a reader that keeps a
+	// value across those copies it, which is what Get does. Bits above
+	// the signal's width are zero, so two reads of one signal hold the
+	// same value iff their words are equal.
+	Words(sig int) (a, b []uint64)
 	// GetMem returns a memory word (X for out-of-range).
 	GetMem(mem int, addr uint64) logic.BV
 	// Set performs a blocking input write, scheduling dependents.

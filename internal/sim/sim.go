@@ -200,6 +200,9 @@ func (s *Simulator) OnCycle(fn CycleListener) { s.onCycle = append(s.onCycle, fn
 // Get returns the current value of a signal.
 func (s *Simulator) Get(sig int) logic.BV { return s.vals[sig] }
 
+// Words returns the planes of a signal's stored value (see DUV.Words).
+func (s *Simulator) Words(sig int) (a, b []uint64) { return s.vals[sig].Words() }
+
 // GetMem returns a memory word (X for out-of-range).
 func (s *Simulator) GetMem(mem int, addr uint64) logic.BV {
 	words := s.mems[mem]

@@ -59,13 +59,24 @@ type Machine struct {
 	combByMem [][]int
 	seqBySig  [][]int
 
+	// The scheduler reuses its buffers, so a steady-state Settle does
+	// not allocate. queue is a FIFO consumed from qhead and emptied once
+	// drained. pendEdges and edgeBuf swap roles per edge batch, and a
+	// process already ran in the current batch iff ranGen[pi] == gen.
 	queued    []bool
 	queue     []int
+	qhead     int
 	pendEdges []pendingEdge
+	edgeBuf   []pendingEdge
+	ranGen    []uint64
+	gen       uint64
 	nbaSig    []nbaSlot
 	nbaA      []uint64
 	nbaB      []uint64
 	nbaMem    []nbaMemEntry
+	// levelA and levelB hold a clock level's planes for Tick: only
+	// levelA[0] is ever nonzero.
+	levelA, levelB []uint64
 
 	cycle   uint64
 	tracer  sim.Tracer
@@ -98,6 +109,7 @@ func New(d *elab.Design) (*Machine, error) {
 		combByMem: make([][]int, len(d.Memories)),
 		seqBySig:  make([][]int, len(d.Signals)),
 		queued:    make([]bool, len(d.Procs)),
+		ranGen:    make([]uint64, len(d.Procs)),
 	}
 	// Lay out the arena and initialize: declaration initializer when
 	// present, all-X otherwise.
@@ -109,6 +121,12 @@ func New(d *elab.Design) (*Machine, error) {
 	}
 	m.aw = make([]uint64, total)
 	m.bw = make([]uint64, total)
+	maxNW := 1
+	for _, s := range m.slots {
+		maxNW = max(maxNW, s.nw)
+	}
+	m.levelA = make([]uint64, maxNW)
+	m.levelB = make([]uint64, maxNW)
 	for i, sig := range d.Signals {
 		s := m.slots[i]
 		m.views[i] = view(sig.Width, m.aw[s.off:s.off+s.nw], m.bw[s.off:s.off+s.nw])
@@ -240,6 +258,13 @@ func (m *Machine) Get(sig int) logic.BV {
 	return logic.FromWords(v.width, v.a, v.b)
 }
 
+// Words returns a signal's live arena planes (see sim.DUV.Words): the
+// next write to the signal changes them in place.
+func (m *Machine) Words(sig int) (a, b []uint64) {
+	v := m.views[sig]
+	return v.a, v.b
+}
+
 // GetMem returns a memory word (X for out-of-range).
 func (m *Machine) GetMem(mem int, addr uint64) logic.BV {
 	words := m.mems[mem]
@@ -340,8 +365,11 @@ func (m *Machine) scheduleNB(sig int, p *pval) {
 // popProc removes the next combinational process from the FIFO queue
 // (interpreter order).
 func (m *Machine) popProc() int {
-	pi := m.queue[0]
-	m.queue = m.queue[1:]
+	pi := m.queue[m.qhead]
+	m.qhead++
+	if m.qhead == len(m.queue) {
+		m.queue, m.qhead = m.queue[:0], 0
+	}
 	return pi
 }
 
@@ -353,7 +381,7 @@ func (m *Machine) Settle() error {
 	limit := 64 * (len(m.d.Procs) + 16)
 	steps := 0
 	for {
-		for len(m.queue) > 0 {
+		for m.qhead < len(m.queue) {
 			pi := m.popProc()
 			m.queued[pi] = false
 			m.execProc(pi)
@@ -365,16 +393,18 @@ func (m *Machine) Settle() error {
 		if len(m.pendEdges) == 0 {
 			return nil
 		}
+		// Edges raised while this batch runs go to the other buffer.
 		edges := m.pendEdges
-		m.pendEdges = nil
-		seen := map[int]bool{}
+		m.pendEdges = m.edgeBuf[:0]
+		m.gen++
 		for _, e := range edges {
-			if seen[e.proc] {
+			if m.ranGen[e.proc] == m.gen {
 				continue
 			}
-			seen[e.proc] = true
+			m.ranGen[e.proc] = m.gen
 			m.execProc(e.proc)
 		}
+		m.edgeBuf = edges
 		nba := m.nbaSig
 		m.nbaSig = m.nbaSig[:0]
 		for _, w := range nba {
@@ -424,11 +454,11 @@ func (m *Machine) AdvanceCycle() {
 
 // Tick drives one full clock cycle on the given clock signal index.
 func (m *Machine) Tick(clk int) error {
-	m.Set(clk, logic.Ones(1))
+	m.setLevel(clk, 1)
 	if err := m.Settle(); err != nil {
 		return err
 	}
-	m.Set(clk, logic.Zero(1))
+	m.setLevel(clk, 0)
 	if err := m.Settle(); err != nil {
 		return err
 	}
@@ -437,6 +467,14 @@ func (m *Machine) Tick(clk int) error {
 		fn(m)
 	}
 	return nil
+}
+
+// setLevel is Set(sig, logic.Ones(1)) for level 1 and Set(sig,
+// logic.Zero(1)) for level 0, without building a BV.
+func (m *Machine) setLevel(sig int, level uint64) {
+	nw := m.slots[sig].nw
+	m.levelA[0] = level
+	m.applyWords(sig, m.levelA[:nw], m.levelB[:nw])
 }
 
 // ApplyReset asserts the detected reset and deasserts it through the
@@ -481,7 +519,7 @@ func (m *Machine) Restore(snap *sim.Snapshot) {
 		copy(m.mems[i], snap.Mems[i])
 	}
 	m.cycle = snap.Cycle
-	m.queue = m.queue[:0]
+	m.queue, m.qhead = m.queue[:0], 0
 	for i := range m.queued {
 		m.queued[i] = false
 	}

@@ -19,6 +19,8 @@ type Driver struct {
 	Clock int // clock signal index, -1 for purely combinational DUVs
 	// fieldIdx maps item fields to input signal indices.
 	fieldIdx map[string]int
+	// ports lists the input ports in the order Apply drives them.
+	ports []*elab.Signal
 }
 
 // NewDriver binds a driver to a DUV backend. Field-to-port mapping is
@@ -32,7 +34,9 @@ func NewDriver(name string, s sim.DUV, clock int) *Driver {
 	}
 	for _, in := range s.Design().InputSignals() {
 		d.fieldIdx[in.Name] = in.Index
+		d.ports = append(d.ports, in)
 	}
+	sort.Slice(d.ports, func(i, j int) bool { return d.ports[i].Name < d.ports[j].Name })
 	return d
 }
 
@@ -45,18 +49,24 @@ func NewDriver(name string, s sim.DUV, clock int) *Driver {
 // event stream (and with it the whole campaign) run-to-run
 // nondeterministic.
 func (d *Driver) Apply(it *Item) error {
-	names := make([]string, 0, len(it.Fields))
+	// A field matching no port fails the item once every field sorted
+	// before it has been applied.
+	unknown := ""
 	for name := range it.Fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		idx, ok := d.fieldIdx[name]
-		if !ok {
-			return fmt.Errorf("uvm: item field %q does not match an input port", name)
+		if _, ok := d.fieldIdx[name]; !ok && (unknown == "" || name < unknown) {
+			unknown = name
 		}
-		sig := d.Sim.Design().Signals[idx]
-		d.Sim.Set(idx, it.Fields[name].Resize(sig.Width))
+	}
+	for _, in := range d.ports {
+		if unknown != "" && in.Name > unknown {
+			break
+		}
+		if v, ok := it.Fields[in.Name]; ok {
+			d.Sim.Set(in.Index, v.Resize(in.Width))
+		}
+	}
+	if unknown != "" {
+		return fmt.Errorf("uvm: item field %q does not match an input port", unknown)
 	}
 	if err := d.Sim.Settle(); err != nil {
 		return err
@@ -86,6 +96,8 @@ type Monitor struct {
 	// Observations holds the most recent output sample per port.
 	Observations map[string]logic.BV
 	board        *Scoreboard
+	outs         []*elab.Signal
+	last         []logic.BV // last sampled value per outs entry
 }
 
 // NewMonitor builds a monitor with an optional property checker.
@@ -95,7 +107,9 @@ func NewMonitor(name string, s sim.DUV, chk *props.Checker) *Monitor {
 		Sim:           s,
 		Checker:       chk,
 		Observations:  map[string]logic.BV{},
+		outs:          s.Design().OutputSignals(),
 	}
+	m.last = make([]logic.BV, len(m.outs))
 	if chk != nil {
 		chk.Bind(s)
 	}
@@ -103,14 +117,35 @@ func NewMonitor(name string, s sim.DUV, chk *props.Checker) *Monitor {
 	return m
 }
 
+// sample records every output, reusing the last value while a port's
+// words are unchanged.
 func (m *Monitor) sample() {
-	for _, out := range m.Sim.Design().OutputSignals() {
-		v := m.Sim.Get(out.Index)
-		m.Observations[out.Name] = v
+	for i, out := range m.outs {
+		v := m.last[i]
+		if !sameWords(m.Sim, out.Index, v) {
+			v = m.Sim.Get(out.Index)
+			m.last[i] = v
+			m.Observations[out.Name] = v
+		}
 		if m.board != nil {
 			m.board.Observe(out.Name, m.Sim.Cycle(), v)
 		}
 	}
+}
+
+// sameWords reports whether signal sig currently holds exactly v.
+func sameWords(s sim.DUV, sig int, v logic.BV) bool {
+	a, b := s.Words(sig)
+	va, vb := v.Words()
+	if len(va) != len(a) {
+		return false
+	}
+	for i := range a {
+		if a[i] != va[i] || b[i] != vb[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Violations returns property violations recorded so far.
@@ -140,6 +175,10 @@ type Scoreboard struct {
 	Mismatches []Observation
 	// Cap bounds retained observations (ring semantics).
 	Cap int
+	// buf backs Observations once it is full: the window slides along
+	// buf and moves back to its front on reaching the end, so a full
+	// scoreboard records without reallocating.
+	buf []Observation
 }
 
 // NewScoreboard builds an empty scoreboard.
@@ -150,7 +189,14 @@ func NewScoreboard(name string) *Scoreboard {
 // Observe records one output sample.
 func (s *Scoreboard) Observe(signal string, cycle uint64, v logic.BV) {
 	if s.Cap > 0 && len(s.Observations) >= s.Cap {
-		s.Observations = s.Observations[1:]
+		keep := s.Observations[1:]
+		if len(keep) == cap(keep) {
+			if len(s.buf) <= len(keep) {
+				s.buf = make([]Observation, 2*len(keep)+1)
+			}
+			keep = s.buf[:copy(s.buf, keep)]
+		}
+		s.Observations = keep
 	}
 	s.Observations = append(s.Observations, Observation{Signal: signal, Cycle: cycle, Value: v})
 	if s.Golden != nil {
