@@ -16,6 +16,7 @@ import (
 	"repro/internal/designs"
 	"repro/internal/eval"
 	"repro/internal/sim"
+	"repro/internal/uvm"
 )
 
 // benchEvalConfig is the scaled-down experiment configuration used by
@@ -322,25 +323,31 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorTick measures raw simulation throughput on the SoC.
+// BenchmarkSimulatorTick measures raw simulation throughput on the SoC,
+// one sub-benchmark per simulation backend, so the kernels' ns/op read
+// side by side.
 func BenchmarkSimulatorTick(b *testing.B) {
 	d, err := symbfuzz.OpenTitanMini(nil).Elaborate()
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sim.New(d)
-	if err != nil {
-		b.Fatal(err)
-	}
 	info := sim.DetectClockReset(d)
-	if err := s.ApplyReset(info, 2); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Tick(info.Clock); err != nil {
-			b.Fatal(err)
-		}
+	for _, backend := range []string{"interp", "compiled"} {
+		b.Run(backend, func(b *testing.B) {
+			s, err := uvm.NewBackend(d, backend)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.ApplyReset(info, 2); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Tick(info.Clock); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 	"repro/internal/dist"
 )
 
-// This file is the measurement path every record experiment shares:
-// the interleaved arm runner, the common record header and writer, the
-// tuned campaign configuration, and the on/off overhead harness that
-// the flight, prof and watch experiments are instances of.
+// This file is the measurement path the overhead experiments share:
+// the interleaved arm runner, the record writer, the tuned campaign
+// configuration, and the on/off overhead harness that the flight, prof
+// and watch experiments are instances of.
 
 // arm runs the measured work once and returns its wall time in
 // nanoseconds. Set-up that is not part of the measurement (elaboration,
@@ -65,10 +65,6 @@ type recordHeader struct {
 	Note   string `json:"note"`
 }
 
-func header(schema string, seed int64, note string) recordHeader {
-	return recordHeader{Schema: schema, Cores: runtime.NumCPU(), Seed: seed, Note: note}
-}
-
 // writeRecord writes rec as indented JSON with a trailing newline.
 func writeRecord(path string, rec any) error {
 	out, err := json.MarshalIndent(rec, "", "  ")
@@ -78,7 +74,7 @@ func writeRecord(path string, rec any) error {
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// campaign returns the tuned campaign every record experiment runs
+// campaign returns the tuned campaign every overhead experiment runs
 // (I=100, Th=2, snapshots, fuzzing on past full coverage) as a wire
 // spec and as the matching engine configuration.
 func campaign(bench string, budget uint64, workers int, seed int64) (dist.CampaignSpec, core.Config) {
@@ -184,7 +180,7 @@ func runOverhead(x overheadExp, seed int64, runs int, w io.Writer) (any, error) 
 	}
 	var ref *core.Report
 	rec := &OverheadBench{
-		recordHeader: header("symbfuzz-bench-overhead/v1", seed, x.note),
+		recordHeader: recordHeader{Schema: "symbfuzz-bench-overhead/v1", Cores: runtime.NumCPU(), Seed: seed, Note: x.note},
 		Experiment:   x.name,
 		Bench:        x.bench,
 		Budget:       x.budget,

@@ -1,7 +1,9 @@
 // Command benchtab regenerates the paper's evaluation tables and
 // figures (§5) at a configurable budget and prints them as text, and
-// writes the repo's component perf records (BENCH_<exp>.json at the
-// root; the end-to-end campaign benchmark lives in bench/).
+// times what the campaign instruments cost: the flight recorder, the
+// cost profiler and the watch plane each write an on/off overhead
+// record (BENCH_<exp>.json at the root). Campaign throughput and its
+// per-layer split are measured by the end-to-end benchmark in bench/.
 //
 // Usage:
 //
@@ -10,21 +12,15 @@
 //	benchtab -exp fig4 -budget 20000
 //	benchtab -exp all
 //
-// Record experiments time arms against each other, so they run only by
-// name, never under -exp all. Each writes BENCH_<exp>.json unless -out
-// names another path; -runs sets the interleaved runs per arm of the
-// overhead and sim experiments (0 keeps the experiment's default). A
-// failed gate exits 1: a parity break, a missed target or an instrument
-// that did no work writes nothing, an overhead past 5% is still written
-// with within_5pct false:
+// Overhead experiments time two arms against each other, so they run
+// only by name, never under -exp all. Each writes BENCH_<exp>.json
+// unless -out names another path; -runs sets the interleaved runs per
+// arm (0 keeps the experiment's default). A failed gate exits 1: an
+// instrument that did no work or changed the campaign's report writes
+// nothing, an overhead past 5% is still written with within_5pct false:
 //
 //	benchtab -exp prof
 //	benchtab -exp watch -runs 7 -out BENCH_watch_new.json
-//
-// -diff compares two bench records of the same schema as a
-// perf-regression gate (warn past 10%, exit 1 past 25%):
-//
-//	benchtab -diff BENCH_prof.json -with BENCH_prof_new.json
 package main
 
 import (
@@ -37,7 +33,7 @@ import (
 )
 
 // experiment is one -exp target: either a paper table, printed as text
-// and run under -exp all, or a record experiment, which returns the
+// and run under -exp all, or an overhead experiment, which returns the
 // record to write.
 type experiment struct {
 	name   string
@@ -57,13 +53,8 @@ var experiments = []experiment{
 	})},
 	{name: "sec54", table: table(eval.RunSection54, eval.WriteSection54)},
 	{name: "scalability", table: table(eval.RunScalability, eval.WriteScalability)},
-	{name: "par", record: runPar},
-	{name: "dist", record: runDist},
 	{name: "flight", record: runFlight},
-	{name: "slice", record: runSlice},
 	{name: "prof", record: runProf},
-	{name: "sim", record: runSim},
-	{name: "fleet", record: runFleet},
 	{name: "watch", record: runWatch},
 }
 
@@ -80,32 +71,14 @@ func table[T any](run func(eval.Config) (T, error), write func(io.Writer, T)) fu
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|sec54|scalability|par|dist|flight|slice|prof|sim|fleet|watch|all (par through watch write records and never run under all)")
-		budget   = flag.Uint64("budget", 0, "vector budget per IP run (0 = defaults)")
-		soc      = flag.Uint64("soc-budget", 0, "vector budget for SoC curves")
-		runs     = flag.Int("runs", 0, "runs averaged (figure 4, table 2) or interleaved runs per arm (overhead and sim records); 0 = the experiment's default")
-		seed     = flag.Int64("seed", 1, "base seed")
-		out      = flag.String("out", "", "record output path (default BENCH_<exp>.json)")
-		diffBase = flag.String("diff", "", "baseline bench record for the perf-regression gate")
-		diffWith = flag.String("with", "", "candidate bench record to compare against -diff")
+		exp    = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|sec54|scalability|flight|prof|watch|all (the paper tables run under all; flight, prof and watch write overhead records and run only by name)")
+		budget = flag.Uint64("budget", 0, "vector budget per IP run (0 = defaults)")
+		soc    = flag.Uint64("soc-budget", 0, "vector budget for SoC curves")
+		runs   = flag.Int("runs", 0, "runs averaged (figure 4, table 2) or interleaved runs per arm (overhead records); 0 = the experiment's default")
+		seed   = flag.Int64("seed", 1, "base seed")
+		out    = flag.String("out", "", "record output path (default BENCH_<exp>.json)")
 	)
 	flag.Parse()
-
-	if *diffBase != "" || *diffWith != "" {
-		if *diffBase == "" || *diffWith == "" {
-			fmt.Fprintln(os.Stderr, "benchtab: -diff and -with must both be set")
-			os.Exit(2)
-		}
-		failed, err := runDiff(*diffBase, *diffWith, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: diff:", err)
-			os.Exit(2)
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
 
 	c := eval.Config{
 		BudgetIP:  *budget,

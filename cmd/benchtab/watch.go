@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"sync"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/fleet"
 )
 
@@ -81,4 +84,46 @@ func runWatch(seed int64, runs int, w io.Writer) (any, error) {
 			return run, nil
 		},
 	}, seed, runs, w)
+}
+
+// createCampaign submits spec as a named campaign through the fleet's
+// /v1/campaigns API.
+func createCampaign(addr, name string, spec dist.CampaignSpec) error {
+	body, err := json.Marshal(fleet.CreateRequest{Name: name, Spec: spec})
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post("http://"+addr+"/v1/campaigns", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		return fmt.Errorf("create %s: status %d", name, resp.StatusCode)
+	}
+	return nil
+}
+
+// drainCampaign runs one worker per rank against the named campaign
+// and waits for all of them.
+func drainCampaign(addr, campaign string, ranks int, idPrefix string) error {
+	var wg sync.WaitGroup
+	errs := make([]error, ranks)
+	for i := 0; i < ranks; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = dist.RunWorker(context.Background(), dist.WorkerConfig{
+				Addr: addr, Campaign: campaign, WorkerID: fmt.Sprintf("%s-w%d", idPrefix, i), RankHint: i,
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("worker %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/designs"
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -41,32 +40,39 @@ func mailboxSpec(seed int64) dist.CampaignSpec {
 	}
 }
 
-// baseline lazily computes (and caches per seed) the fault-free
+// baseline lazily computes (and caches per spec) the fault-free
 // in-process campaign every fleet-hosted run must reproduce.
 var (
 	blMu sync.Mutex
-	bl   = map[int64]*par.Report{}
+	bl   = map[string]*par.Report{}
 )
 
-func baseline(t *testing.T, seed int64) *par.Report {
+func baseline(t *testing.T, s dist.CampaignSpec) *par.Report {
 	t.Helper()
 	blMu.Lock()
 	defer blMu.Unlock()
-	if r := bl[seed]; r != nil {
+	key := fmt.Sprint(s)
+	if r := bl[key]; r != nil {
 		return r
 	}
-	b := designs.IPBenchmark(designs.Mailbox(), true)
-	s := mailboxSpec(seed)
-	cc := core.Config{
+	b, properties, err := dist.ResolveSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := par.Run(b.Elaborate, properties, par.Config{Config: specConfig(s), Workers: s.Workers})
+	if err != nil {
+		t.Fatalf("par baseline (%s seed %d): %v", s.Bench, s.Seed, err)
+	}
+	bl[key] = r
+	return r
+}
+
+// specConfig is the engine configuration of an in-process run of s.
+func specConfig(s dist.CampaignSpec) core.Config {
+	return core.Config{
 		Interval: s.Interval, Threshold: s.Threshold, MaxVectors: s.MaxVectors,
 		Seed: s.Seed, UseSnapshots: s.UseSnapshots, ContinueAfterCoverage: s.ContinueAfterCoverage,
 	}
-	r, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: s.Workers})
-	if err != nil {
-		t.Fatalf("par baseline (seed %d): %v", seed, err)
-	}
-	bl[seed] = r
-	return r
 }
 
 // normalizeReport zeroes wall-clock fields and folds the scheduling-
@@ -170,13 +176,17 @@ func runWorkers(t *testing.T, addr, campaign string, n int, seedBase int64) {
 // campaigns multiplexed on one fleet process, each with two workers
 // publishing through the batched wire, each ending byte-identical to
 // its own in-process baseline — and the control surface and /metrics
-// endpoint reflect all three.
+// endpoint reflect all three. Two campaigns fuzz the mailbox; the third
+// runs the tuned campaign (I=100, Th=2) on the bus arbiter, so parity
+// holds on a second design whose guidance solves plans.
 func TestFleetThreeCampaignParity(t *testing.T) {
 	s := newTestServer(t, Config{})
-	seeds := map[string]int64{"alpha": 7, "beta": 11, "gamma": 13}
+	busArb := mailboxSpec(1)
+	busArb.Bench, busArb.Interval, busArb.MaxVectors = "bus_arb", 100, 8000
+	specs := map[string]dist.CampaignSpec{"alpha": mailboxSpec(7), "beta": mailboxSpec(11), "gamma": busArb}
 	names := []string{"alpha", "beta", "gamma"}
 	for _, name := range names {
-		createCampaign(t, s.Addr(), CreateRequest{Name: name, Spec: mailboxSpec(seeds[name])})
+		createCampaign(t, s.Addr(), CreateRequest{Name: name, Spec: specs[name]})
 	}
 
 	var wg sync.WaitGroup
@@ -194,7 +204,7 @@ func TestFleetThreeCampaignParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("campaign %s: %v", name, err)
 		}
-		requireParity(t, name, rep, baseline(t, seeds[name]))
+		requireParity(t, name, rep, baseline(t, specs[name]))
 	}
 
 	// Control surface: the list shows all three campaigns, done.
@@ -237,6 +247,56 @@ func TestFleetThreeCampaignParity(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestHostStopAtPoints pins the fleet-hosted stop-at-target path that
+// fuzzctl create -stop-at-points relies on: a two-rank campaign hosted
+// with StopAtPoints set to the coverage one worker discovers on the
+// budget reaches that target, and its merged report agrees with the
+// in-process run at the same target on graph totals and pruning.
+// Stopping at a target truncates each rank at a wall-clock-dependent
+// vector count, so only the elaboration-derived fields are
+// deterministic here.
+func TestHostStopAtPoints(t *testing.T) {
+	spec := mailboxSpec(7)
+	b, properties, err := dist.ResolveSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers, stopAt int) *par.Report {
+		r, err := par.Run(b.Elaborate, properties,
+			par.Config{Config: specConfig(spec), Workers: workers, StopAtPoints: stopAt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	target := run(1, 0).Merged.FinalPoints
+	inproc := run(spec.Workers, target)
+
+	s := newTestServer(t, Config{})
+	if _, err := s.Host(dist.CoordConfig{Spec: spec, StopAtPoints: target}); err != nil {
+		t.Fatalf("Host: %v", err)
+	}
+	runWorkers(t, s.Addr(), "", spec.Workers, 0)
+	rep, err := s.WaitCampaign(context.Background(), "")
+	if err != nil {
+		t.Fatalf("WaitCampaign: %v", err)
+	}
+	if rep.TimeToTargetNS <= 0 || rep.Merged.FinalPoints < target {
+		t.Errorf("fleet missed the %d-point target: reached %d, time to target %dns",
+			target, rep.Merged.FinalPoints, rep.TimeToTargetNS)
+	}
+	if inproc.TimeToTargetNS <= 0 {
+		t.Errorf("in-process run missed the %d-point target", target)
+	}
+	got, want := rep.Merged, inproc.Merged
+	if got.NodesTotal != want.NodesTotal || got.EdgesTotal != want.EdgesTotal ||
+		got.PrunedTargets != want.PrunedTargets {
+		t.Errorf("fleet and in-process reports disagree: nodes %d/%d, edges %d/%d, pruned %d/%d",
+			got.NodesTotal, want.NodesTotal, got.EdgesTotal, want.EdgesTotal,
+			got.PrunedTargets, want.PrunedTargets)
 	}
 }
 
@@ -291,7 +351,7 @@ func TestFleetIsolationWorkerDeath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("campaign %s: %v", name, err)
 		}
-		requireParity(t, name, rep, baseline(t, seed))
+		requireParity(t, name, rep, baseline(t, mailboxSpec(seed)))
 	}
 }
 
@@ -334,7 +394,7 @@ func TestFleetKillResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("campaign %s: %v", name, err)
 		}
-		requireParity(t, name, rep, baseline(t, seed))
+		requireParity(t, name, rep, baseline(t, mailboxSpec(seed)))
 	}
 
 	// Shut down the second incarnation to flush the merged traces,

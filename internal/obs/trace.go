@@ -147,6 +147,7 @@ type Tracer interface {
 type JSONLTracer struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
+	enc *json.Encoder
 	c   io.Closer
 	err error
 }
@@ -155,28 +156,21 @@ type JSONLTracer struct {
 // closed by Close after the final flush.
 func NewJSONLTracer(w io.Writer) *JSONLTracer {
 	t := &JSONLTracer{w: bufio.NewWriterSize(w, 1<<16)}
+	t.enc = json.NewEncoder(t.w)
 	if c, ok := w.(io.Closer); ok {
 		t.c = c
 	}
 	return t
 }
 
-// Emit implements Tracer.
+// Emit implements Tracer. Every Event field is a plain string, number
+// or bool, so encoding cannot fail and an Encode error is the writer's.
 func (t *JSONLTracer) Emit(ev *Event) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.err != nil {
-		return
+	if t.err == nil {
+		t.err = t.enc.Encode(ev)
 	}
-	if _, err := t.w.Write(b); err != nil {
-		t.err = err
-		return
-	}
-	t.err = t.w.WriteByte('\n')
 }
 
 // Close flushes buffered events and closes the underlying writer.

@@ -54,31 +54,31 @@ func (c *compiler) compileExpr(e elab.Expr) (exprF, int) {
 		switch e.Op {
 		case elab.OpNot:
 			dst := newPval(xw)
-			return func() *pval { m.opNot(dst, xf()); return dst }, xw
+			return func() *pval { opNot(dst, xf()); return dst }, xw
 		case elab.OpNeg:
 			dst := newPval(xw)
-			return func() *pval { m.opNeg(dst, xf()); return dst }, xw
+			return func() *pval { opNeg(dst, xf()); return dst }, xw
 		case elab.OpLNot:
 			dst := newPval(1)
-			return func() *pval { m.opLogicalNot(dst, xf()); return dst }, 1
+			return func() *pval { opLogicalNot(dst, xf()); return dst }, 1
 		case elab.OpRedAnd:
 			dst := newPval(1)
-			return func() *pval { m.opReduceAnd(dst, xf(), false); return dst }, 1
+			return func() *pval { opReduceAnd(dst, xf(), false); return dst }, 1
 		case elab.OpRedNand:
 			dst := newPval(1)
-			return func() *pval { m.opReduceAnd(dst, xf(), true); return dst }, 1
+			return func() *pval { opReduceAnd(dst, xf(), true); return dst }, 1
 		case elab.OpRedOr:
 			dst := newPval(1)
-			return func() *pval { m.opReduceOr(dst, xf(), false); return dst }, 1
+			return func() *pval { opReduceOr(dst, xf(), false); return dst }, 1
 		case elab.OpRedNor:
 			dst := newPval(1)
-			return func() *pval { m.opReduceOr(dst, xf(), true); return dst }, 1
+			return func() *pval { opReduceOr(dst, xf(), true); return dst }, 1
 		case elab.OpRedXor:
 			dst := newPval(1)
-			return func() *pval { m.opReduceXor(dst, xf(), false); return dst }, 1
+			return func() *pval { opReduceXor(dst, xf(), false); return dst }, 1
 		case elab.OpRedXnor:
 			dst := newPval(1)
-			return func() *pval { m.opReduceXor(dst, xf(), true); return dst }, 1
+			return func() *pval { opReduceXor(dst, xf(), true); return dst }, 1
 		}
 		panic(fmt.Sprintf("simc: unknown unop %d", e.Op))
 
@@ -90,7 +90,7 @@ func (c *compiler) compileExpr(e elab.Expr) (exprF, int) {
 			panic(fmt.Sprintf("simc: cond branch width mismatch %d vs %d", tw, fw))
 		}
 		dst := newPval(tw)
-		return func() *pval { m.opMux(dst, cf(), tf(), ff()); return dst }, tw
+		return func() *pval { opMux(dst, cf(), tf(), ff()); return dst }, tw
 
 	case elab.CatE:
 		fs := make([]exprF, len(e.Parts))
@@ -183,7 +183,6 @@ func (c *compiler) compileExpr(e elab.Expr) (exprF, int) {
 }
 
 func (c *compiler) compileBin(e elab.Bin) (exprF, int) {
-	m := c.m
 	xf, xw := c.compileExpr(e.X)
 	yf, yw := c.compileExpr(e.Y)
 	sameWidth := func() {
@@ -195,76 +194,76 @@ func (c *compiler) compileBin(e elab.Bin) (exprF, int) {
 	case elab.OpAdd:
 		sameWidth()
 		dst := newPval(xw)
-		return func() *pval { m.opAdd(dst, xf(), yf()); return dst }, xw
+		return func() *pval { opAdd(dst, xf(), yf()); return dst }, xw
 	case elab.OpSub:
 		sameWidth()
 		dst := newPval(xw)
-		return func() *pval { m.opSub(dst, xf(), yf()); return dst }, xw
+		return func() *pval { opSub(dst, xf(), yf()); return dst }, xw
 	case elab.OpMul:
 		sameWidth()
 		dst := newPval(xw)
-		return func() *pval { m.opMul(dst, xf(), yf()); return dst }, xw
+		return func() *pval { opMul(dst, xf(), yf()); return dst }, xw
 	case elab.OpAnd:
 		sameWidth()
 		dst := newPval(xw)
-		return func() *pval { m.opAnd(dst, xf(), yf()); return dst }, xw
+		return func() *pval { opAnd(dst, xf(), yf()); return dst }, xw
 	case elab.OpOr:
 		sameWidth()
 		dst := newPval(xw)
-		return func() *pval { m.opOr(dst, xf(), yf()); return dst }, xw
+		return func() *pval { opOr(dst, xf(), yf()); return dst }, xw
 	case elab.OpXor:
 		sameWidth()
 		dst := newPval(xw)
-		return func() *pval { m.opXor(dst, xf(), yf(), false); return dst }, xw
+		return func() *pval { opXor(dst, xf(), yf(), false); return dst }, xw
 	case elab.OpXnor:
 		sameWidth()
 		dst := newPval(xw)
-		return func() *pval { m.opXor(dst, xf(), yf(), true); return dst }, xw
+		return func() *pval { opXor(dst, xf(), yf(), true); return dst }, xw
 	case elab.OpEq:
 		sameWidth()
 		dst := newPval(1)
-		return func() *pval { m.opEq(dst, xf(), yf(), false); return dst }, 1
+		return func() *pval { opEq(dst, xf(), yf(), false); return dst }, 1
 	case elab.OpNeq:
 		sameWidth()
 		dst := newPval(1)
-		return func() *pval { m.opEq(dst, xf(), yf(), true); return dst }, 1
+		return func() *pval { opEq(dst, xf(), yf(), true); return dst }, 1
 	case elab.OpCaseEq:
 		dst := newPval(1)
-		return func() *pval { m.opCaseEq(dst, xf(), yf(), false); return dst }, 1
+		return func() *pval { opCaseEq(dst, xf(), yf(), false); return dst }, 1
 	case elab.OpCaseNeq:
 		dst := newPval(1)
-		return func() *pval { m.opCaseEq(dst, xf(), yf(), true); return dst }, 1
+		return func() *pval { opCaseEq(dst, xf(), yf(), true); return dst }, 1
 	case elab.OpLt:
 		sameWidth()
 		dst := newPval(1)
-		return func() *pval { m.opLt(dst, xf(), yf(), false); return dst }, 1
+		return func() *pval { opLt(dst, xf(), yf(), false); return dst }, 1
 	case elab.OpLe:
 		sameWidth()
 		dst := newPval(1)
-		return func() *pval { m.opLt(dst, xf(), yf(), true); return dst }, 1
+		return func() *pval { opLt(dst, xf(), yf(), true); return dst }, 1
 	case elab.OpGt:
 		sameWidth()
 		dst := newPval(1)
-		return func() *pval { m.opLt(dst, yf(), xf(), false); return dst }, 1
+		return func() *pval { opLt(dst, yf(), xf(), false); return dst }, 1
 	case elab.OpGe:
 		sameWidth()
 		dst := newPval(1)
-		return func() *pval { m.opLt(dst, yf(), xf(), true); return dst }, 1
+		return func() *pval { opLt(dst, yf(), xf(), true); return dst }, 1
 	case elab.OpShl:
 		dst := newPval(xw)
-		return func() *pval { m.opShl(dst, xf(), yf()); return dst }, xw
+		return func() *pval { opShl(dst, xf(), yf()); return dst }, xw
 	case elab.OpShr:
 		dst := newPval(xw)
-		return func() *pval { m.opShr(dst, xf(), yf()); return dst }, xw
+		return func() *pval { opShr(dst, xf(), yf()); return dst }, xw
 	case elab.OpAshr:
 		dst := newPval(xw)
-		return func() *pval { m.opAshr(dst, xf(), yf()); return dst }, xw
+		return func() *pval { opAshr(dst, xf(), yf()); return dst }, xw
 	case elab.OpLAnd:
 		dst := newPval(1)
-		return func() *pval { m.opLogicalAnd(dst, xf(), yf()); return dst }, 1
+		return func() *pval { opLogicalAnd(dst, xf(), yf()); return dst }, 1
 	case elab.OpLOr:
 		dst := newPval(1)
-		return func() *pval { m.opLogicalOr(dst, xf(), yf()); return dst }, 1
+		return func() *pval { opLogicalOr(dst, xf(), yf()); return dst }, 1
 	}
 	panic(fmt.Sprintf("simc: unknown binop %d", e.Op))
 }

@@ -177,21 +177,18 @@ func cmpWords(x, y *pval) int {
 //
 // Each kernel mirrors one logic.BV operator bit-for-bit, with a
 // word-packed two-state fast path taken when every operand bit is a
-// known 0/1 (the X/Z-free region of the evaluation). The fast/slow
-// split is counted into the machine's hit/miss counters; semantics are
+// known 0/1 (the X/Z-free region of the evaluation). Semantics are
 // representation-independent — a slow-path evaluation of two-state
 // operands produces exactly the fast-path result.
 
-func (m *Machine) opAnd(dst, x, y *pval) {
+func opAnd(dst, x, y *pval) {
 	if x.twoState() && y.twoState() {
-		m.hits++
 		for i := range dst.a {
 			dst.a[i] = x.a[i] & y.a[i]
 			dst.b[i] = 0
 		}
 		return
 	}
-	m.misses++
 	for i := range dst.a {
 		one := (x.a[i] &^ x.b[i]) & (y.a[i] &^ y.b[i])
 		zero := (^x.a[i] &^ x.b[i]) | (^y.a[i] &^ y.b[i])
@@ -202,16 +199,14 @@ func (m *Machine) opAnd(dst, x, y *pval) {
 	dst.maskTop()
 }
 
-func (m *Machine) opOr(dst, x, y *pval) {
+func opOr(dst, x, y *pval) {
 	if x.twoState() && y.twoState() {
-		m.hits++
 		for i := range dst.a {
 			dst.a[i] = x.a[i] | y.a[i]
 			dst.b[i] = 0
 		}
 		return
 	}
-	m.misses++
 	for i := range dst.a {
 		one := (x.a[i] &^ x.b[i]) | (y.a[i] &^ y.b[i])
 		zero := (^x.a[i] &^ x.b[i]) & (^y.a[i] &^ y.b[i])
@@ -222,9 +217,8 @@ func (m *Machine) opOr(dst, x, y *pval) {
 	dst.maskTop()
 }
 
-func (m *Machine) opXor(dst, x, y *pval, invert bool) {
+func opXor(dst, x, y *pval, invert bool) {
 	if x.twoState() && y.twoState() {
-		m.hits++
 		for i := range dst.a {
 			dst.a[i] = x.a[i] ^ y.a[i]
 			if invert {
@@ -235,7 +229,6 @@ func (m *Machine) opXor(dst, x, y *pval, invert bool) {
 		dst.maskTop()
 		return
 	}
-	m.misses++
 	for i := range dst.a {
 		unk := x.b[i] | y.b[i]
 		v := x.a[i] ^ y.a[i]
@@ -248,9 +241,8 @@ func (m *Machine) opXor(dst, x, y *pval, invert bool) {
 	dst.maskTop()
 }
 
-func (m *Machine) opNot(dst, x *pval) {
+func opNot(dst, x *pval) {
 	if x.twoState() {
-		m.hits++
 		for i := range dst.a {
 			dst.a[i] = ^x.a[i]
 			dst.b[i] = 0
@@ -258,7 +250,6 @@ func (m *Machine) opNot(dst, x *pval) {
 		dst.maskTop()
 		return
 	}
-	m.misses++
 	for i := range dst.a {
 		unk := x.b[i]
 		dst.a[i] = (^x.a[i] &^ unk) | unk
@@ -267,9 +258,8 @@ func (m *Machine) opNot(dst, x *pval) {
 	dst.maskTop()
 }
 
-func (m *Machine) opAdd(dst, x, y *pval) {
+func opAdd(dst, x, y *pval) {
 	if x.twoState() && y.twoState() {
-		m.hits++
 		var carry uint64
 		for i := range dst.a {
 			s, c := bits.Add64(x.a[i], y.a[i], carry)
@@ -280,13 +270,11 @@ func (m *Machine) opAdd(dst, x, y *pval) {
 		dst.maskTop()
 		return
 	}
-	m.misses++
 	dst.setX()
 }
 
-func (m *Machine) opSub(dst, x, y *pval) {
+func opSub(dst, x, y *pval) {
 	if x.twoState() && y.twoState() {
-		m.hits++
 		var borrow uint64
 		for i := range dst.a {
 			d, b := bits.Sub64(x.a[i], y.a[i], borrow)
@@ -297,13 +285,11 @@ func (m *Machine) opSub(dst, x, y *pval) {
 		dst.maskTop()
 		return
 	}
-	m.misses++
 	dst.setX()
 }
 
-func (m *Machine) opNeg(dst, x *pval) {
+func opNeg(dst, x *pval) {
 	if x.twoState() {
-		m.hits++
 		var borrow uint64
 		for i := range dst.a {
 			d, b := bits.Sub64(0, x.a[i], borrow)
@@ -314,17 +300,14 @@ func (m *Machine) opNeg(dst, x *pval) {
 		dst.maskTop()
 		return
 	}
-	m.misses++
 	dst.setX()
 }
 
-func (m *Machine) opMul(dst, x, y *pval) {
+func opMul(dst, x, y *pval) {
 	if !x.twoState() || !y.twoState() {
-		m.misses++
 		dst.setX()
 		return
 	}
-	m.hits++
 	dst.setZero()
 	for i := range x.a {
 		if x.a[i] == 0 {
@@ -344,23 +327,19 @@ func (m *Machine) opMul(dst, x, y *pval) {
 
 // opCmp covers Eq/Neq/Lt/Le/Gt/Ge into a 1-bit dst; want/invert
 // select the comparison outcome exactly as the logic.BV chains do.
-func (m *Machine) opEq(dst, x, y *pval, invert bool) {
+func opEq(dst, x, y *pval, invert bool) {
 	if !x.twoState() || !y.twoState() {
-		m.misses++
 		dst.setXBit()
 		return
 	}
-	m.hits++
 	dst.setBool((cmpWords(x, y) == 0) != invert)
 }
 
-func (m *Machine) opLt(dst, x, y *pval, orEqual bool) {
+func opLt(dst, x, y *pval, orEqual bool) {
 	if !x.twoState() || !y.twoState() {
-		m.misses++
 		dst.setXBit()
 		return
 	}
-	m.hits++
 	c := cmpWords(x, y)
 	if orEqual {
 		dst.setBool(c <= 0)
@@ -369,7 +348,7 @@ func (m *Machine) opLt(dst, x, y *pval, orEqual bool) {
 	}
 }
 
-func (m *Machine) opCaseEq(dst, x, y *pval, invert bool) {
+func opCaseEq(dst, x, y *pval, invert bool) {
 	eq := x.width == y.width && x.eqWords(y)
 	dst.setBool(eq != invert)
 }
@@ -413,17 +392,11 @@ func shiftRightN(dst, x *pval, n int) {
 	dst.maskTop()
 }
 
-func (m *Machine) opShl(dst, x, y *pval) {
+func opShl(dst, x, y *pval) {
 	n, ok := y.uint64Val()
 	if !ok {
-		m.misses++
 		dst.setX()
 		return
-	}
-	if x.twoState() {
-		m.hits++
-	} else {
-		m.misses++
 	}
 	if n >= uint64(dst.width) {
 		dst.setZero()
@@ -432,17 +405,11 @@ func (m *Machine) opShl(dst, x, y *pval) {
 	shiftLeftN(dst, x, int(n))
 }
 
-func (m *Machine) opShr(dst, x, y *pval) {
+func opShr(dst, x, y *pval) {
 	n, ok := y.uint64Val()
 	if !ok {
-		m.misses++
 		dst.setX()
 		return
-	}
-	if x.twoState() {
-		m.hits++
-	} else {
-		m.misses++
 	}
 	if n >= uint64(dst.width) {
 		dst.setZero()
@@ -455,17 +422,11 @@ func (m *Machine) opShr(dst, x, y *pval) {
 // amount yields all X; otherwise the value shifts right by
 // k = min(amount, width) with the vacated top k bits filled with the
 // operand's original four-state MSB (a Z sign bit replicates as Z).
-func (m *Machine) opAshr(dst, x, y *pval) {
+func opAshr(dst, x, y *pval) {
 	n, ok := y.uint64Val()
 	if !ok {
-		m.misses++
 		dst.setX()
 		return
-	}
-	if x.twoState() {
-		m.hits++
-	} else {
-		m.misses++
 	}
 	w := dst.width
 	k := int(n)
@@ -485,12 +446,7 @@ func (m *Machine) opAshr(dst, x, y *pval) {
 	}
 }
 
-func (m *Machine) opLogicalNot(dst, x *pval) {
-	if x.twoState() {
-		m.hits++
-	} else {
-		m.misses++
-	}
+func opLogicalNot(dst, x *pval) {
 	switch x.truthy() {
 	case tOne:
 		dst.setBool(false)
@@ -501,12 +457,7 @@ func (m *Machine) opLogicalNot(dst, x *pval) {
 	}
 }
 
-func (m *Machine) opLogicalAnd(dst, x, y *pval) {
-	if x.twoState() && y.twoState() {
-		m.hits++
-	} else {
-		m.misses++
-	}
+func opLogicalAnd(dst, x, y *pval) {
 	tx, ty := x.truthy(), y.truthy()
 	switch {
 	case tx == tZero || ty == tZero:
@@ -518,12 +469,7 @@ func (m *Machine) opLogicalAnd(dst, x, y *pval) {
 	}
 }
 
-func (m *Machine) opLogicalOr(dst, x, y *pval) {
-	if x.twoState() && y.twoState() {
-		m.hits++
-	} else {
-		m.misses++
-	}
+func opLogicalOr(dst, x, y *pval) {
 	tx, ty := x.truthy(), y.truthy()
 	switch {
 	case tx == tOne || ty == tOne:
@@ -536,12 +482,7 @@ func (m *Machine) opLogicalOr(dst, x, y *pval) {
 }
 
 // opReduce covers the six reduction operators into a 1-bit dst.
-func (m *Machine) opReduceAnd(dst, x *pval, invert bool) {
-	if x.twoState() {
-		m.hits++
-	} else {
-		m.misses++
-	}
+func opReduceAnd(dst, x *pval, invert bool) {
 	anyZero, anyUnk := false, false
 	for i := range x.a {
 		mask := ^uint64(0)
@@ -565,12 +506,7 @@ func (m *Machine) opReduceAnd(dst, x *pval, invert bool) {
 	}
 }
 
-func (m *Machine) opReduceOr(dst, x *pval, invert bool) {
-	if x.twoState() {
-		m.hits++
-	} else {
-		m.misses++
-	}
+func opReduceOr(dst, x *pval, invert bool) {
 	anyOne, anyUnk := false, false
 	for i := range x.a {
 		if x.a[i]&^x.b[i] != 0 {
@@ -590,13 +526,11 @@ func (m *Machine) opReduceOr(dst, x *pval, invert bool) {
 	}
 }
 
-func (m *Machine) opReduceXor(dst, x *pval, invert bool) {
+func opReduceXor(dst, x *pval, invert bool) {
 	if !x.twoState() {
-		m.misses++
 		dst.setXBit()
 		return
 	}
-	m.hits++
 	parity := 0
 	for _, w := range x.a {
 		parity ^= bits.OnesCount64(w) & 1
@@ -607,18 +541,15 @@ func (m *Machine) opReduceXor(dst, x *pval, invert bool) {
 // opMux mirrors logic.Mux: a known condition selects one branch; an
 // unknown condition merges — agreeing known bits survive, all others
 // become X.
-func (m *Machine) opMux(dst, c, t, f *pval) {
+func opMux(dst, c, t, f *pval) {
 	switch c.truthy() {
 	case tOne:
-		m.hits++
 		dst.copyFrom(t)
 		return
 	case tZero:
-		m.hits++
 		dst.copyFrom(f)
 		return
 	}
-	m.misses++
 	for i := range dst.a {
 		agree := ^(t.a[i] ^ f.a[i]) &^ t.b[i] &^ f.b[i]
 		dst.a[i] = (t.a[i] & agree) | ^agree

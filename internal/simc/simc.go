@@ -82,9 +82,6 @@ type Machine struct {
 	tracer  sim.Tracer
 	onCycle []sim.CycleListener
 
-	// two-state fast-path counters (BENCH_sim metric)
-	hits, misses uint64
-
 	// profiling (mirrors sim.Simulator)
 	profEvals   []uint64
 	profClock   func() int64
@@ -196,10 +193,6 @@ func (m *Machine) Design() *elab.Design { return m.d }
 
 // sigView returns the live arena view of a signal.
 func (m *Machine) sigView(sig int) *pval { return m.views[sig] }
-
-// TwoStateStats returns how many operator evaluations took the
-// word-packed two-state fast path vs the four-state fallback.
-func (m *Machine) TwoStateStats() (hits, misses uint64) { return m.hits, m.misses }
 
 // EnableProfile turns on per-process evaluation counting (see
 // sim.Simulator.EnableProfile; identical semantics and attribution
