@@ -26,9 +26,19 @@ func runCampaignJSON(t *testing.T, b *designs.Benchmark, backend string, seed in
 	if err != nil {
 		t.Fatalf("run %s/%s: %v", b.Name, backend, err)
 	}
-	// Wall-clock attribution is the one part of a Report that is
-	// environment-dependent rather than trajectory-dependent; zero it
-	// so the comparison is over the deterministic campaign content.
+	zeroTimings(rep)
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	return data
+}
+
+// zeroTimings clears a Report's wall-clock attribution, the one part of
+// a Report that is environment-dependent rather than
+// trajectory-dependent, so comparisons are over the deterministic
+// campaign content.
+func zeroTimings(rep *Report) {
 	rep.Timings.TotalNS = 0
 	rep.Timings.FuzzNS = 0
 	rep.Timings.SymbolicNS = 0
@@ -36,11 +46,6 @@ func runCampaignJSON(t *testing.T, b *designs.Benchmark, backend string, seed in
 	rep.Timings.VCDNS = 0
 	rep.Timings.Solve.BlastNS = 0
 	rep.Timings.Solve.CDCLNS = 0
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	return data
 }
 
 // TestCampaignTrajectoryBackendNeutral is the engine-level parity
