@@ -15,7 +15,9 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -133,12 +135,49 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// checkpoint is a revisitable CFG node of one cluster graph (§4.5).
+// checkpoint is a revisitable CFG node of one cluster graph (§4.5):
+// its architectural snapshot in snapshot mode, or the input prefix that
+// reaches it in replay mode.
 type checkpoint struct {
 	graph  int
 	node   int
 	snap   *sim.Snapshot
 	prefix []*uvm.Item
+}
+
+// ckTable is one cluster graph's checkpoint store: the checkpoint of
+// each node ID (nil until one is recorded), the checkpointed node IDs in
+// ascending order, and findTarget's generation-stamped visit marks.
+type ckTable struct {
+	byNode []*checkpoint
+	nodes  []int
+	seen   []uint32
+	gen    uint32
+}
+
+func (t *ckTable) add(ck *checkpoint) {
+	t.byNode[ck.node] = ck
+	i, _ := slices.BinarySearch(t.nodes, ck.node)
+	t.nodes = slices.Insert(t.nodes, i, ck.node)
+}
+
+// newSearch starts a walk with every node unvisited.
+func (t *ckTable) newSearch() {
+	t.gen++
+	if t.gen == 0 {
+		clear(t.seen)
+		t.gen = 1
+	}
+}
+
+// visit marks node n visited in the current walk, reporting whether it
+// was unvisited.
+func (t *ckTable) visit(n int) bool {
+	if t.seen[n] == t.gen {
+		return false
+	}
+	t.seen[n] = t.gen
+	return true
 }
 
 // CurvePoint is one sample of the coverage curve (Figure 4a).
@@ -299,13 +338,21 @@ type Engine struct {
 	// valuations the lint facts prove unreachable (nil when disabled).
 	pruned []map[int]bool
 
-	// checkpoints are keyed by (cluster graph index, node ID).
-	checkpoints map[[2]int]*checkpoint
-	prefix      []*uvm.Item
-	report      *Report
-	rng         *rand.Rand
-	vcdBuf      bytes.Buffer
-	vcdWriter   *vcd.Writer
+	// cks holds the checkpoints of each cluster graph; ckCount sums them.
+	cks     []ckTable
+	ckCount int
+	// prefix is the input sequence applied since the last reset,
+	// recorded only in replay mode (snapshots make it unnecessary).
+	prefix    []*uvm.Item
+	report    *Report
+	rng       *rand.Rand
+	vcdBuf    bytes.Buffer
+	vcdWriter *vcd.Writer
+	// regs is the design's registers in signal order, the solver
+	// context of every guided step.
+	regs []*elab.Signal
+	// queue is findTarget's reusable breadth-first queue.
+	queue []int
 
 	// obs is the telemetry sink; nil disables (all call sites are
 	// nil-safe).
@@ -372,16 +419,21 @@ func New(d *elab.Design, properties []*props.Property, c Config) (*Engine, error
 		return nil, err
 	}
 	e := &Engine{
-		cfgc:        c,
-		env:         env,
-		part:        part,
-		cover:       cov.NewCFGCov(part),
-		checkpoints: map[[2]int]*checkpoint{},
-		report:      &Report{GraphStats: part.Stats()},
-		rng:         rand.New(rand.NewSource(c.Seed ^ 0x51bb)),
-		obs:         c.Obs,
-		prof:        c.Prof,
-		shardAll:    true,
+		cfgc:     c,
+		env:      env,
+		part:     part,
+		cover:    cov.NewCFGCov(part),
+		cks:      make([]ckTable, len(part.Graphs)),
+		report:   &Report{GraphStats: part.Stats()},
+		rng:      rand.New(rand.NewSource(c.Seed ^ 0x51bb)),
+		regs:     d.Registers(),
+		obs:      c.Obs,
+		prof:     c.Prof,
+		shardAll: true,
+	}
+	for gi, g := range part.Graphs {
+		e.cks[gi].byNode = make([]*checkpoint, len(g.Nodes))
+		e.cks[gi].seen = make([]uint32, len(g.Nodes))
 	}
 	env.Agent.Sequencer.Obs = c.Obs
 	if e.prof.Enabled() {
@@ -475,7 +527,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Report, error) {
 			if err := e.env.Agent.Driver.Apply(it); err != nil {
 				return nil, err
 			}
-			e.prefix = append(e.prefix, it)
+			e.record(it)
 			e.report.Vectors++
 			e.maybeCheckpoint()
 			if e.report.Vectors >= nextCurve {
@@ -553,22 +605,27 @@ func (e *Engine) checkDrops(points int) {
 	}
 }
 
+// record appends an applied item to the replay prefix; snapshot mode
+// re-enters checkpoints without one, so it records nothing.
+func (e *Engine) record(it *uvm.Item) {
+	if !e.cfgc.UseSnapshots {
+		e.prefix = append(e.prefix, it)
+	}
+}
+
 // maybeCheckpoint records the revisit state the first time each CFG
 // node is encountered: §4.5 updates the recorded input sequence on every
 // new node, and marks high-fanout nodes as checkpoints. Snapshot mode
-// additionally saves the architectural state for O(1) re-entry.
+// saves the architectural state for O(1) re-entry instead of the input
+// prefix.
 func (e *Engine) maybeCheckpoint() {
 	var snap *sim.Snapshot
 	for gi, g := range e.part.Graphs {
 		node := e.cover.PrevNode(gi)
-		if node < 0 {
+		if node < 0 || e.cks[gi].byNode[node] != nil {
 			continue
 		}
-		key := [2]int{gi, node}
-		if _, ok := e.checkpoints[key]; ok {
-			continue
-		}
-		ck := &checkpoint{graph: gi, node: node, prefix: append([]*uvm.Item(nil), e.prefix...)}
+		ck := &checkpoint{graph: gi, node: node}
 		var snapBytes int64
 		if e.cfgc.UseSnapshots {
 			if snap == nil {
@@ -576,8 +633,11 @@ func (e *Engine) maybeCheckpoint() {
 			}
 			ck.snap = snap
 			snapBytes = snap.Bytes()
+		} else {
+			ck.prefix = append([]*uvm.Item(nil), e.prefix...)
 		}
-		e.checkpoints[key] = ck
+		e.cks[gi].add(ck)
+		e.ckCount++
 		e.report.Timings.CheckpointBytes += snapBytes
 		e.obs.CheckpointTaken(snapBytes, e.report.Vectors, e.cover.Points())
 		if g.Checkpoints[node] {
@@ -643,7 +703,7 @@ func (e *Engine) planKey(gi, to int, curVals, context map[int]logic.BV) PlanKey 
 		h = hashCanonBV(h, curVals[cr.Sig.Index], cr.Sig.Width)
 	}
 	h = fnvByte(h, 0xFF) // section separator
-	for _, sig := range e.part.Design.Registers() {
+	for _, sig := range e.regs {
 		if inCluster[sig.Index] {
 			continue
 		}
@@ -715,8 +775,8 @@ func canonUint64(v logic.BV) (uint64, bool) {
 
 // uncoveredFrom is Graph.UncoveredFrom with pruned targets filtered
 // out. count attributes the dropped edges to the PrunedSolves stat;
-// only the top-level call in rankedEdges counts, so repeated scoring
-// passes do not inflate it.
+// only the top-level call in rankedEdges counts. Callers that need
+// only the number of edges use countUncovered.
 func (e *Engine) uncoveredFrom(gi, node int, count bool) []cfg.Edge {
 	g := e.part.Graphs[gi]
 	edges := g.UncoveredFrom(node, e.cover.EdgesSeen[gi])
@@ -747,6 +807,29 @@ func (e *Engine) uncoveredFrom(gi, node int, count bool) []cfg.Edge {
 		edges = kept
 	}
 	return edges
+}
+
+// countUncovered is len(uncoveredFrom(gi, node, false)) without
+// building the slice: the node's out-edges that are uncovered, lead to
+// an unpruned target and, while the shard filter is on, are owned by
+// this worker's shard.
+func (e *Engine) countUncovered(gi, node int) int {
+	g := e.part.Graphs[gi]
+	seen := e.cover.EdgesSeen[gi]
+	var pruned map[int]bool
+	if e.pruned != nil {
+		pruned = e.pruned[gi]
+	}
+	sharded := e.cfgc.Shard.Active() && !e.shardAll
+	n := 0
+	for _, eid := range g.Nodes[node].Out {
+		edge := &g.Edges[eid]
+		if seen[eid] || pruned[edge.To] || sharded && !e.cfgc.Shard.Owns(gi, edge.ID) {
+			continue
+		}
+		n++
+	}
+	return n
 }
 
 // shardDrained reports whether every un-pruned static edge owned by
@@ -822,18 +905,8 @@ func (e *Engine) guide() {
 			// diversify the interaction tuples by re-entering a recorded
 			// checkpoint (§4.5 replays rather than rebooting), or
 			// hard-reset when nothing is recorded yet.
-			if len(e.checkpoints) > 0 {
-				keys := make([][2]int, 0, len(e.checkpoints))
-				for k := range e.checkpoints {
-					keys = append(keys, k)
-				}
-				sort.Slice(keys, func(i, j int) bool {
-					if keys[i][0] != keys[j][0] {
-						return keys[i][0] < keys[j][0]
-					}
-					return keys[i][1] < keys[j][1]
-				})
-				e.rollback(e.checkpoints[keys[e.rng.Intn(len(keys))]])
+			if e.ckCount > 0 {
+				e.rollback(e.nthCheckpoint(e.rng.Intn(e.ckCount)))
 			} else {
 				_ = e.env.Reset()
 				e.prefix = e.prefix[:0]
@@ -844,6 +917,19 @@ func (e *Engine) guide() {
 			return
 		}
 	}
+}
+
+// nthCheckpoint returns the k-th recorded checkpoint in (cluster graph,
+// node ID) order.
+func (e *Engine) nthCheckpoint(k int) *checkpoint {
+	for gi := range e.cks {
+		t := &e.cks[gi]
+		if k < len(t.nodes) {
+			return t.byNode[t.nodes[k]]
+		}
+		k -= len(t.nodes)
+	}
+	return nil
 }
 
 // inPlaceCandidates lists (cluster, node) pairs whose current node has
@@ -858,7 +944,7 @@ func (e *Engine) inPlaceCandidates() [][2]int {
 		if cur < 0 {
 			continue
 		}
-		if n := len(e.uncoveredFrom(gi, cur, false)); n > 0 {
+		if n := e.countUncovered(gi, cur); n > 0 {
 			cands = append(cands, cand{gi, cur, n})
 		}
 	}
@@ -899,21 +985,34 @@ func (e *Engine) noteSlice(saved int, infeasible bool) {
 	}
 }
 
+// regValues reads the DUV's registers: cluster graph g's own (the
+// solve's current valuation) and every register (the solve's context).
+func (e *Engine) regValues(g *cfg.Graph) (cur, context map[int]logic.BV) {
+	cur = make(map[int]logic.BV, len(g.Regs))
+	for _, cr := range g.Regs {
+		cur[cr.Sig.Index] = e.env.Sim.Get(cr.Sig.Index)
+	}
+	context = make(map[int]logic.BV, len(e.regs))
+	for _, sig := range e.regs {
+		context[sig.Index] = e.env.Sim.Get(sig.Index)
+	}
+	return cur, context
+}
+
 // tryEdges attempts up to guideTries unexplored out-edges of the node,
 // solving each with the full concrete register context and applying the
-// plan; reports whether any targeted edge got exercised.
+// plan; reports whether any targeted edge got exercised. The register
+// values are read on the first try and again only after a plan was
+// applied: a failed solve leaves the DUV where it was, but a plan that
+// missed its edge has still moved it.
 func (e *Engine) tryEdges(gi, node int) bool {
 	g := e.part.Graphs[gi]
 	edges := e.rankedEdges(gi, node)
+	var curVals, context map[int]logic.BV
 	for try := 0; try < len(edges) && try < guideTries; try++ {
 		edge := edges[try]
-		curVals := map[int]logic.BV{}
-		context := map[int]logic.BV{}
-		for _, cr := range g.Regs {
-			curVals[cr.Sig.Index] = e.env.Sim.Get(cr.Sig.Index)
-		}
-		for _, sig := range e.part.Design.Registers() {
-			context[sig.Index] = e.env.Sim.Get(sig.Index)
+		if curVals == nil {
+			curVals, context = e.regValues(g)
 		}
 		var plan *cfg.StepPlan
 		var st smt.SolveStats
@@ -994,55 +1093,48 @@ func (e *Engine) tryEdges(gi, node int) bool {
 			e.prof.PlanUnlocked(gi, edge.ID, gained)
 			return true
 		}
+		curVals = nil
 	}
 	return false
 }
 
 // findTarget locates a checkpoint of cluster gi with uncovered
-// out-edges, walking CFG predecessors breadth-first from cur.
+// out-edges, walking CFG predecessors breadth-first from cur (from every
+// checkpoint of the cluster when cur is unknown).
 func (e *Engine) findTarget(gi, cur int) *checkpoint {
 	g := e.part.Graphs[gi]
-	visited := map[int]bool{}
-	var queue []int
+	t := &e.cks[gi]
+	t.newSearch()
+	queue := e.queue[:0]
 	if cur >= 0 {
 		queue = append(queue, cur)
-		visited[cur] = true
+		t.visit(cur)
 	} else {
-		for key := range e.checkpoints {
-			if key[0] == gi {
-				queue = append(queue, key[1])
-				visited[key[1]] = true
-			}
+		for _, n := range t.nodes {
+			queue = append(queue, n)
+			t.visit(n)
 		}
-		sort.Ints(queue)
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if ck, ok := e.checkpoints[[2]int{gi, n}]; ok {
-			if len(e.uncoveredFrom(gi, n, false)) > 0 {
-				return ck
-			}
+	var found *checkpoint
+	for head := 0; head < len(queue) && found == nil; head++ {
+		n := queue[head]
+		if ck := t.byNode[n]; ck != nil && e.countUncovered(gi, n) > 0 {
+			found = ck
 		}
 		for _, eid := range g.Nodes[n].In {
-			from := g.Edges[eid].From
-			if !visited[from] {
-				visited[from] = true
+			if from := g.Edges[eid].From; t.visit(from) {
 				queue = append(queue, from)
 			}
 		}
 	}
-	// Fall back to any recorded checkpoint of this cluster with work left.
-	var keys [][2]int
-	for key := range e.checkpoints {
-		if key[0] == gi {
-			keys = append(keys, key)
-		}
+	e.queue = queue
+	if found != nil {
+		return found
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i][1] < keys[j][1] })
-	for _, key := range keys {
-		if len(e.uncoveredFrom(gi, key[1], false)) > 0 {
-			return e.checkpoints[key]
+	// Fall back to any recorded checkpoint of this cluster with work left.
+	for _, n := range t.nodes {
+		if e.countUncovered(gi, n) > 0 {
+			return t.byNode[n]
 		}
 	}
 	return nil
@@ -1056,7 +1148,6 @@ func (e *Engine) rollback(ck *checkpoint) {
 	e.env.Agent.Sequencer.ClearPinned()
 	if e.cfgc.UseSnapshots && ck.snap != nil {
 		e.env.Sim.Restore(ck.snap)
-		e.prefix = append(e.prefix[:0], ck.prefix...)
 		e.cover.SyncPosition(e.env.Sim)
 		e.resetCheckerHistory()
 		d := int64(time.Since(start))
@@ -1096,29 +1187,42 @@ func (e *Engine) applyPlan(gi int, plan *cfg.StepPlan, edge cfg.Edge) bool {
 	if err := e.env.Agent.Driver.Apply(it); err != nil {
 		return false
 	}
-	e.prefix = append(e.prefix, it)
+	e.record(it)
 	e.report.Vectors++
 	e.maybeCheckpoint()
 	return e.cover.EdgeSeen(gi, edge.ID)
 }
 
 // rankedEdges orders a cluster node's uncovered out-edges by descending
-// unlock count, ties broken by ascending Hamming distance (§4.7).
+// unlock count, ties broken by ascending Hamming distance (§4.7). Each
+// edge's key is computed once; the stable sort keeps equal keys in
+// out-edge order.
 func (e *Engine) rankedEdges(gi, node int) []cfg.Edge {
 	g := e.part.Graphs[gi]
 	uncovered := e.uncoveredFrom(gi, node, true)
 	cur := g.Nodes[node]
-	sort.SliceStable(uncovered, func(i, j int) bool {
-		ui := len(e.uncoveredFrom(gi, uncovered[i].To, false))
-		uj := len(e.uncoveredFrom(gi, uncovered[j].To, false))
-		if ui != uj {
-			return ui > uj
+	type ranked struct {
+		edge          cfg.Edge
+		unlocks, dist int
+	}
+	keyed := make([]ranked, len(uncovered))
+	for i, edge := range uncovered {
+		keyed[i] = ranked{edge, e.countUncovered(gi, edge.To), hamming(cur, g.Nodes[edge.To])}
+	}
+	slices.SortStableFunc(keyed, func(a, b ranked) int {
+		if a.unlocks != b.unlocks {
+			return b.unlocks - a.unlocks
 		}
-		return hamming(cur, g.Nodes[uncovered[i].To]) < hamming(cur, g.Nodes[uncovered[j].To])
+		return a.dist - b.dist
 	})
+	for i, k := range keyed {
+		uncovered[i] = k.edge
+	}
 	return uncovered
 }
 
+// hamming counts the register bits that are known in both valuations
+// and differ — the 1 bits of their four-state XOR — on packed words.
 func hamming(a, b *cfg.Node) int {
 	d := 0
 	for idx, av := range a.Vals {
@@ -1126,11 +1230,10 @@ func hamming(a, b *cfg.Node) int {
 		if !ok {
 			continue
 		}
-		x := av.Xor(bv)
-		for i := 0; i < x.Width(); i++ {
-			if x.Bit(i) == logic.L1 {
-				d++
-			}
+		aa, au := av.Words()
+		ba, bu := bv.Words()
+		for i := range aa {
+			d += bits.OnesCount64((aa[i] ^ ba[i]) &^ (au[i] | bu[i]))
 		}
 	}
 	return d

@@ -177,6 +177,65 @@ func TestEngineReplayMode(t *testing.T) {
 	if rep.EdgesCovered == 0 {
 		t.Errorf("replay mode made no progress: %s", rep)
 	}
+	if rep.Replays == 0 {
+		t.Fatalf("replay mode never re-entered a checkpoint: %s", rep)
+	}
+	// Re-entering a checkpoint replays its prefix from reset, which must
+	// land the DUV back on the checkpoint's node.
+	replayed := 0
+	for gi := range eng.cks {
+		for _, n := range eng.cks[gi].nodes {
+			ck := eng.cks[gi].byNode[n]
+			if len(ck.prefix) == 0 {
+				continue
+			}
+			before := eng.report.Replays
+			eng.rollback(ck)
+			if eng.report.Replays != before+1 {
+				t.Fatalf("rollback to graph %d node %d did not replay", gi, n)
+			}
+			if got := eng.cover.PrevNode(gi); got != n {
+				t.Fatalf("replaying %d items landed on node %d, want %d", len(ck.prefix), got, n)
+			}
+			if len(eng.prefix) != len(ck.prefix) {
+				t.Fatalf("replay left a %d-item prefix, want %d", len(eng.prefix), len(ck.prefix))
+			}
+			replayed++
+		}
+	}
+	if replayed == 0 {
+		t.Fatal("no checkpoint recorded a non-empty input prefix")
+	}
+}
+
+// TestEngineSnapshotModeKeepsNoPrefix pins snapshot mode's memory
+// contract: checkpoints hold a snapshot and no input prefix, and the
+// engine never records the applied items.
+func TestEngineSnapshotModeKeepsNoPrefix(t *testing.T) {
+	eng, err := New(deepDesign(t), nil, Config{
+		Interval: 50, Threshold: 2, MaxVectors: 20_000, Seed: 5, UseSnapshots: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rollbacks == 0 || eng.ckCount == 0 {
+		t.Fatalf("campaign never rolled back, so it checks nothing: %s", rep)
+	}
+	if cap(eng.prefix) != 0 {
+		t.Errorf("snapshot mode recorded %d input items", cap(eng.prefix))
+	}
+	for gi := range eng.cks {
+		for _, n := range eng.cks[gi].nodes {
+			ck := eng.cks[gi].byNode[n]
+			if ck.snap == nil || ck.prefix != nil {
+				t.Fatalf("checkpoint graph %d node %d: snapshot %v, %d-item prefix", gi, n, ck.snap != nil, len(ck.prefix))
+			}
+		}
+	}
 }
 
 func TestEngineVCDMode(t *testing.T) {

@@ -21,6 +21,15 @@ type Driver struct {
 	fieldIdx map[string]int
 	// ports lists the input ports in the order Apply drives them.
 	ports []*elab.Signal
+	// staged holds one item's port assignments between matching and
+	// driving them.
+	staged []portSet
+}
+
+// portSet is one staged input-port assignment.
+type portSet struct {
+	port *elab.Signal
+	v    logic.BV
 }
 
 // NewDriver binds a driver to a DUV backend. Field-to-port mapping is
@@ -49,21 +58,27 @@ func NewDriver(name string, s sim.DUV, clock int) *Driver {
 // event stream (and with it the whole campaign) run-to-run
 // nondeterministic.
 func (d *Driver) Apply(it *Item) error {
+	d.staged = d.staged[:0]
+	for _, in := range d.ports {
+		if v, ok := it.Fields[in.Name]; ok {
+			d.staged = append(d.staged, portSet{in, v})
+		}
+	}
 	// A field matching no port fails the item once every field sorted
 	// before it has been applied.
 	unknown := ""
-	for name := range it.Fields {
-		if _, ok := d.fieldIdx[name]; !ok && (unknown == "" || name < unknown) {
-			unknown = name
+	if len(d.staged) < len(it.Fields) {
+		for name := range it.Fields {
+			if _, ok := d.fieldIdx[name]; !ok && (unknown == "" || name < unknown) {
+				unknown = name
+			}
 		}
 	}
-	for _, in := range d.ports {
-		if unknown != "" && in.Name > unknown {
+	for _, s := range d.staged {
+		if unknown != "" && s.port.Name > unknown {
 			break
 		}
-		if v, ok := it.Fields[in.Name]; ok {
-			d.Sim.Set(in.Index, v.Resize(in.Width))
-		}
+		d.Sim.Set(s.port.Index, s.v.Resize(s.port.Width))
 	}
 	if unknown != "" {
 		return fmt.Errorf("uvm: item field %q does not match an input port", unknown)

@@ -201,7 +201,7 @@ func (s *Sequencer) NextItem() *Item {
 }
 
 func (s *Sequencer) randomItem() *Item {
-	it := &Item{Fields: map[string]logic.BV{}, Hold: 1}
+	it := &Item{Fields: make(map[string]logic.BV, len(s.Fields)), Hold: 1}
 	for _, f := range s.Fields {
 		it.Fields[f.Name] = logic.Rand(f.Width, s.rng.Uint64)
 	}
