@@ -9,12 +9,14 @@
 package symbfuzz_test
 
 import (
+	"math/rand"
 	"testing"
 
 	symbfuzz "repro"
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/eval"
+	"repro/internal/logic"
 	"repro/internal/sim"
 	"repro/internal/uvm"
 )
@@ -325,13 +327,28 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 
 // BenchmarkSimulatorTick measures raw simulation throughput on the SoC,
 // one sub-benchmark per simulation backend, so the kernels' ns/op read
-// side by side.
+// side by side. Like a campaign, each tick first drives a fresh
+// prebuilt random vector into every input but the clock and reset, so
+// the input cones re-evaluate.
 func BenchmarkSimulatorTick(b *testing.B) {
 	d, err := symbfuzz.OpenTitanMini(nil).Elaborate()
 	if err != nil {
 		b.Fatal(err)
 	}
 	info := sim.DetectClockReset(d)
+	var inputs []int
+	for _, s := range d.InputSignals() {
+		if s.Index != info.Clock && s.Index != info.Reset {
+			inputs = append(inputs, s.Index)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	vecs := make([][]logic.BV, 256)
+	for i := range vecs {
+		for _, sig := range inputs {
+			vecs[i] = append(vecs[i], logic.Rand(d.Signals[sig].Width, rng.Uint64))
+		}
+	}
 	for _, backend := range []string{"interp", "compiled"} {
 		b.Run(backend, func(b *testing.B) {
 			s, err := uvm.NewBackend(d, backend)
@@ -343,6 +360,9 @@ func BenchmarkSimulatorTick(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				for j, sig := range inputs {
+					s.Set(sig, vecs[i%len(vecs)][j])
+				}
 				if err := s.Tick(info.Clock); err != nil {
 					b.Fatal(err)
 				}

@@ -15,6 +15,7 @@ package cov
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/elab"
@@ -123,6 +124,28 @@ type valuation struct {
 	// (SyncPosition interns a valuation without recording it), and
 	// selfRecorded once self is in EdgesSeen.
 	recorded, selfRecorded bool
+	// succ memoizes up to maxSucc recorded transitions out of this
+	// valuation: succ[i] is a destination valuation and succWords[i*n:]
+	// its n cluster words. Both ends of a memoized transition are
+	// recorded, so a hit skips every lookup.
+	succ      []int32
+	succWords []uint64
+}
+
+// maxSucc caps a valuation's successor memo; transitions past it take
+// the map path.
+const maxSucc = 4
+
+// successor returns the memoized successor whose cluster words are
+// words, or -1.
+func (v *valuation) successor(words []uint64) int32 {
+	n := len(words)
+	for i, id := range v.succ {
+		if slices.Equal(v.succWords[i*n:(i+1)*n], words) {
+			return id
+		}
+	}
+	return -1
 }
 
 // branchCache is one branch's control registers and the (arm, words)
@@ -205,14 +228,19 @@ func loadWords(s sim.DUV, sigs []int, last []uint64) bool {
 	off := 0
 	for _, sig := range sigs {
 		a, b := s.Words(sig)
-		for _, plane := range [2][]uint64{a, b} {
-			for _, w := range plane {
-				if last[off] != w {
-					last[off] = w
-					changed = true
-				}
-				off++
+		for _, w := range a {
+			if last[off] != w {
+				last[off] = w
+				changed = true
 			}
+			off++
+		}
+		for _, w := range b {
+			if last[off] != w {
+				last[off] = w
+				changed = true
+			}
+			off++
 		}
 	}
 	return changed
@@ -272,11 +300,12 @@ func nodeKeyOf(g *cfg.Graph, s sim.DUV) string {
 	return key
 }
 
-// valuationOf interns cluster gi's current valuation and returns its
-// index. A new valuation's node key is rendered and resolved here.
-func (c *CFGCov) valuationOf(gi int, s sim.DUV) int32 {
+// intern returns the index of the valuation whose words loadWords just
+// put in cluster gi's last; changed is what loadWords returned. A new
+// valuation's node key is rendered and resolved here.
+func (c *CFGCov) intern(gi int, s sim.DUV, changed bool) int32 {
 	cc := &c.clusters[gi]
-	if !loadWords(s, cc.regs, cc.last) && cc.lastVal >= 0 {
+	if !changed && cc.lastVal >= 0 {
 		return cc.lastVal
 	}
 	c.key = appendKey(c.key[:0], cc.last)
@@ -313,7 +342,16 @@ func (c *CFGCov) Sample(s sim.DUV) {
 	c.initSampling()
 	for gi := range c.P.Graphs {
 		cc := &c.clusters[gi]
-		vi := c.valuationOf(gi, s)
+		changed := loadWords(s, cc.regs, cc.last)
+		if changed && c.hasPrev {
+			if vi := cc.vals[c.prev[gi]].successor(cc.last); vi >= 0 {
+				cc.lastVal, c.prev[gi] = vi, vi
+				continue
+			}
+		}
+		// Unchanged words still land here: SyncPosition may have interned
+		// this valuation without recording it or its self-loop.
+		vi := c.intern(gi, s, changed)
 		v := &cc.vals[vi]
 		if !v.recorded {
 			v.recorded = true
@@ -344,9 +382,14 @@ func (c *CFGCov) Sample(s sim.DUV) {
 
 // transition records cluster gi's move between two distinct
 // valuations: the static edge between their nodes when there is one,
-// an off-graph DynEdges entry otherwise.
+// an off-graph DynEdges entry otherwise. The cluster's last words are
+// to's, and the move joins from's successor memo while it has room.
 func (c *CFGCov) transition(gi int, from, to int32) {
 	cc := &c.clusters[gi]
+	if f := &cc.vals[from]; len(f.succ) < maxSucc {
+		f.succ = append(f.succ, to)
+		f.succWords = append(f.succWords, cc.last...)
+	}
 	pair := [2]int32{from, to}
 	if _, ok := cc.trans[pair]; ok {
 		return
@@ -505,7 +548,8 @@ func (c *CFGCov) ResetPosition() {
 func (c *CFGCov) SyncPosition(s sim.DUV) {
 	c.initSampling()
 	for gi := range c.P.Graphs {
-		c.prev[gi] = c.valuationOf(gi, s)
+		cc := &c.clusters[gi]
+		c.prev[gi] = c.intern(gi, s, loadWords(s, cc.regs, cc.last))
 	}
 	c.hasPrev = true
 	c.drainEvents()

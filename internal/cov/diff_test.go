@@ -370,6 +370,13 @@ func checkCovDiff(t testing.TB, in []byte) covSets {
 	return want
 }
 
+// syncThenSample is a covWalk that SyncPositions onto the initial,
+// never-sampled valuations and then samples them unchanged (op 2 moves
+// cluster 0 by "no move" and raises no events). That Sample must still
+// record every node and self-loop: SyncPosition interns valuations
+// without recording them.
+var syncThenSample = []byte{1, 2, 0, 0, 3, 0}
+
 // FuzzCFGCovDiff drives CFGCov's packed-word sampling and the
 // render-every-cycle reference through the same arbitrary walk over
 // opentitan_mini's clusters, with X and Z register values, branch
@@ -379,6 +386,7 @@ func FuzzCFGCovDiff(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		f.Add(randomBytes(seed, 512))
 	}
+	f.Add(syncThenSample)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkCovDiff(t, in)
 	})
@@ -386,11 +394,16 @@ func FuzzCFGCovDiff(f *testing.F) {
 
 // TestCFGCovDiffWalkReachesEveryKind guards FuzzCFGCovDiff's seed
 // walks against comparing empty sets: together they must cover static
-// edges, tuples, and off-graph nodes and edges.
+// edges, tuples, and off-graph nodes and edges. It also runs the
+// syncThenSample walk.
 func TestCFGCovDiffWalkReachesEveryKind(t *testing.T) {
 	edges, tuples, dynNodes, dynEdges := 0, 0, 0, 0
+	walks := [][]byte{syncThenSample}
 	for seed := int64(1); seed <= 3; seed++ {
-		got := checkCovDiff(t, randomBytes(seed, 4096))
+		walks = append(walks, randomBytes(seed, 4096))
+	}
+	for _, walk := range walks {
+		got := checkCovDiff(t, walk)
 		for _, m := range got.Edges {
 			edges += len(m)
 		}

@@ -7,8 +7,8 @@ import "math/bits"
 // aval/bval planes (b=0,a=0 -> 0; b=0,a=1 -> 1; b=1,a=0 -> Z;
 // b=1,a=1 -> X), LSB-word first, with the invariant that bits above
 // width in the top word are always zero. Unlike logic.BV it is
-// mutable and preallocated: every compiled expression node owns one
-// and overwrites it on each evaluation, so steady-state evaluation
+// mutable and preallocated: every wide compiled expression node owns
+// one and overwrites it on each evaluation, so steady-state evaluation
 // allocates nothing.
 type pval struct {
 	width int
@@ -175,20 +175,11 @@ func cmpWords(x, y *pval) int {
 
 // ---- operator kernels ----
 //
-// Each kernel mirrors one logic.BV operator bit-for-bit, with a
-// word-packed two-state fast path taken when every operand bit is a
-// known 0/1 (the X/Z-free region of the evaluation). Semantics are
-// representation-independent — a slow-path evaluation of two-state
-// operands produces exactly the fast-path result.
+// Each kernel mirrors one logic.BV operator bit-for-bit on values of any
+// width. Only nodes wider than one word reach them; word.go holds the
+// one-word twins.
 
 func opAnd(dst, x, y *pval) {
-	if x.twoState() && y.twoState() {
-		for i := range dst.a {
-			dst.a[i] = x.a[i] & y.a[i]
-			dst.b[i] = 0
-		}
-		return
-	}
 	for i := range dst.a {
 		one := (x.a[i] &^ x.b[i]) & (y.a[i] &^ y.b[i])
 		zero := (^x.a[i] &^ x.b[i]) | (^y.a[i] &^ y.b[i])
@@ -200,13 +191,6 @@ func opAnd(dst, x, y *pval) {
 }
 
 func opOr(dst, x, y *pval) {
-	if x.twoState() && y.twoState() {
-		for i := range dst.a {
-			dst.a[i] = x.a[i] | y.a[i]
-			dst.b[i] = 0
-		}
-		return
-	}
 	for i := range dst.a {
 		one := (x.a[i] &^ x.b[i]) | (y.a[i] &^ y.b[i])
 		zero := (^x.a[i] &^ x.b[i]) & (^y.a[i] &^ y.b[i])
@@ -218,17 +202,6 @@ func opOr(dst, x, y *pval) {
 }
 
 func opXor(dst, x, y *pval, invert bool) {
-	if x.twoState() && y.twoState() {
-		for i := range dst.a {
-			dst.a[i] = x.a[i] ^ y.a[i]
-			if invert {
-				dst.a[i] = ^dst.a[i]
-			}
-			dst.b[i] = 0
-		}
-		dst.maskTop()
-		return
-	}
 	for i := range dst.a {
 		unk := x.b[i] | y.b[i]
 		v := x.a[i] ^ y.a[i]
@@ -242,14 +215,6 @@ func opXor(dst, x, y *pval, invert bool) {
 }
 
 func opNot(dst, x *pval) {
-	if x.twoState() {
-		for i := range dst.a {
-			dst.a[i] = ^x.a[i]
-			dst.b[i] = 0
-		}
-		dst.maskTop()
-		return
-	}
 	for i := range dst.a {
 		unk := x.b[i]
 		dst.a[i] = (^x.a[i] &^ unk) | unk

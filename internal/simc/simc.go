@@ -1,10 +1,11 @@
 // Package simc is a compiled-simulation backend over the elaborated
 // design IR. Where internal/sim interprets the IR tree on immutable
 // logic.BV values, simc lowers every process body once into Go closure
-// trees evaluating over a word-packed two-plane signal arena: each
-// operator runs a two-state fast path when its operands are X/Z-free
-// and falls back to the exact four-state formulas (bit-identical to
-// logic.BV) when unknowns appear.
+// trees over a word-packed two-plane signal arena. A node whose result
+// and operands fit in one 64-bit word evaluates to an (aval, bval) pair
+// of uint64s; wider nodes evaluate into preallocated word buffers.
+// Both lowerings apply the exact four-state formulas, bit-identical to
+// logic.BV.
 //
 // The Machine implements the same sim.DUV contract as the interpreter
 // and replicates the interpreter's event scheduler exactly: same FIFO
@@ -306,6 +307,10 @@ func (m *Machine) applyPval(sig int, p *pval) { m.applyWords(sig, p.a, p.b) }
 // processes. Word equality under the mask invariant is exactly the
 // interpreter's Eq4 skip.
 func (m *Machine) applyWords(sig int, a, b []uint64) {
+	if len(a) == 1 {
+		m.applyWord(sig, a[0], b[0])
+		return
+	}
 	v := m.views[sig]
 	same := true
 	for i := range v.a {
@@ -318,28 +323,47 @@ func (m *Machine) applyWords(sig int, a, b []uint64) {
 		return
 	}
 	// Capture the old LSB before overwriting for edge detection.
-	var oldA, oldB uint64
-	if len(v.a) > 0 {
-		oldA, oldB = v.a[0]&1, v.b[0]&1
-	}
+	oldA, oldB := v.a[0], v.b[0]
 	copy(v.a, a)
 	copy(v.b, b)
+	m.changed(sig, oldA, oldB, a[0], b[0])
+}
+
+// applyWord is applyWords for a one-word signal: it compares and
+// commits the signal's arena word in place.
+func (m *Machine) applyWord(sig int, a, b uint64) {
+	off := m.slots[sig].off
+	oldA, oldB := m.aw[off], m.bw[off]
+	if oldA == a && oldB == b {
+		return
+	}
+	m.aw[off], m.bw[off] = a, b
+	m.changed(sig, oldA, oldB, a, b)
+}
+
+// changed schedules the processes sensitive to a signal whose value
+// just changed, from the old and new planes of its word 0: every
+// combinational reader, then every sequential process with a matching
+// edge on bit 0.
+func (m *Machine) changed(sig int, oldA, oldB, newA, newB uint64) {
 	for _, pi := range m.combBySig[sig] {
 		m.enqueue(pi)
 	}
-	if len(m.seqBySig[sig]) > 0 {
-		newA, newB := a[0]&1, b[0]&1
-		// pos: old != L1 && new == L1; neg: old != L0 && new == L0.
-		pos := !(oldA == 1 && oldB == 0) && (newA == 1 && newB == 0)
-		neg := !(oldA == 0 && oldB == 0) && (newA == 0 && newB == 0)
-		if pos || neg {
-			for _, pi := range m.seqBySig[sig] {
-				for _, e := range m.d.Procs[pi].Edges {
-					if e.Signal == sig && ((e.Posedge && pos) || (!e.Posedge && neg)) {
-						m.pendEdges = append(m.pendEdges, pendingEdge{proc: pi})
-						break
-					}
-				}
+	if len(m.seqBySig[sig]) == 0 {
+		return
+	}
+	oldA, oldB, newA, newB = oldA&1, oldB&1, newA&1, newB&1
+	// pos: old != L1 && new == L1; neg: old != L0 && new == L0.
+	pos := !(oldA == 1 && oldB == 0) && (newA == 1 && newB == 0)
+	neg := !(oldA == 0 && oldB == 0) && (newA == 0 && newB == 0)
+	if !pos && !neg {
+		return
+	}
+	for _, pi := range m.seqBySig[sig] {
+		for _, e := range m.d.Procs[pi].Edges {
+			if e.Signal == sig && ((e.Posedge && pos) || (!e.Posedge && neg)) {
+				m.pendEdges = append(m.pendEdges, pendingEdge{proc: pi})
+				break
 			}
 		}
 	}
@@ -353,6 +377,28 @@ func (m *Machine) scheduleNB(sig int, p *pval) {
 	m.nbaA = append(m.nbaA, p.a...)
 	m.nbaB = append(m.nbaB, p.b...)
 	m.nbaSig = append(m.nbaSig, nbaSlot{sig: sig, off: off, nw: len(p.a)})
+}
+
+// scheduleNBWord is scheduleNB for a one-word value.
+func (m *Machine) scheduleNBWord(sig int, a, b uint64) {
+	m.nbaSig = append(m.nbaSig, nbaSlot{sig: sig, off: len(m.nbaA), nw: 1})
+	m.nbaA = append(m.nbaA, a)
+	m.nbaB = append(m.nbaB, b)
+}
+
+// branchIf runs an if statement's arm for its condition's truth value,
+// raising the branch event first.
+func (m *Machine) branchIf(id, truth int, then, els []stmtF) {
+	switch truth {
+	case tOne:
+		m.Branch(id, 0)
+		runStmts(then)
+	case tZero:
+		m.Branch(id, 1)
+		runStmts(els)
+	default:
+		m.Branch(id, 2)
+	}
 }
 
 // popProc removes the next combinational process from the FIFO queue
