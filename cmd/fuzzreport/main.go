@@ -61,16 +61,13 @@ func main() {
 		return
 	}
 
-	if _, err := obs.ValidateTrace(bytes.NewReader(data)); err != nil {
-		fail(fmt.Errorf("invalid trace: %w", err))
-	}
 	events, err := obs.ReadEvents(bytes.NewReader(data))
 	if err != nil {
-		fail(err)
+		fail(fmt.Errorf("invalid trace: %w", err))
 	}
 	rep, err := obs.BuildCampaignReport(events)
 	if err != nil {
-		fail(err)
+		fail(fmt.Errorf("invalid trace: %w", err))
 	}
 
 	obs.RenderText(os.Stdout, rep)

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/cfg"
 	"repro/internal/dist"
@@ -56,11 +57,11 @@ func main() {
 		fail(err)
 	}
 
-	sum, err := obs.ValidateTrace(bytes.NewReader(data))
+	events, err := obs.ReadEvents(bytes.NewReader(data))
 	if err != nil {
 		invalid(err)
 	}
-	events, err := obs.ReadEvents(bytes.NewReader(data))
+	sum, err := obs.ValidateEvents(events)
 	if err != nil {
 		invalid(err)
 	}
@@ -96,24 +97,10 @@ func main() {
 
 	fmt.Printf("valid trace: %d events, %d vectors, %d coverage points, %d bugs\n",
 		sum.Events, sum.FinalVectors, sum.FinalPoints, sum.Bugs)
-	for _, typ := range []string{
-		obs.EvIntervalEnd, obs.EvStagnation, obs.EvSolverDisp, obs.EvPlanApplied,
-		obs.EvRollback, obs.EvCheckpoint, obs.EvPruneSkip, obs.EvBugFound, obs.EvCovDropped,
-	} {
-		if n := sum.ByType[typ]; n > 0 {
-			fmt.Printf("  %-20s %6d\n", typ, n)
-		}
-	}
+	printCounts(sum.ByType)
 	fmt.Printf("valid spans: %d spans, %d campaign roots, %d cross-rank links\n",
 		spans.Spans, spans.Roots, spans.CrossRankLinks)
-	for _, kind := range []string{
-		obs.SpanInterval, obs.SpanStimBatch, obs.SpanStagnate,
-		obs.SpanSolve, obs.SpanPlanApply, obs.SpanCovDelta,
-	} {
-		if n := spans.ByKind[kind]; n > 0 {
-			fmt.Printf("  %-20s %6d\n", kind, n)
-		}
-	}
+	printCounts(spans.ByKind)
 	if spans.DanglingOrigins > 0 {
 		fmt.Printf("  note: %d cache-hit origins not in this trace (partial merge?)\n", spans.DanglingOrigins)
 	}
@@ -180,6 +167,18 @@ func checkSolveEdges(name string, fixed bool, events []obs.Event) (int, error) {
 		}
 	}
 	return checked, nil
+}
+
+// printCounts prints a name → count table in name order.
+func printCounts(counts map[string]int) {
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("  %-20s %6d\n", name, counts[name])
+	}
 }
 
 func invalid(err error) {

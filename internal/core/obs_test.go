@@ -67,22 +67,58 @@ func TestEngineTraceReconcilesWithReport(t *testing.T) {
 		t.Errorf("trace bugs = %d, report bugs = %d", sum.Bugs, len(rep.Bugs))
 	}
 	// The deep chain forces every phase of Algorithm 1, so the trace
-	// must contain the full event vocabulary for the guided path.
-	for _, typ := range []string{
-		obs.EvIntervalStart, obs.EvIntervalEnd, obs.EvStagnation,
-		obs.EvSolverDisp, obs.EvPlanApplied, obs.EvCheckpoint, obs.EvBugFound,
-	} {
+	// must contain the full vocabulary for the guided path.
+	for _, typ := range []string{obs.EvCheckpoint, obs.EvBugFound, obs.EvSpan} {
 		if sum.ByType[typ] == 0 {
 			t.Errorf("no %q events in trace (by_type = %v)", typ, sum.ByType)
 		}
 	}
-	if sum.ByType[obs.EvSolverDisp] != rep.Timings.Solve.Dispatches {
-		t.Errorf("trace solver_dispatch = %d, Timings.Solve.Dispatches = %d",
-			sum.ByType[obs.EvSolverDisp], rep.Timings.Solve.Dispatches)
+	events, err := obs.ReadEvents(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ValidateSpans(events)
+	if err != nil {
+		t.Fatalf("span-invalid trace: %v", err)
+	}
+	// One record per fact: the flat events and child spans that repeated
+	// a span's payload are gone, and each Algorithm-1 step is exactly
+	// one span, reconciling with the report and the metric registry.
+	for _, retired := range []string{"interval_start", "interval_end", "stagnation_detected", "solver_dispatch", "plan_applied"} {
+		if n := sum.ByType[retired]; n != 0 {
+			t.Errorf("trace carries %d retired %q events", n, retired)
+		}
+	}
+	for _, retired := range []string{"stimulus_batch", "coverage_delta"} {
+		if n := spans.ByKind[retired]; n != 0 {
+			t.Errorf("trace carries %d retired %q spans", n, retired)
+		}
+	}
+	m := snap.Metrics
+	for kind, want := range map[string]int64{
+		obs.SpanSolve:     int64(rep.Timings.Solve.Dispatches),
+		obs.SpanInterval:  m.Counters["fuzz_intervals"],
+		obs.SpanPlanApply: m.Counters["plans_applied"],
+		obs.SpanStagnate:  m.Counters["stagnation_events"],
+	} {
+		if got := int64(spans.ByKind[kind]); got != want || got == 0 {
+			t.Errorf("%s spans = %d, want %d (nonzero)", kind, got, want)
+		}
+	}
+	// Each solved plan drives one vector outside the interval loop, so
+	// the interval spans' vectors account for the rest.
+	var fuzzed int64
+	for _, ev := range events {
+		if ev.Type == obs.EvSpan && ev.Kind == obs.SpanInterval {
+			fuzzed += ev.Count
+		}
+	}
+	if want := int64(rep.Vectors) - int64(rep.SolvedPlans); fuzzed != want {
+		t.Errorf("interval spans applied %d vectors, want Vectors %d - SolvedPlans %d = %d",
+			fuzzed, rep.Vectors, rep.SolvedPlans, want)
 	}
 
 	// Metrics snapshot reconciles with both trace and report.
-	m := snap.Metrics
 	if m.Gauges["coverage_points"] != int64(rep.FinalPoints) {
 		t.Errorf("coverage_points gauge = %d, want %d", m.Gauges["coverage_points"], rep.FinalPoints)
 	}

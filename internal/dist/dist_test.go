@@ -284,7 +284,7 @@ func TestDistDeterminism(t *testing.T) {
 // trace must reconstruct at least one complete causal chain
 //
 //	stagnation -> solve (rank A, miss) -> batched cache store ->
-//	cache hit (rank B) -> plan_apply -> coverage_delta
+//	cache hit (rank B) -> plan_apply
 //
 // across the process boundary, and the campaign report rendered from
 // that trace must be byte-identical across renders.
@@ -343,7 +343,7 @@ func TestCrossProcessCausalChain(t *testing.T) {
 	}
 	for name, span := range map[string]string{
 		"stagnation": chain.Stagnation, "solve": chain.Solve, "hit solve": chain.HitSolve,
-		"plan_apply": chain.PlanApply, "coverage_delta": chain.CovDelta,
+		"plan_apply": chain.PlanApply,
 	} {
 		if span == "" {
 			t.Errorf("chain is missing its %s span: %+v", name, chain)

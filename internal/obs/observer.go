@@ -116,15 +116,15 @@ type Observer struct {
 	mu    sync.Mutex
 	curve []CurvePoint
 
-	// Causal-span state (guarded by spanMu; touched only when a tracer
-	// is attached). Span IDs derive from (lane, interval, sequence) so
-	// identical trajectories yield identical IDs.
+	// Interval and causal-span state (guarded by spanMu; the span IDs
+	// are minted only when a tracer is attached). Span IDs derive from
+	// (lane, interval, sequence) so identical trajectories yield
+	// identical IDs.
 	spanMu      sync.Mutex
 	intervalIdx int    // current interval index (-1 before the first)
 	spanSeq     int    // child-span sequence within the interval
 	campStartNS int64  // campaign span open timestamp
 	ivSpan      string // current interval's span ID
-	ivStartNS   int64
 	ivStartVec  uint64
 	stagSpan    string // open stagnation span ID ("" when none)
 	stagStartNS int64
@@ -379,37 +379,27 @@ func (o *Observer) CampaignEnd(vectors uint64, points int) {
 	})
 }
 
-// IntervalStart marks the start of one I-cycle fuzz interval and opens
-// its interval span.
+// IntervalStart marks the start of one I-cycle fuzz interval: it
+// advances the lane's interval index (span IDs and series samples) and
+// opens the interval span.
 func (o *Observer) IntervalStart(vectors uint64, points int) {
 	if o == nil {
 		return
 	}
-	if o.spansOn() || o.watch != nil {
-		// The interval index feeds both span IDs and watch samples, so
-		// it advances whenever either consumer is live.
-		o.spanMu.Lock()
-		o.intervalIdx++
-		o.spanSeq = 0
-		if o.spansOn() {
-			o.ivSpan = fmt.Sprintf("w%d.i%d", o.worker, o.intervalIdx)
-			o.ivStartNS = o.Now()
-			o.ivStartVec = vectors
-		}
-		o.spanMu.Unlock()
+	o.spanMu.Lock()
+	o.intervalIdx++
+	o.spanSeq = 0
+	o.ivStartVec = vectors
+	if o.spansOn() {
+		o.ivSpan = fmt.Sprintf("w%d.i%d", o.worker, o.intervalIdx)
 	}
-	if o.tracer != nil {
-		// Guarded at the call site: the Event literal escapes into the
-		// tracer interface, so constructing it unconditionally would
-		// heap-allocate even with tracing off — and this is the per-
-		// interval hot path, pinned zero-alloc when disabled.
-		o.emit(&Event{TNS: o.Now(), Type: EvIntervalStart, Vectors: vectors, Points: points})
-	}
+	o.spanMu.Unlock()
 }
 
-// IntervalEnd records one completed fuzz interval and its wall time,
-// closing the interval's stimulus-batch and interval spans and
-// sampling the per-interval time-series ring.
+// IntervalEnd records one completed fuzz interval and its engine-
+// measured wall time, closing the interval span (which carries that
+// time and the vectors the interval applied) and sampling the
+// per-interval time series for the ring and the watch sink.
 func (o *Observer) IntervalEnd(vectors uint64, points int, durNS int64) {
 	if o == nil {
 		return
@@ -417,46 +407,30 @@ func (o *Observer) IntervalEnd(vectors uint64, points int, durNS int64) {
 	o.cIntervals.Inc()
 	o.hInterval.Observe(durNS)
 	o.progress(vectors, points)
+	o.spanMu.Lock()
+	iv, interval, applied := o.ivSpan, o.intervalIdx, vectors-o.ivStartVec
+	o.spanMu.Unlock()
+	now := o.Now()
 	if o.spansOn() {
-		o.spanMu.Lock()
-		iv := o.ivSpan
-		batch := o.nextChildID()
-		startNS := o.ivStartNS
-		applied := vectors - o.ivStartVec
-		interval := o.intervalIdx
-		o.spanMu.Unlock()
-		o.emit(&Event{
-			TNS: o.Now(), Type: EvSpan, Vectors: vectors, Points: points,
-			Span: batch, Parent: iv, Kind: SpanStimBatch,
-			DurNS: durNS, Count: int64(applied),
-		})
-		now := o.Now()
+		// The Event literal escapes into the tracer interface, so it is
+		// built only under the guard: the per-interval hot path is
+		// pinned zero-alloc without a tracer.
 		o.emit(&Event{
 			TNS: now, Type: EvSpan, Vectors: vectors, Points: points,
-			Span: iv, Parent: o.RootSpan(), Kind: SpanInterval, DurNS: now - startNS,
-		})
-		o.series.Add(SeriesPoint{
-			TNS: now, Worker: o.worker, Interval: interval,
-			Vectors: vectors, Points: points,
-			Solves: o.cSolves.Value(), Sat: o.cSat.Value(),
-			CacheHits: o.cCacheHit.Value(), CacheMisses: o.cCacheMiss.Value(),
-			Plans: o.cPlans.Value(),
+			Span: iv, Parent: o.RootSpan(), Kind: SpanInterval,
+			DurNS: durNS, Count: int64(applied),
 		})
 	}
+	p := SeriesPoint{
+		TNS: now, Worker: o.worker, Interval: interval,
+		Vectors: vectors, Points: points,
+		Solves: o.cSolves.Value(), Sat: o.cSat.Value(),
+		CacheHits: o.cCacheHit.Value(), CacheMisses: o.cCacheMiss.Value(),
+		Plans: o.cPlans.Value(),
+	}
+	o.series.Add(p)
 	if o.watch != nil {
-		o.spanMu.Lock()
-		interval := o.intervalIdx
-		o.spanMu.Unlock()
-		o.watch.WatchSample(SeriesPoint{
-			TNS: o.Now(), Worker: o.worker, Interval: interval,
-			Vectors: vectors, Points: points,
-			Solves: o.cSolves.Value(), Sat: o.cSat.Value(),
-			CacheHits: o.cCacheHit.Value(), CacheMisses: o.cCacheMiss.Value(),
-			Plans: o.cPlans.Value(),
-		})
-	}
-	if o.tracer != nil { // call-site guard: see IntervalStart
-		o.emit(&Event{TNS: o.Now(), Type: EvIntervalEnd, Vectors: vectors, Points: points, DurNS: durNS})
+		o.watch.WatchSample(p)
 	}
 }
 
@@ -474,7 +448,6 @@ func (o *Observer) Stagnation(vectors uint64, points int) {
 		o.stagStartNS = o.Now()
 		o.spanMu.Unlock()
 	}
-	o.emit(&Event{TNS: o.Now(), Type: EvStagnation, Vectors: vectors, Points: points})
 }
 
 // GuidanceEnd closes the stagnation span opened by Stagnation once the
@@ -551,17 +524,6 @@ func (o *Observer) SolverDispatch(graph, edge int, vectors uint64, points int, s
 			Cache: cache.State, OriginWorker: cache.OriginWorker, OriginSpan: cache.OriginSpan,
 		})
 	}
-	if o.tracer != nil { // call-site guard: see IntervalStart
-		o.emit(&Event{
-			TNS: o.Now(), Type: EvSolverDisp, Vectors: vectors, Points: points,
-			Graph: graph, Edge: edge, Outcome: st.Outcome,
-			Conflicts: st.Conflicts, Decisions: st.Decisions, Propagations: st.Propagations,
-			Restarts: st.Restarts, Clauses: st.Clauses, Vars: st.Vars,
-			BlastNS: st.BlastNS, SolveNS: st.SolveNS, DurNS: st.BlastNS + st.SolveNS,
-			SlicedVars: st.SlicedVars, Infeasible: st.Infeasible,
-			Span: span,
-		})
-	}
 	if o.watch != nil {
 		o.watch.WatchSolve(o.worker, graph, edge, st.Outcome, st.BlastNS+st.SolveNS, o.Now())
 	}
@@ -569,37 +531,29 @@ func (o *Observer) SolverDispatch(graph, edge int, vectors uint64, points int, s
 }
 
 // PlanApplied records a solved stimulus plan driven into the DUV that
-// exercised its targeted CFG edge, closing a plan_apply span under the
-// solve that produced the plan plus a coverage_delta child carrying
-// the tuples the application unlocked.
+// exercised its targeted CFG edge, emitting a plan_apply span under the
+// solve that produced the plan; the span carries the coverage tuples
+// the application unlocked.
 func (o *Observer) PlanApplied(graph, edge int, vectors uint64, points, gained int, cache CacheRef) {
 	if o == nil {
 		return
 	}
 	o.cPlans.Inc()
-	span := ""
-	if o.spansOn() {
-		o.spanMu.Lock()
-		apply := o.nextChildID()
-		delta := o.nextChildID()
-		parent := o.lastSolve
-		o.spanMu.Unlock()
-		if parent != "" {
-			span = apply
-			o.emit(&Event{
-				TNS: o.Now(), Type: EvSpan, Vectors: vectors, Points: points,
-				Span: apply, Parent: parent, Kind: SpanPlanApply,
-				Graph: graph, Edge: edge,
-				Cache: cache.State, OriginWorker: cache.OriginWorker, OriginSpan: cache.OriginSpan,
-			})
-			o.emit(&Event{
-				TNS: o.Now(), Type: EvSpan, Vectors: vectors, Points: points,
-				Span: delta, Parent: apply, Kind: SpanCovDelta,
-				Graph: graph, Edge: edge, Gained: gained,
-			})
-		}
+	if !o.spansOn() {
+		return
 	}
-	o.emit(&Event{TNS: o.Now(), Type: EvPlanApplied, Vectors: vectors, Points: points, Graph: graph, Edge: edge, Span: span})
+	o.spanMu.Lock()
+	span, parent := o.nextChildID(), o.lastSolve
+	o.spanMu.Unlock()
+	if parent == "" {
+		return
+	}
+	o.emit(&Event{
+		TNS: o.Now(), Type: EvSpan, Vectors: vectors, Points: points,
+		Span: span, Parent: parent, Kind: SpanPlanApply,
+		Graph: graph, Edge: edge, Gained: gained,
+		Cache: cache.State, OriginWorker: cache.OriginWorker, OriginSpan: cache.OriginSpan,
+	})
 }
 
 // AlertSpan emits one typed alert span into the trace, parented on the

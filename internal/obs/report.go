@@ -88,23 +88,18 @@ type CampaignReport struct {
 	Chain     *CausalChain          `json:"chain,omitempty"`
 }
 
-// BuildCampaignReport validates a parsed trace's spans and digests it
-// into a CampaignReport.
+// BuildCampaignReport checks a parsed trace's schema (ValidateEvents)
+// and spans (ValidateSpans) and digests it into a CampaignReport.
 func BuildCampaignReport(events []Event) (*CampaignReport, error) {
+	sum, err := ValidateEvents(events)
+	if err != nil {
+		return nil, err
+	}
 	spanSum, err := ValidateSpans(events)
 	if err != nil {
 		return nil, err
 	}
-	r := &CampaignReport{Schema: ReportSchema, Spans: *spanSum, Curves: map[int][]CurveSample{}}
-
-	// Index spans for attribution.
-	spans := map[string]*Event{}
-	for i := range events {
-		ev := &events[i]
-		if ev.Type == EvSpan && ev.Span != "" {
-			spans[ev.Span] = ev
-		}
-	}
+	r := &CampaignReport{Schema: ReportSchema, Summary: *sum, Spans: *spanSum, Curves: map[int][]CurveSample{}}
 
 	solves := map[string]*SolveRecord{}
 	lanes := map[int]*LaneBreakdown{}
@@ -124,11 +119,11 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 	for i := range events {
 		ev := &events[i]
 		switch {
-		case ev.Type == EvIntervalEnd:
-			r.Curves[ev.Worker] = append(r.Curves[ev.Worker], CurveSample{TNS: ev.TNS, Vectors: ev.Vectors, Points: ev.Points})
 		case ev.Type == EvCampaignEnd:
 			r.Slicing.SlicedVars += ev.SlicedVars
 			r.Slicing.InfeasibleTargets += ev.InfeasibleTargets
+		case ev.Type == EvSpan && ev.Kind == SpanInterval:
+			r.Curves[ev.Worker] = append(r.Curves[ev.Worker], CurveSample{TNS: ev.TNS, Vectors: ev.Vectors, Points: ev.Points})
 		case ev.Type == EvSpan && ev.Kind == SpanSolve:
 			solves[ev.Span] = &SolveRecord{
 				Span: ev.Span, Lane: ev.Worker, Graph: ev.Graph, Edge: ev.Edge,
@@ -170,26 +165,22 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 		}
 	}
 
-	// Attribute coverage deltas: each coverage_delta rolls up through
-	// its plan_apply to the local solve, and — when that solve was a
-	// cache hit with a resolvable origin — onward to the originating
-	// solve, crediting the rank that actually paid for the CDCL run.
+	// Attribute coverage gains: each plan_apply credits its gain to the
+	// local solve, or — when the plan was a cache hit with a resolvable
+	// origin (the apply carries its solve's cache attribution) — to the
+	// originating solve, crediting the rank that actually paid for the
+	// CDCL run.
 	for i := range events {
 		ev := &events[i]
-		if ev.Type != EvSpan || ev.Kind != SpanCovDelta {
+		if ev.Type != EvSpan || ev.Kind != SpanPlanApply {
 			continue
 		}
-		pa := spans[ev.Parent]
-		if pa == nil {
+		credit := solves[ev.Parent]
+		if credit == nil {
 			continue
 		}
-		sv := solves[pa.Parent]
-		if sv == nil {
-			continue
-		}
-		credit := sv
-		if local := spans[sv.Span]; local != nil && local.Cache == "hit" && local.OriginSpan != "" {
-			if org, ok := solves[local.OriginSpan]; ok {
+		if ev.Cache == "hit" && ev.OriginSpan != "" {
+			if org, ok := solves[ev.OriginSpan]; ok {
 				credit = org
 				org.Reuses++
 			}
@@ -233,26 +224,7 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 	}
 	sort.Slice(r.Lanes, func(i, j int) bool { return r.Lanes[i].Lane < r.Lanes[j].Lane })
 
-	if chain, ok := FindCrossRankChain(events); ok {
-		r.Chain = chain
-	}
-
-	// Trace summary (already schema-checked by the caller's
-	// ValidateTrace; recompute the digest fields here).
-	r.Summary.ByType = map[string]int{}
-	for i := range events {
-		ev := &events[i]
-		r.Summary.Events++
-		r.Summary.ByType[ev.Type]++
-		r.Summary.FinalVectors = ev.Vectors
-		r.Summary.FinalPoints = ev.Points
-		if ev.TNS > r.Summary.WallNS {
-			r.Summary.WallNS = ev.TNS
-		}
-		if ev.Type == EvBugFound {
-			r.Summary.Bugs++
-		}
-	}
+	r.Chain, _ = FindCrossRankChain(events)
 	return r, nil
 }
 
@@ -272,9 +244,9 @@ func RenderText(w io.Writer, r *CampaignReport) {
 	}
 	if r.Chain != nil {
 		fmt.Fprintf(w, "\ncross-process causal chain (+%d coverage):\n", r.Chain.Gained)
-		fmt.Fprintf(w, "  %s -> %s (rank %d solve) -> cache -> %s (rank %d hit) -> %s -> %s\n",
+		fmt.Fprintf(w, "  %s -> %s (rank %d solve) -> cache -> %s (rank %d hit) -> %s\n",
 			r.Chain.Stagnation, r.Chain.Solve, r.Chain.OriginRank,
-			r.Chain.HitSolve, r.Chain.HitRank, r.Chain.PlanApply, r.Chain.CovDelta)
+			r.Chain.HitSolve, r.Chain.HitRank, r.Chain.PlanApply)
 	}
 	if len(r.TopSolves) > 0 {
 		fmt.Fprintf(w, "\ntop solves by coverage unlocked:\n")
@@ -380,10 +352,10 @@ func RenderHTML(w io.Writer, r *CampaignReport) error {
 
 	if r.Chain != nil {
 		b.WriteString("<h2>Cross-process causal chain</h2>\n<p class=\"chain\">")
-		fmt.Fprintf(&b, "<code>%s</code> → <code>%s</code> (rank %d solve) → cache store → <code>%s</code> (rank %d hit) → <code>%s</code> → <code>%s</code> (+%d coverage)",
+		fmt.Fprintf(&b, "<code>%s</code> → <code>%s</code> (rank %d solve) → cache store → <code>%s</code> (rank %d hit) → <code>%s</code> (+%d coverage)",
 			html.EscapeString(r.Chain.Stagnation), html.EscapeString(r.Chain.Solve), r.Chain.OriginRank,
 			html.EscapeString(r.Chain.HitSolve), r.Chain.HitRank,
-			html.EscapeString(r.Chain.PlanApply), html.EscapeString(r.Chain.CovDelta), r.Chain.Gained)
+			html.EscapeString(r.Chain.PlanApply), r.Chain.Gained)
 		b.WriteString("</p>\n")
 	}
 

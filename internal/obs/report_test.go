@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -10,16 +11,18 @@ import (
 // lane 1 solves (miss, +2 locally), lane 2 hits lane 1's cache entry
 // and unlocks 6 more, and lane 2 also has a never-sat target.
 func reportFixture() []Event {
+	interval := func(id string, worker int, tns int64, vectors uint64, points int) Event {
+		ev := spanEv(id, fmt.Sprintf("w%d", worker), SpanInterval, worker)
+		ev.TNS, ev.Vectors, ev.Points = tns, vectors, points
+		return ev
+	}
+	// Span records carry no timestamps here, so they sit before each
+	// lane's timestamped interval spans to keep the lanes monotonic.
 	events := []Event{
 		{Type: EvCampaignStart},
-		{Type: EvIntervalEnd, Worker: 1, TNS: 100, Vectors: 500, Points: 10},
-		{Type: EvIntervalEnd, Worker: 1, TNS: 200, Vectors: 1000, Points: 14},
-		{Type: EvIntervalEnd, Worker: 2, TNS: 150, Vectors: 600, Points: 11},
 		spanEv("w1", "", SpanCampaign, 1),
-		spanEv("w1.i0", "w1", SpanInterval, 1),
 		spanEv("w1.i0.s0", "w1.i0", SpanStagnate, 1),
 		spanEv("w2", "", SpanCampaign, 2),
-		spanEv("w2.i0", "w2", SpanInterval, 2),
 		spanEv("w2.i0.s0", "w2.i0", SpanStagnate, 2),
 	}
 	miss := spanEv("w1.i0.s1", "w1.i0.s0", SpanSolve, 1)
@@ -28,8 +31,7 @@ func reportFixture() []Event {
 	miss.SlicedVars = 40
 	missApply := spanEv("w1.i0.s2", "w1.i0.s1", SpanPlanApply, 1)
 	missApply.Cache = "miss"
-	missDelta := spanEv("w1.i0.s3", "w1.i0.s2", SpanCovDelta, 1)
-	missDelta.Gained = 2
+	missApply.Gained = 2
 
 	hit := spanEv("w2.i0.s1", "w2.i0.s0", SpanSolve, 2)
 	hit.Cache, hit.Outcome, hit.Graph, hit.Edge = "hit", "sat", 0, 3
@@ -37,15 +39,17 @@ func reportFixture() []Event {
 	hit.BlastNS, hit.SolveNS = 1000, 2000 // canonical replayed stats
 	hitApply := spanEv("w2.i0.s2", "w2.i0.s1", SpanPlanApply, 2)
 	hitApply.Cache, hitApply.OriginWorker, hitApply.OriginSpan = "hit", 1, "w1.i0.s1"
-	hitDelta := spanEv("w2.i0.s3", "w2.i0.s2", SpanCovDelta, 2)
-	hitDelta.Gained = 6
+	hitApply.Gained = 6
 
 	unsat := spanEv("w2.i0.s4", "w2.i0.s0", SpanSolve, 2)
 	unsat.Outcome, unsat.Graph, unsat.Edge = "unsat", 1, 7
 	unsat.Conflicts, unsat.SolveNS = 40, 900
 	unsat.Infeasible = true
 
-	events = append(events, miss, missApply, missDelta, hit, hitApply, hitDelta, unsat)
+	events = append(events, miss, missApply, hit, hitApply, unsat,
+		interval("w1.i0", 1, 100, 500, 10),
+		interval("w2.i0", 2, 150, 600, 11),
+		interval("w1.i1", 1, 200, 1000, 14))
 	events = append(events, Event{Type: EvCampaignEnd, TNS: 300, Vectors: 1600, Points: 20,
 		SlicedVars: 40, InfeasibleTargets: 1})
 	return events
@@ -96,7 +100,7 @@ func TestBuildCampaignReport(t *testing.T) {
 		t.Errorf("lane 2 breakdown = %+v", lane2)
 	}
 
-	// Coverage curves: one per lane with interval_end samples.
+	// Coverage curves: one per lane, sampled from its interval spans.
 	if len(r.Curves[1]) != 2 || len(r.Curves[2]) != 1 {
 		t.Errorf("curves = %+v", r.Curves)
 	}

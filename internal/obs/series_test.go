@@ -69,28 +69,38 @@ func TestSeriesDefaultCap(t *testing.T) {
 	}
 }
 
+// TestObserverSamplesSeriesAtIntervalEnd checks every interval lands in
+// the shared ring whether or not a tracer is attached: -status and
+// -metrics serve the ring without -trace.
 func TestObserverSamplesSeriesAtIntervalEnd(t *testing.T) {
-	o := New(Options{Tracer: NewJSONLTracer(discardWriter{}), Now: fakeClock()})
-	o.CampaignStart(0, 0)
-	o.IntervalStart(0, 0)
-	o.IntervalEnd(100, 5, 1000)
-	w := o.ForWorker(2)
-	w.IntervalStart(100, 5)
-	w.IntervalEnd(250, 9, 1000)
-	o.CampaignEnd(250, 9)
+	for name, opts := range map[string]Options{
+		"traced":      {Tracer: NewJSONLTracer(discardWriter{}), Now: fakeClock()},
+		"metricsOnly": {Now: fakeClock()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := New(opts)
+			o.CampaignStart(0, 0)
+			o.IntervalStart(0, 0)
+			o.IntervalEnd(100, 5, 1000)
+			w := o.ForWorker(2)
+			w.IntervalStart(100, 5)
+			w.IntervalEnd(250, 9, 1000)
+			o.CampaignEnd(250, 9)
 
-	pts := o.Series().Points()
-	if len(pts) != 2 {
-		t.Fatalf("series samples = %d, want 2 (lanes share the ring)", len(pts))
-	}
-	if pts[0].Worker != 0 || pts[0].Vectors != 100 || pts[0].Points != 5 {
-		t.Errorf("sample 0 = %+v", pts[0])
-	}
-	if pts[1].Worker != 2 || pts[1].Vectors != 250 || pts[1].Interval != 0 {
-		t.Errorf("sample 1 = %+v", pts[1])
-	}
-	if snap := o.Snapshot(); len(snap.Series) != 2 {
-		t.Errorf("snapshot series = %d samples, want 2", len(snap.Series))
+			pts := o.Series().Points()
+			if len(pts) != 2 {
+				t.Fatalf("series samples = %d, want 2 (lanes share the ring)", len(pts))
+			}
+			if pts[0].Worker != 0 || pts[0].Vectors != 100 || pts[0].Points != 5 {
+				t.Errorf("sample 0 = %+v", pts[0])
+			}
+			if pts[1].Worker != 2 || pts[1].Vectors != 250 || pts[1].Interval != 0 {
+				t.Errorf("sample 1 = %+v", pts[1])
+			}
+			if snap := o.Snapshot(); len(snap.Series) != 2 {
+				t.Errorf("snapshot series = %d samples, want 2", len(snap.Series))
+			}
+		})
 	}
 }
 

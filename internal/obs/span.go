@@ -5,18 +5,17 @@ import (
 	"sort"
 )
 
-// spanParents maps each span kind to its legal parent kinds. The
-// campaign root has no parent; a solve may hang off a stagnation
-// episode (the normal Algorithm-1 path) or directly off an interval
-// (defensive: a dispatch outside a stagnation window).
+// spanParents maps each span kind to its legal parent kinds; its keys
+// are the span taxonomy's closed kind set. The campaign root has no
+// parent; a solve may hang off a stagnation episode (the normal
+// Algorithm-1 path) or directly off an interval (defensive: a dispatch
+// outside a stagnation window).
 var spanParents = map[string][]string{
 	SpanCampaign:  nil,
 	SpanInterval:  {SpanCampaign},
-	SpanStimBatch: {SpanInterval},
 	SpanStagnate:  {SpanInterval},
 	SpanSolve:     {SpanStagnate, SpanInterval},
 	SpanPlanApply: {SpanSolve},
-	SpanCovDelta:  {SpanPlanApply},
 	SpanAlert:     {SpanCampaign},
 }
 
@@ -54,7 +53,7 @@ func ValidateSpans(events []Event) (*SpanSummary, error) {
 		if ev.Span == "" {
 			return nil, fmt.Errorf("span event with empty id (kind %q)", ev.Kind)
 		}
-		if !knownSpanKinds[ev.Kind] {
+		if _, ok := spanParents[ev.Kind]; !ok {
 			return nil, fmt.Errorf("span %s: unknown kind %q", ev.Span, ev.Kind)
 		}
 		if _, dup := spans[ev.Span]; dup {
@@ -140,28 +139,27 @@ type CausalChain struct {
 	Solve      string `json:"solve"`       // origin-rank solve (cache miss, stored)
 	HitSolve   string `json:"hit_solve"`   // other-rank solve resolved from the cache
 	PlanApply  string `json:"plan_apply"`  // other-rank plan application
-	CovDelta   string `json:"cov_delta"`   // coverage unlocked by the applied plan
 	OriginRank int    `json:"origin_rank"` // lane of the originating solve
 	HitRank    int    `json:"hit_rank"`    // lane that consumed the cached plan
-	Gained     int    `json:"gained"`      // coverage tuples the chain unlocked
+	Gained     int    `json:"gained"`      // coverage tuples the applied plan unlocked
 }
 
 // FindCrossRankChain reconstructs a complete cross-process causal
 // chain stagnation → solve (miss) → cache store → other-rank cache
-// hit → plan_apply → coverage_delta from a merged trace, if one
-// exists. Candidates are scanned in deterministic (span-ID) order so
-// the same trace always yields the same chain.
+// hit → plan_apply from a merged trace, if one exists. Candidates are
+// scanned in deterministic (span-ID) order so the same trace always
+// yields the same chain.
 func FindCrossRankChain(events []Event) (*CausalChain, bool) {
 	spans := map[string]*Event{}
-	children := map[string][]*Event{}
+	apply := map[string]*Event{} // solve span ID → its first plan_apply span
 	for i := range events {
 		ev := &events[i]
 		if ev.Type != EvSpan || ev.Span == "" {
 			continue
 		}
 		spans[ev.Span] = ev
-		if ev.Parent != "" {
-			children[ev.Parent] = append(children[ev.Parent], ev)
+		if ev.Kind == SpanPlanApply && apply[ev.Parent] == nil {
+			apply[ev.Parent] = ev
 		}
 	}
 	var hitIDs []string
@@ -181,26 +179,19 @@ func FindCrossRankChain(events []Event) (*CausalChain, bool) {
 		if !ok || stag.Kind != SpanStagnate {
 			continue
 		}
-		for _, pa := range children[id] {
-			if pa.Kind != SpanPlanApply {
-				continue
-			}
-			for _, cd := range children[pa.Span] {
-				if cd.Kind != SpanCovDelta {
-					continue
-				}
-				return &CausalChain{
-					Stagnation: stag.Span,
-					Solve:      org.Span,
-					HitSolve:   hit.Span,
-					PlanApply:  pa.Span,
-					CovDelta:   cd.Span,
-					OriginRank: org.Worker,
-					HitRank:    hit.Worker,
-					Gained:     cd.Gained,
-				}, true
-			}
+		pa, ok := apply[id]
+		if !ok {
+			continue
 		}
+		return &CausalChain{
+			Stagnation: stag.Span,
+			Solve:      org.Span,
+			HitSolve:   hit.Span,
+			PlanApply:  pa.Span,
+			OriginRank: org.Worker,
+			HitRank:    hit.Worker,
+			Gained:     pa.Gained,
+		}, true
 	}
 	return nil, false
 }

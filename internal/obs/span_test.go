@@ -15,20 +15,19 @@ func TestValidateSpansAcceptsWellFormedTree(t *testing.T) {
 	events := []Event{
 		spanEv("w1", "", SpanCampaign, 1),
 		spanEv("w1.i0", "w1", SpanInterval, 1),
-		spanEv("w1.i0.s0", "w1.i0", SpanStimBatch, 1),
-		spanEv("w1.i0.s1", "w1.i0", SpanStagnate, 1),
-		spanEv("w1.i0.s2", "w1.i0.s1", SpanSolve, 1),
-		spanEv("w1.i0.s3", "w1.i0.s2", SpanPlanApply, 1),
-		spanEv("w1.i0.s4", "w1.i0.s3", SpanCovDelta, 1),
+		spanEv("w1.i0.s0", "w1.i0", SpanStagnate, 1),
+		spanEv("w1.i0.s1", "w1.i0.s0", SpanSolve, 1),
+		spanEv("w1.i0.s2", "w1.i0.s1", SpanPlanApply, 1),
+		spanEv("w1:coverage_stall", "w1", SpanAlert, 1),
 	}
 	sum, err := ValidateSpans(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Spans != 7 || sum.Roots != 1 {
+	if sum.Spans != 6 || sum.Roots != 1 {
 		t.Errorf("summary = %+v", sum)
 	}
-	if sum.ByKind[SpanSolve] != 1 || sum.ByKind[SpanCovDelta] != 1 {
+	if sum.ByKind[SpanSolve] != 1 || sum.ByKind[SpanPlanApply] != 1 {
 		t.Errorf("by-kind = %v", sum.ByKind)
 	}
 }
@@ -64,8 +63,8 @@ func TestValidateSpansRejections(t *testing.T) {
 			[]Event{
 				spanEv("w1", "", SpanCampaign, 1),
 				spanEv("w1.i0", "w1", SpanInterval, 1),
-				// coverage_delta must hang off plan_apply, not interval
-				spanEv("w1.i0.s0", "w1.i0", SpanCovDelta, 1),
+				// plan_apply must hang off a solve, not an interval
+				spanEv("w1.i0.s0", "w1.i0", SpanPlanApply, 1),
 			},
 			"cannot be a child",
 		},
@@ -159,8 +158,7 @@ func TestObserverSpansFormValidTree(t *testing.T) {
 		t.Fatalf("observer emitted invalid spans: %v", err)
 	}
 	want := map[string]int{
-		SpanCampaign: 1, SpanInterval: 2, SpanStimBatch: 2,
-		SpanStagnate: 1, SpanSolve: 1, SpanPlanApply: 1, SpanCovDelta: 1,
+		SpanCampaign: 1, SpanInterval: 2, SpanStagnate: 1, SpanSolve: 1, SpanPlanApply: 1,
 	}
 	for k, n := range want {
 		if sum.ByKind[k] != n {
@@ -183,18 +181,19 @@ func TestObserverSpansFormValidTree(t *testing.T) {
 	if stag.Kind != SpanStagnate {
 		t.Errorf("solve parent kind = %q, want stagnation", stag.Kind)
 	}
-	var covDelta *Event
+	var pa *Event
 	for i := range events {
-		if events[i].Kind == SpanCovDelta {
-			covDelta = &events[i]
+		if events[i].Kind == SpanPlanApply {
+			pa = &events[i]
 		}
 	}
-	if covDelta == nil || covDelta.Gained != 4 {
-		t.Fatalf("coverage_delta span = %+v, want Gained 4", covDelta)
+	if pa == nil || pa.Gained != 4 || pa.Parent != span {
+		t.Fatalf("plan_apply span = %+v, want Gained 4 under solve %s", pa, span)
 	}
-	pa := byID[covDelta.Parent]
-	if pa.Kind != SpanPlanApply || byID[pa.Parent].Span != span {
-		t.Errorf("plan_apply chain broken: %+v", pa)
+	// The interval span carries the engine-measured interval time and
+	// the vectors the interval applied.
+	if iv := byID["w0.i1"]; iv.Kind != SpanInterval || iv.DurNS != 1400 || iv.Count != 100 {
+		t.Errorf("second interval span = %+v, want dur 1400, count 100", iv)
 	}
 
 	// The trace itself still validates (campaign_end stays last).
@@ -217,9 +216,8 @@ func TestFindCrossRankChain(t *testing.T) {
 	hit := spanEv("w2.i0.s1", "w2.i0.s0", SpanSolve, 2)
 	hit.Cache, hit.OriginWorker, hit.OriginSpan = "hit", 1, "w1.i0.s1"
 	pa := spanEv("w2.i0.s2", "w2.i0.s1", SpanPlanApply, 2)
-	cd := spanEv("w2.i0.s3", "w2.i0.s2", SpanCovDelta, 2)
-	cd.Gained = 6
-	events = append(events, miss, hit, pa, cd)
+	pa.Gained = 6
+	events = append(events, miss, hit, pa)
 
 	chain, ok := FindCrossRankChain(events)
 	if !ok {
@@ -227,15 +225,18 @@ func TestFindCrossRankChain(t *testing.T) {
 	}
 	want := CausalChain{
 		Stagnation: "w1.i0.s0", Solve: "w1.i0.s1", HitSolve: "w2.i0.s1",
-		PlanApply: "w2.i0.s2", CovDelta: "w2.i0.s3",
-		OriginRank: 1, HitRank: 2, Gained: 6,
+		PlanApply: "w2.i0.s2", OriginRank: 1, HitRank: 2, Gained: 6,
 	}
 	if *chain != want {
 		t.Errorf("chain = %+v, want %+v", *chain, want)
 	}
 
 	// Same-rank hits must not count as cross-process chains.
-	if _, ok := FindCrossRankChain(events[:len(events)-4]); ok {
-		t.Error("chain found without hit/apply/delta spans")
+	if _, ok := FindCrossRankChain(events[:len(events)-3]); ok {
+		t.Error("chain found without solve/hit/apply spans")
+	}
+	// A hit whose plan was never applied closes no chain.
+	if _, ok := FindCrossRankChain(events[:len(events)-1]); ok {
+		t.Error("chain found without a plan_apply span")
 	}
 }

@@ -10,12 +10,12 @@ func TestJSONLTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
 	tr.Emit(&Event{TNS: 0, Type: EvCampaignStart})
-	tr.Emit(&Event{TNS: 10, Type: EvIntervalStart, Vectors: 0})
-	tr.Emit(&Event{TNS: 20, Type: EvIntervalEnd, Vectors: 50, Points: 3, DurNS: 20})
-	tr.Emit(&Event{TNS: 25, Type: EvStagnation, Vectors: 50, Points: 3})
-	tr.Emit(&Event{TNS: 30, Type: EvSolverDisp, Vectors: 50, Points: 3,
+	tr.Emit(&Event{TNS: 20, Type: EvSpan, Vectors: 50, Points: 3, DurNS: 20, Count: 50,
+		Span: "w0.i0", Parent: "w0", Kind: SpanInterval})
+	tr.Emit(&Event{TNS: 25, Type: EvCheckpoint, Vectors: 50, Points: 3, Count: 256})
+	tr.Emit(&Event{TNS: 30, Type: EvSpan, Vectors: 50, Points: 3,
 		Graph: 1, Outcome: "sat", Conflicts: 2, Decisions: 9, Clauses: 40, Vars: 12,
-		BlastNS: 7, SolveNS: 3, DurNS: 10})
+		BlastNS: 7, SolveNS: 3, DurNS: 10, Span: "w0.i0.s0", Parent: "w0.i0", Kind: SpanSolve})
 	tr.Emit(&Event{TNS: 40, Type: EvBugFound, Vectors: 60, Points: 4, Property: "no_leak"})
 	tr.Emit(&Event{TNS: 50, Type: EvCampaignEnd, Vectors: 60, Points: 4})
 	if err := tr.Close(); err != nil {
@@ -26,13 +26,13 @@ func TestJSONLTracerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Events != 7 || sum.Bugs != 1 {
-		t.Errorf("events/bugs = %d/%d, want 7/1", sum.Events, sum.Bugs)
+	if sum.Events != 6 || sum.Bugs != 1 {
+		t.Errorf("events/bugs = %d/%d, want 6/1", sum.Events, sum.Bugs)
 	}
 	if sum.FinalVectors != 60 || sum.FinalPoints != 4 || sum.WallNS != 50 {
 		t.Errorf("summary = %+v", sum)
 	}
-	if sum.ByType[EvSolverDisp] != 1 || sum.ByType[EvIntervalEnd] != 1 {
+	if sum.ByType[EvSpan] != 2 || sum.ByType[EvCheckpoint] != 1 {
 		t.Errorf("by-type = %v", sum.ByType)
 	}
 }
@@ -46,7 +46,12 @@ func TestValidateTraceRejections(t *testing.T) {
 		{"empty", "", "empty stream"},
 		{"bad json", "{nope\n", "invalid JSON"},
 		{"unknown type", `{"t_ns":0,"type":"campaign_start"}` + "\n" + `{"t_ns":1,"type":"warp_drive"}` + "\n", "unknown event type"},
-		{"bad first", `{"t_ns":0,"type":"interval_start"}` + "\n", `first event is "interval_start"`},
+		// The five flat types that repeated a span's payload are gone
+		// from the schema; a trace that still carries one is rejected.
+		{"retired type", `{"t_ns":0,"type":"campaign_start"}` + "\n" +
+			`{"t_ns":1,"type":"solver_dispatch","graph":1,"outcome":"sat","span":"w0.i0.s0"}` + "\n" +
+			`{"t_ns":2,"type":"campaign_end"}` + "\n", `unknown event type "solver_dispatch"`},
+		{"bad first", `{"t_ns":0,"type":"checkpoint"}` + "\n", `first event is "checkpoint"`},
 		{"time regress", `{"t_ns":5,"type":"campaign_start"}` + "\n" + `{"t_ns":4,"type":"campaign_end"}` + "\n", "timestamp regressed"},
 		{"vector regress", `{"t_ns":0,"type":"campaign_start","vectors":10}` + "\n" + `{"t_ns":1,"type":"campaign_end","vectors":9}` + "\n", "vector count regressed"},
 		{"no end", `{"t_ns":0,"type":"campaign_start"}` + "\n", `want "campaign_end"`},
@@ -75,6 +80,23 @@ func TestValidateTraceSkipsBlankLines(t *testing.T) {
 	}
 }
 
+// TestValidateEventsWallIsLatestTimestamp pins WallNS on a merged
+// trace: lanes interleave, so the wall time is the largest timestamp,
+// not the last event's.
+func TestValidateEventsWallIsLatestTimestamp(t *testing.T) {
+	sum, err := ValidateEvents([]Event{
+		{TNS: 0, Type: EvCampaignStart},
+		{TNS: 90, Type: EvCampaignEnd, Worker: 1},
+		{TNS: 50, Type: EvCampaignEnd},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.WallNS != 90 || sum.Workers != 1 || sum.Events != 3 {
+		t.Errorf("summary = %+v, want wall 90, 1 worker lane, 3 events", sum)
+	}
+}
+
 // errWriter fails after n writes, exercising the tracer's sticky error.
 type errWriter struct{ n int }
 
@@ -89,7 +111,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 func TestJSONLTracerStickyError(t *testing.T) {
 	tr := NewJSONLTracer(&errWriter{n: 0})
 	for i := 0; i < 64*1024; i++ { // overflow the 64KB buffer to force a flush
-		tr.Emit(&Event{TNS: int64(i), Type: EvIntervalEnd})
+		tr.Emit(&Event{TNS: int64(i), Type: EvCheckpoint})
 	}
 	if err := tr.Close(); err == nil {
 		t.Error("Close did not surface the write error")

@@ -401,8 +401,8 @@ type StatusSnapshot = obs.StatusSnapshot
 type SpanSummary = obs.SpanSummary
 
 // CausalChain is a reconstructed cross-process plan-reuse chain:
-// stagnation -> solve -> remote cache -> other-rank hit -> plan_apply
-// -> coverage_delta.
+// stagnation -> solve -> remote cache -> other-rank hit -> plan_apply,
+// with the coverage the applied plan unlocked.
 type CausalChain = obs.CausalChain
 
 // CacheRef attributes a solve to the plan cache: hit/miss plus the
