@@ -108,8 +108,9 @@ func (b *Bus) Publish(u Update) {
 	if b.closed {
 		return
 	}
-	//fuzzvet:ordered — independent per-subscriber sends; delivery order
-	// across subscribers carries no meaning.
+	// Independent per-subscriber sends: delivery order across
+	// subscribers carries no meaning.
+	//fuzzvet:ordered
 	for _, s := range b.subs {
 		select {
 		case s.ch <- u:

@@ -97,9 +97,13 @@ func (f Finding) String() string {
 func main() {
 	root := flag.String("root", ".", "repository root to vet")
 	flag.Parse()
-	findings, err := run(*root)
+	findings, vetted, err := run(*root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fuzzvet:", err)
+		os.Exit(2)
+	}
+	if len(vetted) == 0 {
+		fmt.Fprintln(os.Stderr, "fuzzvet: no scoped package under", *root)
 		os.Exit(2)
 	}
 	for _, f := range findings {
@@ -113,17 +117,18 @@ func main() {
 }
 
 // run vets every scoped package under root and returns the findings
-// sorted by position.
-func run(root string) ([]Finding, error) {
+// sorted by position, plus the number of files vetted per package.
+func run(root string) ([]Finding, map[string]int, error) {
 	var findings []Finding
-	seen := map[string]bool{}
+	vetted := map[string]int{}
 	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
 		if info.IsDir() {
+			// The root itself may be "." or "..": only skip below it.
 			base := info.Name()
-			if base == "testdata" || strings.HasPrefix(base, ".") {
+			if path != root && (base == "testdata" || strings.HasPrefix(base, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -139,18 +144,16 @@ func run(root string) ([]Finding, error) {
 		if !rangemapPkgs[rel] && !timenowPkgs[rel] && !globalrandPkgs[rel] {
 			return nil
 		}
-		if !seen[rel] {
-			seen[rel] = true
-		}
 		fs, err := vetFile(path, rel)
 		if err != nil {
 			return err
 		}
+		vetted[rel]++
 		findings = append(findings, fs...)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos
@@ -159,7 +162,7 @@ func run(root string) ([]Finding, error) {
 		}
 		return a.Offset < b.Offset
 	})
-	return findings, nil
+	return findings, vetted, nil
 }
 
 // vetFile applies the package-scoped rules to one source file.
