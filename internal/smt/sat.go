@@ -109,23 +109,28 @@ func (s *SAT) value(l Lit) lbool {
 }
 
 // AddClause adds a problem clause. Returns false if the formula became
-// trivially unsatisfiable.
+// trivially unsatisfiable. Duplicate literals are filtered out in place,
+// into the caller's slice, keeping first occurrences in order; the
+// stored clause is a copy.
 func (s *SAT) AddClause(lits ...Lit) bool {
 	if s.unsat {
 		return false
 	}
 	s.cancelUntil(0) // clauses are always added at the root level
-	// Deduplicate and drop tautologies.
-	seen := map[Lit]bool{}
+	// Deduplicate and drop tautologies. Clauses are short, so a linear
+	// scan beats a set.
 	out := lits[:0]
+next:
 	for _, l := range lits {
-		if seen[l.Not()] {
-			return true // tautology: always satisfied
+		for _, k := range out {
+			switch k {
+			case l:
+				continue next
+			case l.Not():
+				return true // tautology: always satisfied
+			}
 		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
+		out = append(out, l)
 	}
 	lits = out
 	// Remove already-false top-level literals; detect satisfied clauses.
