@@ -20,6 +20,14 @@ import (
 // engine would pass at dispatch time.
 func benchPartition(t *testing.T, b *designs.Benchmark) (*cfg.Partition, map[int]logic.BV) {
 	t.Helper()
+	part, _, context := buildBench(t, b, cfg.Options{MaxNodes: 48, MaxSuccessors: 8})
+	return part, context
+}
+
+// buildBench is benchPartition under the given bounds; it also returns
+// the input pins it added to opts (the reset held deasserted).
+func buildBench(t *testing.T, b *designs.Benchmark, opts cfg.Options) (*cfg.Partition, map[string]logic.BV, map[int]logic.BV) {
+	t.Helper()
 	d, err := b.Elaborate()
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +56,8 @@ func benchPartition(t *testing.T, b *designs.Benchmark) (*cfg.Partition, map[int
 	for _, cr := range cfg.ControlRegisters(d) {
 		reset[cr.Sig.Index] = s.Get(cr.Sig.Index)
 	}
-	part, err := cfg.BuildPartition(d, tr, reset, cfg.Options{
-		MaxNodes: 48, MaxSuccessors: 8, Pin: pin,
-	})
+	opts.Pin = pin
+	part, err := cfg.BuildPartition(d, tr, reset, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +65,7 @@ func benchPartition(t *testing.T, b *designs.Benchmark) (*cfg.Partition, map[int
 	for _, sig := range d.Registers() {
 		context[sig.Index] = s.Get(sig.Index)
 	}
-	return part, context
+	return part, pin, context
 }
 
 // diffOne runs one dispatch through both paths and checks agreement.

@@ -3,6 +3,8 @@ package smt
 import (
 	"math/bits"
 	"testing"
+
+	"repro/internal/logic"
 )
 
 // FuzzSolver cross-checks the bit-blasting solver against brute-force
@@ -17,7 +19,11 @@ import (
 //     the solver may never miss a solution.
 //
 // Together the two directions pin soundness and completeness of the
-// blaster + CDCL core for every term kind the builder can emit.
+// blaster + CDCL core for every term kind the builder can emit. The
+// same solver then enumerates every model under the assumption c, then
+// under !c, then under c again (SolveN with Lits), and each set must
+// equal the brute-force one: assumptions and guarded blocking clauses
+// must neither leak into nor lose models of later queries.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 0, 1, 0})                            // eq(a, b)
@@ -59,6 +65,34 @@ func FuzzSolver(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unexpected solve result %v", res)
+		}
+
+		over := []string{"a", "b", "c"}
+		for _, c := range []uint64{1, 0, 1} {
+			got := map[uint64]bool{}
+			for _, m := range s.SolveN(64, over, s.Lits("c", logic.FromUint64(1, c))...) {
+				env := map[string]uint64{}
+				for name := range widths {
+					env[name], _ = m[name].Uint64()
+				}
+				key := env["a"] | env["b"]<<2 | env["c"]<<5
+				if got[key] {
+					t.Fatalf("c=%d: model %v enumerated twice", c, env)
+				}
+				got[key] = true
+			}
+			for a := uint64(0); a < 4; a++ {
+				for b := uint64(0); b < 8; b++ {
+					env := map[string]uint64{"a": a, "b": b, "c": c}
+					if want := evalTerm(t, constraint, env) == 1; want != got[a|b<<2|c<<5] {
+						t.Fatalf("c=%d: %v satisfies %s = %v, enumerated = %v", c, env, constraint, want, !want)
+					}
+					delete(got, a|b<<2|c<<5)
+				}
+			}
+			if len(got) != 0 {
+				t.Fatalf("c=%d: enumerated models violating the assumption: %v", c, got)
+			}
 		}
 	})
 }

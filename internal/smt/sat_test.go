@@ -50,6 +50,68 @@ func TestSolveWithAssumptions(t *testing.T) {
 	}
 }
 
+// TestAssumptionSequenceMatchesFresh runs a sequence of assumption
+// queries on one instance and requires each answer, SAT or UNSAT, to
+// match a fresh instance given the assumptions as unit clauses: learned
+// clauses and saved state must not carry one query's assumptions into
+// the next.
+func TestAssumptionSequenceMatchesFresh(t *testing.T) {
+	const nVars = 12
+	rng := rand.New(rand.NewSource(3))
+	clauses := make([][]Lit, 40)
+	for i := range clauses {
+		for j := 0; j < 3; j++ {
+			clauses[i] = append(clauses[i], MkLit(rng.Intn(nVars), rng.Intn(2) == 0))
+		}
+	}
+	load := func() *SAT {
+		s := NewSAT()
+		for i := 0; i < nVars; i++ {
+			s.NewVar()
+		}
+		for _, c := range clauses {
+			s.AddClause(append([]Lit(nil), c...)...)
+		}
+		return s
+	}
+	inc := load()
+	seen := map[bool]int{}
+	for q := 0; q < 200; q++ {
+		assume := make([]Lit, 1+rng.Intn(5))
+		for i := range assume {
+			assume[i] = MkLit(rng.Intn(nVars), rng.Intn(2) == 0)
+		}
+		got := inc.Solve(assume...)
+		fresh := load()
+		for _, a := range assume {
+			fresh.AddClause(a)
+		}
+		if want := fresh.Solve(); got != want {
+			t.Fatalf("query %d assuming %v: incremental %v, fresh %v", q, assume, got, want)
+		}
+		if got {
+			for _, a := range assume {
+				if inc.ValueOf(a.Var()) == a.Neg() {
+					t.Fatalf("query %d: model violates assumption %v", q, a)
+				}
+			}
+			for _, c := range clauses {
+				sat := false
+				for _, l := range c {
+					sat = sat || inc.ValueOf(l.Var()) != l.Neg()
+				}
+				if !sat {
+					t.Fatalf("query %d: model violates clause %v", q, c)
+				}
+			}
+		}
+		seen[got]++
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Errorf("sequence not mixed: %d sat, %d unsat", seen[true], seen[false])
+	}
+}
+
 func TestStatsAdvance(t *testing.T) {
 	s := NewSAT()
 	n := 14
