@@ -2,7 +2,6 @@ package cfg
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -10,8 +9,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/smt"
 )
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // ControlReg is a control register: a state-holding or derived signal
 // that steers branch decisions (§4.4.1).
@@ -143,6 +140,9 @@ type Graph struct {
 	Constraints int
 	opts        Options
 	slice       *sliceState
+	// draws replays seeded solver randomness (shared by a partition's
+	// graphs; created on first use otherwise).
+	draws *drawLog
 }
 
 // canonical zeroes unknown bits so node keys are well defined.
@@ -569,7 +569,7 @@ func (g *Graph) SolveStepStats(cur, want, context map[int]logic.BV, seed int64) 
 	}
 	s := g.newSolverFor(node)
 	if seed != 0 {
-		s.SetRand(newRand(seed))
+		s.SetRand(g.newRand(seed))
 	}
 	inCluster := map[int]bool{}
 	for _, cr := range g.Regs {

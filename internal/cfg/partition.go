@@ -19,14 +19,17 @@ type Partition struct {
 }
 
 // BuildPartition clusters the control registers and builds one graph
-// per cluster. opts bounds apply per cluster.
+// per cluster. opts bounds apply per cluster. The graphs share one
+// solver draw log, so consecutive solves under one seed seed it once.
 func BuildPartition(d *elab.Design, tr *Transition, reset map[int]logic.BV, opts Options) (*Partition, error) {
 	p := &Partition{Design: d, Tr: tr}
+	draws := &drawLog{}
 	for _, cluster := range Clusters(d, tr) {
 		g, err := BuildForRegs(d, tr, cluster, reset, opts)
 		if err != nil {
 			return nil, fmt.Errorf("cfg: cluster %s: %w", cluster[0].Sig.Name, err)
 		}
+		g.draws = draws
 		p.Graphs = append(p.Graphs, g)
 	}
 	return p, nil

@@ -184,7 +184,7 @@ func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64)
 
 	s := smt.NewSolver()
 	if seed != 0 {
-		s.SetRand(newRand(seed))
+		s.SetRand(g.newRand(seed))
 	}
 	// Declare the cone in sorted name order: variable numbering fixes
 	// which of several satisfying models a seeded solve returns, so it

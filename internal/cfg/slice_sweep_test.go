@@ -155,3 +155,55 @@ func TestConeSmallerThanDesign(t *testing.T) {
 		t.Error("no dispatch on bus_arb saved any variables")
 	}
 }
+
+// TestSharedDrawLogMatchesFreshSource runs every builtin's dispatches
+// the way the engine does — runs of consecutive solves under one seed,
+// across the partition's graphs — and requires the shared draw log to
+// return the plan and outcome a freshly seeded source returns.
+func TestSharedDrawLogMatchesFreshSource(t *testing.T) {
+	for _, b := range designs.AllBenchmarks() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			part, context := benchPartition(t, b)
+			dispatches, plans := 0, 0
+			for _, g := range part.Graphs {
+				for ni, n := range g.Nodes {
+					if ni >= 6 {
+						break
+					}
+					for _, eid := range n.Out {
+						want := g.Nodes[g.Edges[eid].To].Vals
+						seed := int64(100 + dispatches/5)
+						got, gst, _ := g.SolveStepSliced(n.Vals, want, context, seed)
+						ref, rst, _ := g.SolveStepSlicedFresh(n.Vals, want, context, seed)
+						dispatches++
+						if gst.Outcome != rst.Outcome {
+							t.Fatalf("dispatch %d: outcome %v through the log, %v fresh", dispatches, gst.Outcome, rst.Outcome)
+						}
+						if (got == nil) != (ref == nil) {
+							t.Fatalf("dispatch %d: plan %v through the log, %v fresh", dispatches, got, ref)
+						}
+						if got == nil {
+							continue
+						}
+						plans++
+						if len(got.Inputs) != len(ref.Inputs) {
+							t.Fatalf("dispatch %d: inputs %v through the log, %v fresh", dispatches, got.Inputs, ref.Inputs)
+						}
+						for name, v := range ref.Inputs {
+							if !got.Inputs[name].Eq4(v) {
+								t.Fatalf("dispatch %d: input %s = %v through the log, %v fresh", dispatches, name, got.Inputs[name], v)
+							}
+						}
+						if !g.CheckStep(n.Vals, want, context, got.Inputs) {
+							t.Errorf("dispatch %d: plan %v fails the full equation", dispatches, got.Inputs)
+						}
+					}
+				}
+			}
+			if len(part.Graphs) > 0 && plans == 0 {
+				t.Error("no dispatch produced a plan")
+			}
+		})
+	}
+}
