@@ -23,12 +23,32 @@ type SliceInfo struct {
 }
 
 // sliceState is the per-graph cache backing sliced dispatches: the
-// destination terms (shared with the unsliced path) and the fixed part
-// of the unsliced query's variable set, so FullVars costs one map probe
-// per context register instead of a term walk per dispatch.
+// destination terms (shared with the unsliced path), the fixed part of
+// the unsliced query's variable set, and the bindings those terms can
+// see, resolved once per cluster so a dispatch builds constants only
+// for the registers its cone reads.
 type sliceState struct {
 	dst   map[int]*smt.Term
 	fixed map[string]bool
+	// refs are the current-value variables of sequential registers
+	// that the destination terms read.
+	refs []sliceRef
+	// pins are the destination terms' pinned inputs, bound to their
+	// constants (pins never change).
+	pins map[string]*smt.Term
+	// extra lists the out-of-cluster sequential registers whose
+	// current-value variable the unsliced query adds to fixed when the
+	// context pins them (counted into FullVars, never built).
+	extra []int
+}
+
+// sliceRef is one current-value variable a dispatch binds: to the
+// cluster's current valuation (zero when absent) for an in-cluster
+// register, or to the context's value when present otherwise.
+type sliceRef struct {
+	name      string
+	idx       int
+	inCluster bool
 }
 
 // dstTerms returns the per-register destination terms, built once per
@@ -42,20 +62,37 @@ func (g *Graph) sliceInit() {
 	if g.slice != nil {
 		return
 	}
-	st := &sliceState{dst: g.destTerms(), fixed: map[string]bool{}}
+	st := &sliceState{dst: g.destTerms(), fixed: map[string]bool{}, pins: map[string]*smt.Term{}}
 	widths := map[string]int{}
+	inCluster := map[int]bool{}
 	for _, cr := range g.Regs {
 		analysis.CollectVars(st.dst[cr.Sig.Index], widths)
 		st.fixed[dstVar(cr.Sig)] = true
 		if cr.Sig.IsReg {
 			st.fixed[CurVar+cr.Sig.Name] = true
 		}
+		inCluster[cr.Sig.Index] = true
 	}
 	for name := range widths {
 		st.fixed[name] = true
 	}
-	for name := range g.opts.Pin {
+	for name, v := range g.opts.Pin {
 		st.fixed[InVar+name] = true
+		if _, read := widths[InVar+name]; read {
+			st.pins[InVar+name] = ConstBV(v)
+		}
+	}
+	for _, sig := range g.Design.Signals {
+		if !sig.IsReg {
+			continue
+		}
+		name := CurVar + sig.Name
+		if _, read := widths[name]; read {
+			st.refs = append(st.refs, sliceRef{name: name, idx: sig.Index, inCluster: inCluster[sig.Index]})
+		}
+		if !inCluster[sig.Index] && !st.fixed[name] {
+			st.extra = append(st.extra, sig.Index)
+		}
 	}
 	g.slice = st
 }
@@ -121,34 +158,28 @@ func (g *Graph) CheckStep(cur, want, context map[int]logic.BV, inputs map[string
 // valuation — are reported infeasible without running the solver.
 func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64) (*StepPlan, smt.SolveStats, SliceInfo) {
 	g.sliceInit()
-	bind := map[string]*smt.Term{}
-	for _, cr := range g.Regs {
-		if !cr.Sig.IsReg {
+	st := g.slice
+	bind := make(map[string]*smt.Term, len(st.pins)+len(st.refs))
+	for name, t := range st.pins {
+		bind[name] = t
+	}
+	for _, r := range st.refs {
+		var v logic.BV
+		var ok bool
+		if r.inCluster {
+			if v, ok = cur[r.idx]; !ok {
+				v = logic.Zero(g.Design.Signals[r.idx].Width)
+			}
+		} else if v, ok = context[r.idx]; !ok {
 			continue
 		}
-		v, ok := cur[cr.Sig.Index]
-		if !ok {
-			v = logic.Zero(cr.Sig.Width)
-		}
-		bind[CurVar+cr.Sig.Name] = ConstBV(v)
+		bind[r.name] = ConstBV(v)
 	}
-	inCluster := map[int]bool{}
-	for _, cr := range g.Regs {
-		inCluster[cr.Sig.Index] = true
-	}
-	si := SliceInfo{FullVars: len(g.slice.fixed)}
-	for idx, v := range context {
-		if inCluster[idx] || !g.Design.Signals[idx].IsReg {
-			continue
-		}
-		name := CurVar + g.Design.Signals[idx].Name
-		if !g.slice.fixed[name] {
+	si := SliceInfo{FullVars: len(st.fixed)}
+	for _, idx := range st.extra {
+		if _, ok := context[idx]; ok {
 			si.FullVars++
 		}
-		bind[name] = ConstBV(v)
-	}
-	for name, v := range g.opts.Pin {
-		bind[InVar+name] = ConstBV(v)
 	}
 
 	memo := map[*smt.Term]*smt.Term{}
@@ -159,7 +190,7 @@ func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64)
 		if !ok {
 			continue
 		}
-		folded := analysis.FoldTerm(g.slice.dst[cr.Sig.Index], bind, memo)
+		folded := analysis.FoldTerm(st.dst[cr.Sig.Index], bind, memo)
 		a := smt.Eq(folded, ConstBV(v))
 		switch {
 		case analysis.IsConstTrue(a):

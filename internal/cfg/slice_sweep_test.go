@@ -9,6 +9,7 @@ package cfg_test
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/designs"
 	"repro/internal/logic"
@@ -206,4 +207,56 @@ func TestSharedDrawLogMatchesFreshSource(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDispatchAllocsIndependentOfContext warms up a solved opentitan_mini
+// dispatch whose cone reads out-of-cluster registers, then requires the
+// dispatch to allocate exactly as often under the full register context
+// as under only the registers its destination terms read: bindings are
+// built for the cone, not for the context.
+func TestDispatchAllocsIndependentOfContext(t *testing.T) {
+	b, ok := designs.FindBenchmark("opentitan_mini")
+	if !ok {
+		t.Skip("opentitan_mini benchmark not present")
+	}
+	part, context := benchPartition(t, b)
+	for _, g := range part.Graphs {
+		reads := map[string]int{}
+		for _, term := range g.DestTerms() {
+			analysis.CollectVars(term, reads)
+		}
+		inCluster := map[int]bool{}
+		for _, cr := range g.Regs {
+			inCluster[cr.Sig.Index] = true
+		}
+		referenced := map[int]logic.BV{}
+		outside := 0
+		for idx, v := range context {
+			if _, read := reads[cfg.CurVar+part.Design.Signals[idx].Name]; read {
+				referenced[idx] = v
+				if !inCluster[idx] {
+					outside++
+				}
+			}
+		}
+		if outside == 0 || len(referenced) == len(context) {
+			continue
+		}
+		for _, n := range g.Nodes {
+			for _, eid := range n.Out {
+				want := g.Nodes[g.Edges[eid].To].Vals
+				if plan, _, _ := g.SolveStepSliced(n.Vals, want, context, 9); plan == nil {
+					continue
+				}
+				full := testing.AllocsPerRun(20, func() { g.SolveStepSliced(n.Vals, want, context, 9) })
+				cone := testing.AllocsPerRun(20, func() { g.SolveStepSliced(n.Vals, want, referenced, 9) })
+				if full != cone {
+					t.Fatalf("dispatch allocates %v times with all %d registers as context, %v with the %d it reads",
+						full, len(context), cone, len(referenced))
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no solved opentitan_mini dispatch reads an out-of-cluster register")
 }
