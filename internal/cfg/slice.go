@@ -26,20 +26,26 @@ type SliceInfo struct {
 // destination terms (shared with the unsliced path), the fixed part of
 // the unsliced query's variable set, and the bindings those terms can
 // see, resolved once per cluster so a dispatch builds constants only
-// for the registers its cone reads.
+// for the registers its cone reads. The remaining fields are scratch
+// that every dispatch clears and refills instead of reallocating.
 type sliceState struct {
 	dst   map[int]*smt.Term
 	fixed map[string]bool
 	// refs are the current-value variables of sequential registers
 	// that the destination terms read.
 	refs []sliceRef
-	// pins are the destination terms' pinned inputs, bound to their
-	// constants (pins never change).
-	pins map[string]*smt.Term
 	// extra lists the out-of-cluster sequential registers whose
 	// current-value variable the unsliced query adds to fixed when the
 	// context pins them (counted into FullVars, never built).
 	extra []int
+	// bind holds the pinned inputs the terms read, bound once (pins
+	// never change), plus the current dispatch's refs.
+	bind    map[string]*smt.Term
+	memo    map[*smt.Term]*smt.Term
+	absMemo map[*smt.Term]analysis.Value
+	cone    map[string]int
+	asserts []*smt.Term
+	names   []string
 }
 
 // sliceRef is one current-value variable a dispatch binds: to the
@@ -62,7 +68,14 @@ func (g *Graph) sliceInit() {
 	if g.slice != nil {
 		return
 	}
-	st := &sliceState{dst: g.destTerms(), fixed: map[string]bool{}, pins: map[string]*smt.Term{}}
+	st := &sliceState{
+		dst:     g.destTerms(),
+		fixed:   map[string]bool{},
+		bind:    map[string]*smt.Term{},
+		memo:    map[*smt.Term]*smt.Term{},
+		absMemo: map[*smt.Term]analysis.Value{},
+		cone:    map[string]int{},
+	}
 	widths := map[string]int{}
 	inCluster := map[int]bool{}
 	for _, cr := range g.Regs {
@@ -79,7 +92,7 @@ func (g *Graph) sliceInit() {
 	for name, v := range g.opts.Pin {
 		st.fixed[InVar+name] = true
 		if _, read := widths[InVar+name]; read {
-			st.pins[InVar+name] = ConstBV(v)
+			st.bind[InVar+name] = ConstBV(v)
 		}
 	}
 	for _, sig := range g.Design.Signals {
@@ -159,10 +172,6 @@ func (g *Graph) CheckStep(cur, want, context map[int]logic.BV, inputs map[string
 func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64) (*StepPlan, smt.SolveStats, SliceInfo) {
 	g.sliceInit()
 	st := g.slice
-	bind := make(map[string]*smt.Term, len(st.pins)+len(st.refs))
-	for name, t := range st.pins {
-		bind[name] = t
-	}
 	for _, r := range st.refs {
 		var v logic.BV
 		var ok bool
@@ -171,9 +180,10 @@ func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64)
 				v = logic.Zero(g.Design.Signals[r.idx].Width)
 			}
 		} else if v, ok = context[r.idx]; !ok {
+			delete(st.bind, r.name)
 			continue
 		}
-		bind[r.name] = ConstBV(v)
+		st.bind[r.name] = ConstBV(v)
 	}
 	si := SliceInfo{FullVars: len(st.fixed)}
 	for _, idx := range st.extra {
@@ -182,15 +192,16 @@ func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64)
 		}
 	}
 
-	memo := map[*smt.Term]*smt.Term{}
-	absMemo := map[*smt.Term]analysis.Value{}
-	var asserts []*smt.Term
+	clear(st.memo)
+	clear(st.absMemo)
+	clear(st.cone)
+	asserts := st.asserts[:0]
 	for _, cr := range g.Regs {
 		v, ok := want[cr.Sig.Index]
 		if !ok {
 			continue
 		}
-		folded := analysis.FoldTerm(st.dst[cr.Sig.Index], bind, memo)
+		folded := analysis.FoldTerm(st.dst[cr.Sig.Index], st.bind, st.memo)
 		a := smt.Eq(folded, ConstBV(v))
 		switch {
 		case analysis.IsConstTrue(a):
@@ -198,17 +209,17 @@ func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64)
 		case analysis.IsConstFalse(a):
 			si.Infeasible = true
 		default:
-			if c, ok := analysis.EvalTerm(a, analysis.TopTermEnv, absMemo).IsConst(); ok && c == 0 {
+			if c, ok := analysis.EvalTerm(a, analysis.TopTermEnv, st.absMemo).IsConst(); ok && c == 0 {
 				si.Infeasible = true
 			}
 			asserts = append(asserts, a)
 		}
 	}
-	cone := map[string]int{}
+	st.asserts = asserts
 	for _, a := range asserts {
-		analysis.CollectVars(a, cone)
+		analysis.CollectVars(a, st.cone)
 	}
-	si.ConeVars = len(cone)
+	si.ConeVars = len(st.cone)
 	if si.Infeasible {
 		return nil, smt.SolveStats{Outcome: smt.Unsat}, si
 	}
@@ -220,13 +231,14 @@ func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64)
 	// Declare the cone in sorted name order: variable numbering fixes
 	// which of several satisfying models a seeded solve returns, so it
 	// must not depend on map iteration.
-	names := make([]string, 0, len(cone))
-	for name := range cone {
+	names := st.names[:0]
+	for name := range st.cone {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	st.names = names
 	for _, name := range names {
-		s.Var(name, cone[name])
+		s.Var(name, st.cone[name])
 	}
 	for _, a := range asserts {
 		s.Assert(a)

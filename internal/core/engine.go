@@ -353,6 +353,8 @@ type Engine struct {
 	regs []*elab.Signal
 	// queue is findTarget's reusable breadth-first queue.
 	queue []int
+	// curVals and ctxVals are regValues' reusable register reads.
+	curVals, ctxVals map[int]logic.BV
 
 	// obs is the telemetry sink; nil disables (all call sites are
 	// nil-safe).
@@ -987,16 +989,20 @@ func (e *Engine) noteSlice(saved int, infeasible bool) {
 
 // regValues reads the DUV's registers: cluster graph g's own (the
 // solve's current valuation) and every register (the solve's context).
+// Both maps are the engine's, refilled on every call.
 func (e *Engine) regValues(g *cfg.Graph) (cur, context map[int]logic.BV) {
-	cur = make(map[int]logic.BV, len(g.Regs))
+	if e.ctxVals == nil {
+		e.curVals = map[int]logic.BV{}
+		e.ctxVals = make(map[int]logic.BV, len(e.regs))
+	}
+	clear(e.curVals)
 	for _, cr := range g.Regs {
-		cur[cr.Sig.Index] = e.env.Sim.Get(cr.Sig.Index)
+		e.curVals[cr.Sig.Index] = e.env.Sim.Get(cr.Sig.Index)
 	}
-	context = make(map[int]logic.BV, len(e.regs))
 	for _, sig := range e.regs {
-		context[sig.Index] = e.env.Sim.Get(sig.Index)
+		e.ctxVals[sig.Index] = e.env.Sim.Get(sig.Index)
 	}
-	return cur, context
+	return e.curVals, e.ctxVals
 }
 
 // tryEdges attempts up to guideTries unexplored out-edges of the node,
