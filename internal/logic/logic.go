@@ -73,9 +73,12 @@ func (v BV) mask() BV {
 	return v
 }
 
+// newRaw returns an all-zero vector. Both planes share one allocation;
+// the value plane's capacity ends where the unknown plane begins.
 func newRaw(width int) BV {
 	n := words(width)
-	return BV{width: width, a: make([]uint64, n), b: make([]uint64, n)}
+	buf := make([]uint64, 2*n)
+	return BV{width: width, a: buf[:n:n], b: buf[n:]}
 }
 
 // X returns a vector of the given width with every bit unknown, the
@@ -211,7 +214,7 @@ func (v BV) WithBit(i int, bit Bit) BV {
 }
 
 func (v BV) clone() BV {
-	out := BV{width: v.width, a: make([]uint64, len(v.a)), b: make([]uint64, len(v.b))}
+	out := newRaw(v.width)
 	copy(out.a, v.a)
 	copy(out.b, v.b)
 	return out
