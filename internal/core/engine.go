@@ -1181,15 +1181,12 @@ func (e *Engine) rollback(ck *checkpoint) {
 // applyPlan drives the solved stimulus vector directly, reporting
 // whether the targeted edge was exercised.
 func (e *Engine) applyPlan(gi int, plan *cfg.StepPlan, edge cfg.Edge) bool {
-	seq := e.env.Agent.Sequencer
-	it := &uvm.Item{Fields: map[string]logic.BV{}, Hold: 1}
-	for _, f := range seq.Fields {
+	it := e.env.Agent.Sequencer.NewItem(func(f uvm.FieldSpec) logic.BV {
 		if v, ok := plan.Inputs[f.Name]; ok {
-			it.Fields[f.Name] = v.Resize(f.Width)
-		} else {
-			it.Fields[f.Name] = logic.Zero(f.Width)
+			return v.Resize(f.Width)
 		}
-	}
+		return logic.Zero(f.Width)
+	})
 	if err := e.env.Agent.Driver.Apply(it); err != nil {
 		return false
 	}

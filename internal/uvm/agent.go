@@ -2,7 +2,8 @@ package uvm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/elab"
 	"repro/internal/logic"
@@ -17,19 +18,9 @@ type Driver struct {
 	BaseComponent
 	Sim   sim.DUV
 	Clock int // clock signal index, -1 for purely combinational DUVs
-	// fieldIdx maps item fields to input signal indices.
-	fieldIdx map[string]int
-	// ports lists the input ports in the order Apply drives them.
+	// ports lists the input ports sorted by name, the order Apply
+	// drives them in.
 	ports []*elab.Signal
-	// staged holds one item's port assignments between matching and
-	// driving them.
-	staged []portSet
-}
-
-// portSet is one staged input-port assignment.
-type portSet struct {
-	port *elab.Signal
-	v    logic.BV
 }
 
 // NewDriver binds a driver to a DUV backend. Field-to-port mapping is
@@ -39,13 +30,9 @@ func NewDriver(name string, s sim.DUV, clock int) *Driver {
 		BaseComponent: NewBaseComponent(name),
 		Sim:           s,
 		Clock:         clock,
-		fieldIdx:      map[string]int{},
+		ports:         slices.Clone(s.Design().InputSignals()),
 	}
-	for _, in := range s.Design().InputSignals() {
-		d.fieldIdx[in.Name] = in.Index
-		d.ports = append(d.ports, in)
-	}
-	sort.Slice(d.ports, func(i, j int) bool { return d.ports[i].Name < d.ports[j].Name })
+	slices.SortFunc(d.ports, func(a, b *elab.Signal) int { return strings.Compare(a.Name, b.Name) })
 	return d
 }
 
@@ -54,34 +41,27 @@ func NewDriver(name string, s sim.DUV, clock int) *Driver {
 //
 // Fields are applied in sorted name order: each Set re-evaluates the
 // dependent combinational cone, and the transient states seen mid-apply
-// feed the branch tracer — map order here would make the coverage
-// event stream (and with it the whole campaign) run-to-run
-// nondeterministic.
+// feed the branch tracer, so the order fixes the coverage event stream
+// (and with it the whole campaign). The item's name-sorted fields are
+// merged against the name-sorted ports; a field matching no port fails
+// the item once every field sorted before it has been applied. An item
+// whose fields are not sorted by unique name is rejected before any is
+// applied.
 func (d *Driver) Apply(it *Item) error {
-	d.staged = d.staged[:0]
-	for _, in := range d.ports {
-		if v, ok := it.Fields[in.Name]; ok {
-			d.staged = append(d.staged, portSet{in, v})
+	for i := 1; i < len(it.Fields); i++ {
+		if prev, f := it.Fields[i-1].Name, it.Fields[i].Name; prev >= f {
+			return fmt.Errorf("uvm: item fields not sorted by unique name: %q before %q", prev, f)
 		}
 	}
-	// A field matching no port fails the item once every field sorted
-	// before it has been applied.
-	unknown := ""
-	if len(d.staged) < len(it.Fields) {
-		for name := range it.Fields {
-			if _, ok := d.fieldIdx[name]; !ok && (unknown == "" || name < unknown) {
-				unknown = name
-			}
+	p := 0
+	for _, f := range it.Fields {
+		for p < len(d.ports) && d.ports[p].Name < f.Name {
+			p++
 		}
-	}
-	for _, s := range d.staged {
-		if unknown != "" && s.port.Name > unknown {
-			break
+		if p == len(d.ports) || d.ports[p].Name != f.Name {
+			return fmt.Errorf("uvm: item field %q does not match an input port", f.Name)
 		}
-		d.Sim.Set(s.port.Index, s.v.Resize(s.port.Width))
-	}
-	if unknown != "" {
-		return fmt.Errorf("uvm: item field %q does not match an input port", unknown)
+		d.Sim.Set(d.ports[p].Index, f.Val.Resize(d.ports[p].Width))
 	}
 	if err := d.Sim.Settle(); err != nil {
 		return err

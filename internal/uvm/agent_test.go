@@ -44,9 +44,9 @@ func TestDriverAppliesPortsInSortedOrder(t *testing.T) {
 		{[]string{"op", "zz", "data", "yy"}, []string{"data", "op"}, "yy"},
 	}
 	for _, tc := range cases {
-		it := &Item{Fields: map[string]logic.BV{}}
+		it := &Item{}
 		for _, f := range tc.fields {
-			it.Fields[f] = v
+			it.Set(f, v)
 		}
 		log.sets = nil
 		err := drv.Apply(it)
@@ -76,9 +76,9 @@ func TestDriverApplyDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	drv := NewDriver("driver", m, info.Clock)
-	it := &Item{Fields: map[string]logic.BV{
-		"op":   logic.FromUint64(4, 1),
-		"data": logic.FromUint64(8, 5),
+	it := &Item{Fields: []Field{
+		{"data", logic.FromUint64(8, 5)},
+		{"op", logic.FromUint64(4, 1)},
 	}}
 	if err := drv.Apply(it); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestMonitorSampleReusesValues(t *testing.T) {
 	drv := NewDriver("driver", m, info.Clock)
 	acc := m.SignalIndex("acc")
 	for k := uint64(1); k <= 4; k++ {
-		it := &Item{Fields: map[string]logic.BV{"op": logic.FromUint64(4, 1), "data": logic.FromUint64(8, k)}}
+		it := &Item{Fields: []Field{{"data", logic.FromUint64(8, k)}, {"op", logic.FromUint64(4, 1)}}}
 		if err := drv.Apply(it); err != nil {
 			t.Fatal(err)
 		}

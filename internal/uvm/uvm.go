@@ -12,7 +12,8 @@ package uvm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/elab"
@@ -91,34 +92,61 @@ type FieldSpec struct {
 	Width int
 }
 
+// Field is one stimulus field's value in an item.
+type Field struct {
+	Name string
+	Val  logic.BV
+}
+
 // Item is one transaction: a full assignment of the stimulus fields.
 type Item struct {
-	Fields map[string]logic.BV
+	// Fields is sorted by name, each name once. Set keeps it so; the
+	// driver rejects an item built otherwise.
+	Fields []Field
 	// Hold is how many cycles the driver keeps the item applied.
 	Hold int
 }
 
-// Clone deep-copies an item.
-func (it *Item) Clone() *Item {
-	out := &Item{Fields: make(map[string]logic.BV, len(it.Fields)), Hold: it.Hold}
-	for k, v := range it.Fields {
-		out.Fields[k] = v
+// find returns where name sits, or belongs, in the sorted fields.
+func (it *Item) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(it.Fields, name, func(f Field, name string) int {
+		return strings.Compare(f.Name, name)
+	})
+}
+
+// Get returns the named field's value.
+func (it *Item) Get(name string) (logic.BV, bool) {
+	if i, ok := it.find(name); ok {
+		return it.Fields[i].Val, true
 	}
-	return out
+	return logic.BV{}, false
+}
+
+// Set assigns the named field, inserting it in name order when absent.
+func (it *Item) Set(name string, v logic.BV) {
+	i, ok := it.find(name)
+	if ok {
+		it.Fields[i].Val = v
+		return
+	}
+	it.Fields = slices.Insert(it.Fields, i, Field{Name: name, Val: v})
+}
+
+// Clone copies an item (values are immutable, so they are shared).
+func (it *Item) Clone() *Item {
+	return &Item{Fields: slices.Clone(it.Fields), Hold: it.Hold}
 }
 
 // Key returns a deterministic content key for corpus deduplication.
 func (it *Item) Key() string {
-	names := make([]string, 0, len(it.Fields))
-	for k := range it.Fields {
-		names = append(names, k)
+	var b strings.Builder
+	for _, f := range it.Fields {
+		b.WriteString(f.Name)
+		b.WriteByte('=')
+		b.WriteString(f.Val.Key())
+		b.WriteByte(';')
 	}
-	sort.Strings(names)
-	s := ""
-	for _, n := range names {
-		s += n + "=" + it.Fields[n].Key() + ";"
-	}
-	return s
+	return b.String()
 }
 
 // Constraint builds a 1-bit SMT term over the item fields; the vars map
@@ -131,7 +159,12 @@ type Constraint func(vars map[string]*smt.Term) *smt.Term
 // replay and solver-directed steering).
 type Sequencer struct {
 	BaseComponent
-	Fields      []FieldSpec
+	// Fields are drawn in this order; fixed once the sequencer is built.
+	Fields []FieldSpec
+	// slot is each field's position in an item's name-sorted fields,
+	// and slots the number of distinct names.
+	slot        []int
+	slots       int
 	rng         *rand.Rand
 	constraints []Constraint
 	pinned      []*Item // exact next items, FIFO
@@ -144,11 +177,34 @@ type Sequencer struct {
 
 // NewSequencer builds a sequencer over the given fields.
 func NewSequencer(name string, fields []FieldSpec, seed int64) *Sequencer {
+	names := make([]string, len(fields))
+	for i, f := range fields {
+		names[i] = f.Name
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	slot := make([]int, len(fields))
+	for i, f := range fields {
+		slot[i], _ = slices.BinarySearch(names, f.Name)
+	}
 	return &Sequencer{
 		BaseComponent: NewBaseComponent(name),
 		Fields:        fields,
+		slot:          slot,
+		slots:         len(names),
 		rng:           rand.New(rand.NewSource(seed)),
 	}
+}
+
+// NewItem builds a one-cycle item holding val(f) for every field,
+// calling val in Fields order (a field listed twice keeps its last
+// value).
+func (s *Sequencer) NewItem(val func(FieldSpec) logic.BV) *Item {
+	fields := make([]Field, s.slots)
+	for i, f := range s.Fields {
+		fields[s.slot[i]] = Field{Name: f.Name, Val: val(f)}
+	}
+	return &Item{Fields: fields, Hold: 1}
 }
 
 // SequencerForDesign derives the stimulus fields from a design's input
@@ -201,11 +257,7 @@ func (s *Sequencer) NextItem() *Item {
 }
 
 func (s *Sequencer) randomItem() *Item {
-	it := &Item{Fields: make(map[string]logic.BV, len(s.Fields)), Hold: 1}
-	for _, f := range s.Fields {
-		it.Fields[f.Name] = logic.Rand(f.Width, s.rng.Uint64)
-	}
-	return it
+	return s.NewItem(func(f FieldSpec) logic.BV { return logic.Rand(f.Width, s.rng.Uint64) })
 }
 
 // solveItem runs the SMT solver with random decision polarity so that
@@ -228,15 +280,12 @@ func (s *Sequencer) solveItem() *Item {
 		return nil
 	}
 	m := sol.Model()
-	it := &Item{Fields: map[string]logic.BV{}, Hold: 1}
-	for _, f := range s.Fields {
-		v, ok := m[f.Name]
-		if !ok {
-			v = logic.Rand(f.Width, s.rng.Uint64)
+	return s.NewItem(func(f FieldSpec) logic.BV {
+		if v, ok := m[f.Name]; ok {
+			return v
 		}
-		it.Fields[f.Name] = v
-	}
-	return it
+		return logic.Rand(f.Width, s.rng.Uint64)
+	})
 }
 
 // Mutate flips a random number of bits in a parent item, the
@@ -249,16 +298,15 @@ func (s *Sequencer) Mutate(parent *Item) *Item {
 	flips := 1 + s.rng.Intn(4)
 	for i := 0; i < flips; i++ {
 		f := s.Fields[s.rng.Intn(len(s.Fields))]
-		v := it.Fields[f.Name]
+		v, _ := it.Get(f.Name)
 		if !v.Valid() {
 			v = logic.Rand(f.Width, s.rng.Uint64)
 		}
 		bit := s.rng.Intn(f.Width)
-		cur := v.Bit(bit)
-		if cur == logic.L1 {
-			it.Fields[f.Name] = v.WithBit(bit, logic.L0)
+		if v.Bit(bit) == logic.L1 {
+			it.Set(f.Name, v.WithBit(bit, logic.L0))
 		} else {
-			it.Fields[f.Name] = v.WithBit(bit, logic.L1)
+			it.Set(f.Name, v.WithBit(bit, logic.L1))
 		}
 	}
 	return it

@@ -28,6 +28,12 @@ module duv (input clk_i, input rst_ni, input [7:0] data, input [3:0] op,
   end
 endmodule`
 
+// field returns an item's value for name (the zero BV when absent).
+func field(it *Item, name string) logic.BV {
+	v, _ := it.Get(name)
+	return v
+}
+
 func mkDesign(t *testing.T, src, top string) *elab.Design {
 	t.Helper()
 	ast, err := hdl.Parse(src)
@@ -106,10 +112,10 @@ func TestConstrainedRandomization(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 20; i++ {
 		it := seq.NextItem()
-		if v, _ := it.Fields["op"].Uint64(); v != 1 {
+		if v, _ := field(it, "op").Uint64(); v != 1 {
 			t.Fatalf("op = %d, want 1", v)
 		}
-		dv, _ := it.Fields["data"].Uint64()
+		dv, _ := field(it, "data").Uint64()
 		if dv >= 100 {
 			t.Fatalf("data = %d violates constraint", dv)
 		}
@@ -136,7 +142,7 @@ func TestUnsatisfiableConstraintFallsBack(t *testing.T) {
 		return smt.And(smt.Eq(vars["op"], smt.ConstUint(4, 1)),
 			smt.Eq(vars["op"], smt.ConstUint(4, 2)))
 	})
-	if it := seq.NextItem(); it == nil || !it.Fields["op"].Valid() {
+	if it := seq.NextItem(); it == nil || !field(it, "op").Valid() {
 		t.Fatal("sequencer must fall back to random stimulus")
 	}
 }
@@ -148,16 +154,16 @@ func TestPinnedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := env.Agent.Sequencer
-	want := &Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 0x55),
-		"op":   logic.FromUint64(4, 3),
+	want := &Item{Fields: []Field{
+		{"data", logic.FromUint64(8, 0x55)},
+		{"op", logic.FromUint64(4, 3)},
 	}}
 	seq.PinNext(want)
 	if seq.PendingPinned() != 1 {
 		t.Fatal("pin not queued")
 	}
 	got := seq.NextItem()
-	if !got.Fields["data"].Eq4(want.Fields["data"]) || !got.Fields["op"].Eq4(want.Fields["op"]) {
+	if !field(got, "data").Eq4(field(want, "data")) || !field(got, "op").Eq4(field(want, "op")) {
 		t.Errorf("replayed item mismatch: %+v", got.Fields)
 	}
 	if seq.PendingPinned() != 0 {
@@ -175,9 +181,9 @@ func TestDriverAppliesItem(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Load acc with 0x42 via op=3 (load).
-	it := &Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 0x42),
-		"op":   logic.FromUint64(4, 3),
+	it := &Item{Fields: []Field{
+		{"data", logic.FromUint64(8, 0x42)},
+		{"op", logic.FromUint64(4, 3)},
 	}}
 	if err := env.Agent.Driver.Apply(it); err != nil {
 		t.Fatal(err)
@@ -186,10 +192,99 @@ func TestDriverAppliesItem(t *testing.T) {
 	if v, _ := acc.Uint64(); v != 0x42 {
 		t.Errorf("acc = %v", acc)
 	}
-	// Unknown field errors.
-	bad := &Item{Fields: map[string]logic.BV{"nope": logic.Zero(1)}}
-	if err := env.Agent.Driver.Apply(bad); err == nil {
-		t.Error("unknown field should error")
+	// An unknown field fails the item after exactly the fields sorted
+	// before it: data is driven, op is not.
+	bad := &Item{Fields: []Field{
+		{"data", logic.FromUint64(8, 0x17)},
+		{"nope", logic.Zero(1)},
+		{"op", logic.FromUint64(4, 1)},
+	}}
+	err = env.Agent.Driver.Apply(bad)
+	if want := `uvm: item field "nope" does not match an input port`; fmt.Sprint(err) != want {
+		t.Errorf("unknown field: error %v, want %q", err, want)
+	}
+	if v, _ := env.Sim.Peek("data"); !v.Eq4(logic.FromUint64(8, 0x17)) {
+		t.Errorf("data = %v, want the field sorted before the unknown one driven", v)
+	}
+	if v, _ := env.Sim.Peek("op"); !v.Eq4(logic.FromUint64(4, 3)) {
+		t.Errorf("op = %v, want the field sorted after the unknown one left alone", v)
+	}
+	// Hand-built fields out of name order, or naming a field twice, are
+	// rejected before any is driven.
+	for _, fields := range [][]Field{
+		{{"op", logic.FromUint64(4, 2)}, {"data", logic.FromUint64(8, 0x33)}},
+		{{"data", logic.FromUint64(8, 0x33)}, {"data", logic.FromUint64(8, 0x34)}},
+	} {
+		if err := env.Agent.Driver.Apply(&Item{Fields: fields}); err == nil || !strings.Contains(err.Error(), "not sorted by unique name") {
+			t.Errorf("fields %v: error %v, want a sortedness error", fields, err)
+		}
+		if v, _ := env.Sim.Peek("data"); !v.Eq4(logic.FromUint64(8, 0x17)) {
+			t.Errorf("fields %v: data = %v, rejected item was partly driven", fields, v)
+		}
+	}
+}
+
+func TestItemSetKeepsNamesSortedAndUnique(t *testing.T) {
+	it := &Item{}
+	for i, name := range []string{"m", "c", "x", "a", "m", "c", "z"} {
+		it.Set(name, logic.FromUint64(8, uint64(i)))
+	}
+	var names []string
+	for _, f := range it.Fields {
+		names = append(names, f.Name)
+	}
+	if got := strings.Join(names, ","); got != "a,c,m,x,z" {
+		t.Fatalf("names %s, want a,c,m,x,z", got)
+	}
+	for name, want := range map[string]uint64{"a": 3, "c": 5, "m": 4, "x": 2, "z": 6} {
+		if v, ok := it.Get(name); !ok || !v.Eq4(logic.FromUint64(8, want)) {
+			t.Errorf("%s = %v (present %v), want %d", name, v, ok, want)
+		}
+	}
+	if _, ok := it.Get("b"); ok {
+		t.Error("Get found an absent field")
+	}
+}
+
+// TestSequencerStreamPinned pins randomItem and Mutate output for a
+// fixed seed to the values the map-backed Item produced: storing fields
+// name-sorted must not change what the sequencer draws.
+func TestSequencerStreamPinned(t *testing.T) {
+	seq := NewSequencer("s", []FieldSpec{{"op", 4}, {"data", 8}, {"wide", 70}, {"b", 1}}, 42)
+	want := []string{
+		"b=1:1.0,;data=8:1b.0,;op=4:3.0,;wide=70:4d52f284145b9fe8.0,9.0,;",
+		"b=1:0.0,;data=8:9f.0,;op=4:d.0,;wide=70:b13585884c14d6c0.0,4.0,;",
+		"b=1:0.0,;data=8:e1.0,;op=4:2.0,;wide=70:ae4b9ee7818e744e.0,3d.0,;",
+		"b=1:0.0,;data=8:1b.0,;op=4:1.0,;wide=70:4d52f284145b9fe8.0,9.0,;",
+		"b=1:1.0,;data=8:9b.0,;op=4:d.0,;wide=70:b17585884c14d6c0.0,4.0,;",
+		"b=1:0.0,;data=8:e5.0,;op=4:2.0,;wide=70:ae4b9ee7818e744a.0,3d.0,;",
+		"b=1:1.0,;op=4:1.0,;",
+	}
+	var got []string
+	var items []*Item
+	for i := 0; i < 3; i++ {
+		it := seq.NextItem()
+		items = append(items, it)
+		got = append(got, it.Key())
+	}
+	for _, it := range items {
+		got = append(got, seq.Mutate(it).Key())
+	}
+	got = append(got, seq.Mutate(&Item{}).Key())
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("item %d = %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRandomItemAllocs bounds a random item to the item, its field
+// slice and one vector per field.
+func TestRandomItemAllocs(t *testing.T) {
+	fields := []FieldSpec{{"op", 4}, {"data", 8}, {"wide", 70}, {"b", 1}}
+	seq := NewSequencer("s", fields, 1)
+	if allocs := testing.AllocsPerRun(100, func() { seq.randomItem() }); allocs > float64(2+len(fields)) {
+		t.Errorf("randomItem allocates %v times, want at most %d", allocs, 2+len(fields))
 	}
 }
 
@@ -211,9 +306,9 @@ func TestMonitorPropertyIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force acc to 250 via load.
-	env.Agent.Sequencer.PinNext(&Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 250),
-		"op":   logic.FromUint64(4, 3),
+	env.Agent.Sequencer.PinNext(&Item{Fields: []Field{
+		{"data", logic.FromUint64(8, 250)},
+		{"op", logic.FromUint64(4, 3)},
 	}})
 	if _, err := env.Step(); err != nil {
 		t.Fatal(err)
@@ -241,9 +336,9 @@ func TestScoreboardGolden(t *testing.T) {
 	if err := env.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	env.Agent.Sequencer.PinNext(&Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 9),
-		"op":   logic.FromUint64(4, 3),
+	env.Agent.Sequencer.PinNext(&Item{Fields: []Field{
+		{"data", logic.FromUint64(8, 9)},
+		{"op", logic.FromUint64(4, 3)},
 	}})
 	_, _ = env.Step()
 	_, _ = env.Step()
@@ -273,14 +368,11 @@ func TestMutate(t *testing.T) {
 }
 
 func TestItemKeyDeterministic(t *testing.T) {
-	a := &Item{Fields: map[string]logic.BV{
-		"x": logic.FromUint64(4, 1),
-		"y": logic.FromUint64(4, 2),
-	}}
-	b := &Item{Fields: map[string]logic.BV{
-		"y": logic.FromUint64(4, 2),
-		"x": logic.FromUint64(4, 1),
-	}}
+	a, b := &Item{}, &Item{}
+	a.Set("x", logic.FromUint64(4, 1))
+	a.Set("y", logic.FromUint64(4, 2))
+	b.Set("y", logic.FromUint64(4, 2))
+	b.Set("x", logic.FromUint64(4, 1))
 	if a.Key() != b.Key() {
 		t.Error("key must be order independent")
 	}
@@ -301,9 +393,9 @@ endmodule`
 	if err := env.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	env.Agent.Sequencer.PinNext(&Item{Fields: map[string]logic.BV{
-		"a": logic.FromUint64(4, 0b1100),
-		"b": logic.FromUint64(4, 0b1010),
+	env.Agent.Sequencer.PinNext(&Item{Fields: []Field{
+		{"a", logic.FromUint64(4, 0b1100)},
+		{"b", logic.FromUint64(4, 0b1010)},
 	}})
 	if _, err := env.Step(); err != nil {
 		t.Fatal(err)
@@ -387,9 +479,9 @@ func TestItemHoldCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := env.Sim.Cycle()
-	it := &Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 1),
-		"op":   logic.FromUint64(4, 1), // accumulate
+	it := &Item{Fields: []Field{
+		{"data", logic.FromUint64(8, 1)},
+		{"op", logic.FromUint64(4, 1)}, // accumulate
 	}, Hold: 5}
 	if err := env.Agent.Driver.Apply(it); err != nil {
 		t.Fatal(err)
