@@ -498,8 +498,12 @@ type Env = uvm.Env
 // EnvConfig parameterizes environment construction.
 type EnvConfig = uvm.EnvConfig
 
-// Item is one stimulus transaction.
+// Item is one stimulus transaction; its fields are sorted by name
+// (build them with Item.Set).
 type Item = uvm.Item
+
+// Field is one named stimulus value of an Item.
+type Field = uvm.Field
 
 // NewEnv builds a UVM environment around a design.
 func NewEnv(d *Design, c EnvConfig) (*Env, error) { return uvm.NewEnv(d, c) }
