@@ -95,15 +95,21 @@ func (g *Graph) sliceInit() {
 			st.bind[InVar+name] = ConstBV(v)
 		}
 	}
+	read := map[int]string{}
+	for name := range widths {
+		if reg, ok := strings.CutPrefix(name, CurVar); ok {
+			if sig := g.Design.ByName[reg]; sig != nil && sig.IsReg {
+				read[sig.Index] = name
+			}
+		}
+	}
 	for _, sig := range g.Design.Signals {
 		if !sig.IsReg {
 			continue
 		}
-		name := CurVar + sig.Name
-		if _, read := widths[name]; read {
+		if name, ok := read[sig.Index]; ok {
 			st.refs = append(st.refs, sliceRef{name: name, idx: sig.Index, inCluster: inCluster[sig.Index]})
-		}
-		if !inCluster[sig.Index] && !st.fixed[name] {
+		} else if !inCluster[sig.Index] {
 			st.extra = append(st.extra, sig.Index)
 		}
 	}
