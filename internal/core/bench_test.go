@@ -43,15 +43,27 @@ func BenchmarkEngineSoCUnpruned(b *testing.B) { benchEngine(b, "opentitan_mini",
 func BenchmarkEngineArbPruned(b *testing.B)   { benchEngine(b, "bus_arb", false) }
 func BenchmarkEngineArbUnpruned(b *testing.B) { benchEngine(b, "bus_arb", true) }
 
-// BenchmarkEngineSoCGuided runs the tuned SoC campaign (opentitan_mini
-// with its planted bugs, I=100/Th=2, compiled backend, snapshots), the
-// configuration where guidance does real work, and reports campaign
-// throughput and heap allocation per vector:
+// BenchmarkEngineSoCGuided runs the tuned SoC campaign (I=100/Th=2),
+// the configuration where guidance does real work:
 //
 //	go test -run '^$' -bench EngineSoCGuided -benchtime 3x ./internal/core
-func BenchmarkEngineSoCGuided(b *testing.B) {
+func BenchmarkEngineSoCGuided(b *testing.B) { benchSoC(b, 100, 2, 20_000) }
+
+// BenchmarkEngineSoCDefault runs the campaign at the CLI defaults
+// (I=300/Th=3, 40k vectors), where guidance rarely fires and per-cycle
+// coverage sampling, simulation and property checks set the time:
+//
+//	go test -run '^$' -bench EngineSoCDefault -benchtime 3x ./internal/core
+func BenchmarkEngineSoCDefault(b *testing.B) { benchSoC(b, 300, 3, 40_000) }
+
+// benchSoC runs opentitan_mini with its planted bugs on the compiled
+// backend with snapshots, and reports campaign throughput, heap
+// allocation per vector, and retained-MB: the live-heap growth across
+// Run, measured after a GC with the engine still live.
+func benchSoC(b *testing.B, interval, threshold int, vectors uint64) {
 	bm := designs.OpenTitanMini(nil)
-	var vectors, allocated uint64
+	var ran, allocated uint64
+	var retained int64
 	var elapsed time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -60,13 +72,14 @@ func BenchmarkEngineSoCGuided(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng, err := New(d, bm.Properties, Config{
-			Interval: 100, Threshold: 2, MaxVectors: 20_000, Seed: int64(i + 1),
+			Interval: interval, Threshold: threshold, MaxVectors: vectors, Seed: int64(i + 1),
 			UseSnapshots: true, SimBackend: "compiled", ContinueAfterCoverage: true,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		var before, after runtime.MemStats
+		var before, after, live runtime.MemStats
+		runtime.GC()
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		start := time.Now()
@@ -75,10 +88,16 @@ func BenchmarkEngineSoCGuided(b *testing.B) {
 			b.Fatal(err)
 		}
 		elapsed += time.Since(start)
+		b.StopTimer()
 		runtime.ReadMemStats(&after)
-		vectors += rep.Vectors
+		runtime.GC()
+		runtime.ReadMemStats(&live)
+		runtime.KeepAlive(eng)
+		ran += rep.Vectors
 		allocated += after.TotalAlloc - before.TotalAlloc
+		retained += int64(live.HeapAlloc) - int64(before.HeapAlloc)
 	}
-	b.ReportMetric(float64(vectors)/elapsed.Seconds(), "vectors/s")
-	b.ReportMetric(float64(allocated)/float64(vectors), "B/vector")
+	b.ReportMetric(float64(ran)/elapsed.Seconds(), "vectors/s")
+	b.ReportMetric(float64(allocated)/float64(ran), "B/vector")
+	b.ReportMetric(float64(retained)/float64(b.N)/(1<<20), "retained-MB")
 }

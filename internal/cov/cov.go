@@ -47,18 +47,15 @@ func (f tracerFunc) Branch(id, arm int) { f(id, arm) }
 // ---- SymbFuzz CFG coverage ----
 
 // CFGCov tracks node, edge and interaction-tuple coverage against the
-// clustered static CFG of a design.
+// clustered static CFG of a design. Valuations and transitions absent
+// from the (possibly truncated) static graphs are interned for position
+// tracking but never counted or rendered, so the metric stays bounded
+// on large designs.
 type CFGCov struct {
 	P *cfg.Partition
 	// NodesSeen / EdgesSeen are static hits, per cluster graph.
 	NodesSeen []map[int]bool
 	EdgesSeen []map[int]bool
-	// DynNodes / DynEdges are valuations and transitions observed at
-	// run time but absent from the (possibly truncated) static graphs;
-	// tracked for diagnostics but excluded from Points so the metric
-	// stays bounded on large designs.
-	DynNodes map[string]bool
-	DynEdges map[string]bool
 	// Tuples are the control-register interaction tuples of §4.6: each
 	// exercised branch arm paired with the valuations of the control
 	// registers that branch reads. The population is a sum of local
@@ -76,8 +73,8 @@ type CFGCov struct {
 	// The sampling state below is built by the first Sample or
 	// SyncPosition (initSampling), so a CFGCov built as a struct
 	// literal samples like one from NewCFGCov. Its caches remember only
-	// points this monitor has already put in the exported sets, which
-	// never shrink, so Merge need not touch them.
+	// off-graph points and points this monitor has already put in the
+	// exported sets, which never shrink, so Merge need not touch them.
 
 	// clusters[gi] interns cluster gi's valuations.
 	clusters []clusterCache
@@ -99,8 +96,8 @@ type CFGCov struct {
 // clusterCache interns one cluster's control-register valuations by
 // their exact packed aval/bval words. The key is exact, not a hash: a
 // collision would merge two valuations and silently drop coverage. A
-// valuation's node key, ByKey lookup and DynNodes entry are rendered
-// once, on its first sighting.
+// valuation's node key is rendered for its ByKey lookup once, on its
+// first sighting.
 type clusterCache struct {
 	regs []int
 	// last holds the words of regs at the last sighting, which was
@@ -110,19 +107,18 @@ type clusterCache struct {
 	lastVal int32
 	ids     map[string]int32 // packed words -> index into vals
 	vals    []valuation
-	// trans holds every (from, to) valuation pair, from != to, whose
-	// transition is already in EdgesSeen or DynEdges.
+	// trans holds every (from, to) pair of static valuations, from !=
+	// to, whose transition has been resolved against the static edges.
 	trans map[[2]int32]struct{}
 }
 
 // valuation is one interned cluster valuation.
 type valuation struct {
-	key  string // nodeKeyOf rendering
-	node int    // static node ID, -1 off-graph
-	self int    // static self-loop edge of node, -1 none
-	// recorded is set once the valuation is in NodesSeen or DynNodes
-	// (SyncPosition interns a valuation without recording it), and
-	// selfRecorded once self is in EdgesSeen.
+	node int // static node ID, -1 off-graph
+	self int // static self-loop edge of node, -1 none
+	// recorded is set once a Sample has seen the valuation, and its
+	// node, if any, is in NodesSeen (SyncPosition interns a valuation
+	// without recording it); selfRecorded once self is in EdgesSeen.
 	recorded, selfRecorded bool
 	// succ memoizes up to maxSucc recorded transitions out of this
 	// valuation: succ[i] is a destination valuation and succWords[i*n:]
@@ -163,8 +159,6 @@ func NewCFGCov(p *cfg.Partition) *CFGCov {
 		P:         p,
 		NodesSeen: make([]map[int]bool, len(p.Graphs)),
 		EdgesSeen: make([]map[int]bool, len(p.Graphs)),
-		DynNodes:  map[string]bool{},
-		DynEdges:  map[string]bool{},
 		Tuples:    map[string]bool{},
 	}
 	for i := range p.Graphs {
@@ -312,8 +306,8 @@ func (c *CFGCov) intern(gi int, s sim.DUV, changed bool) int32 {
 	id, ok := cc.ids[string(c.key)]
 	if !ok {
 		g := c.P.Graphs[gi]
-		v := valuation{key: nodeKeyOf(g, s), node: -1, self: -1}
-		if n, ok := g.ByKey[canonKey(v.key)]; ok {
+		v := valuation{node: -1, self: -1}
+		if n, ok := g.ByKey[canonKey(nodeKeyOf(g, s))]; ok {
 			v.node = n
 			v.self = edgeBetween(g, n, n)
 		}
@@ -357,8 +351,6 @@ func (c *CFGCov) Sample(s sim.DUV) {
 			v.recorded = true
 			if v.node >= 0 {
 				c.NodesSeen[gi][v.node] = true
-			} else {
-				c.DynNodes[fmt.Sprintf("g%d:%s", gi, v.key)] = true
 			}
 		}
 		if c.hasPrev {
@@ -381,28 +373,28 @@ func (c *CFGCov) Sample(s sim.DUV) {
 }
 
 // transition records cluster gi's move between two distinct
-// valuations: the static edge between their nodes when there is one,
-// an off-graph DynEdges entry otherwise. The cluster's last words are
-// to's, and the move joins from's successor memo while it has room.
+// valuations: the static edge between their nodes, if both are static
+// and there is one. The cluster's last words are to's, and the move
+// joins from's successor memo while it has room.
 func (c *CFGCov) transition(gi int, from, to int32) {
 	cc := &c.clusters[gi]
-	if f := &cc.vals[from]; len(f.succ) < maxSucc {
+	f := &cc.vals[from]
+	if len(f.succ) < maxSucc {
 		f.succ = append(f.succ, to)
 		f.succWords = append(f.succWords, cc.last...)
+	}
+	fn, tn := f.node, cc.vals[to].node
+	if fn < 0 || tn < 0 {
+		return
 	}
 	pair := [2]int32{from, to}
 	if _, ok := cc.trans[pair]; ok {
 		return
 	}
 	cc.trans[pair] = struct{}{}
-	f, t := cc.vals[from], cc.vals[to]
-	if f.node >= 0 && t.node >= 0 {
-		if eid := edgeBetween(c.P.Graphs[gi], f.node, t.node); eid >= 0 {
-			c.EdgesSeen[gi][eid] = true
-			return
-		}
+	if eid := edgeBetween(c.P.Graphs[gi], fn, tn); eid >= 0 {
+		c.EdgesSeen[gi][eid] = true
 	}
-	c.DynEdges[fmt.Sprintf("g%d:%s>%s", gi, f.key, t.key)] = true
 }
 
 // tuple records the interaction tuple of branch id's arm: the arm
@@ -445,8 +437,7 @@ func canonKey(k string) string {
 }
 
 // Points implements Monitor: interaction tuples plus covered static
-// structure. Dynamic (off-graph) observations are excluded to keep the
-// metric bounded on large designs.
+// nodes and edges.
 func (c *CFGCov) Points() int {
 	n := len(c.Tuples)
 	for i := range c.P.Graphs {
@@ -490,9 +481,10 @@ func (c *CFGCov) AllEdgesCovered() bool {
 // Merging is a set union — idempotent and commutative — so an edge
 // covered both locally and globally counts exactly once and repeated
 // publishes of the same monitor are safe: Merge(a, a) leaves a
-// unchanged, and Points never double-counts. The Dropped counter and
-// the position-tracking state (prev, the event buffer) are local
-// simulation artifacts, not coverage, and are deliberately untouched.
+// unchanged, and Points never double-counts. Off-graph observations are
+// not coverage and have nothing to merge. The Dropped counter and the
+// position-tracking state (prev, the event buffer) are local simulation
+// artifacts, not coverage, and are deliberately untouched.
 // Merge must not run concurrently with either monitor's Sample.
 func (c *CFGCov) Merge(o *CFGCov) {
 	if o == nil {
@@ -508,12 +500,6 @@ func (c *CFGCov) Merge(o *CFGCov) {
 		for id := range o.EdgesSeen[gi] {
 			c.EdgesSeen[gi][id] = true
 		}
-	}
-	for k := range o.DynNodes {
-		c.DynNodes[k] = true
-	}
-	for k := range o.DynEdges {
-		c.DynEdges[k] = true
 	}
 	for k := range o.Tuples {
 		c.Tuples[k] = true

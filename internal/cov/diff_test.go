@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,18 +17,23 @@ import (
 
 // refCov is the reference CFGCov sampling is compared against: it
 // renders every node key and tuple string on every cycle and interns
-// nothing. Its sets live in a CFGCov that never samples.
+// nothing. Its static sets and tuples live in a CFGCov that never
+// samples; dynNodes and dynEdges hold the off-graph valuations and
+// transitions it saw, which CFGCov does not keep.
 type refCov struct {
-	c          *CFGCov
-	branchRegs [][]int
-	prevKey    []string
-	prevNode   []int
-	hasPrev    bool
+	c                  *CFGCov
+	dynNodes, dynEdges map[string]bool
+	branchRegs         [][]int
+	prevKey            []string
+	prevNode           []int
+	hasPrev            bool
 }
 
 func newRefCov(p *cfg.Partition) *refCov {
 	r := &refCov{
 		c:          NewCFGCov(p),
+		dynNodes:   map[string]bool{},
+		dynEdges:   map[string]bool{},
 		branchRegs: make([][]int, p.Design.Branches),
 		prevKey:    make([]string, len(p.Graphs)),
 		prevNode:   make([]int, len(p.Graphs)),
@@ -58,7 +64,7 @@ func (r *refCov) sample(s sim.DUV, events [][2]int) {
 			nid = id
 			c.NodesSeen[gi][id] = true
 		} else {
-			c.DynNodes[fmt.Sprintf("g%d:%s", gi, key)] = true
+			r.dynNodes[fmt.Sprintf("g%d:%s", gi, key)] = true
 		}
 		if r.hasPrev {
 			covered := false
@@ -72,7 +78,7 @@ func (r *refCov) sample(s sim.DUV, events [][2]int) {
 				}
 			}
 			if !covered && key != r.prevKey[gi] {
-				c.DynEdges[fmt.Sprintf("g%d:%s>%s", gi, r.prevKey[gi], key)] = true
+				r.dynEdges[fmt.Sprintf("g%d:%s>%s", gi, r.prevKey[gi], key)] = true
 			}
 		}
 		r.prevKey[gi] = key
@@ -168,14 +174,25 @@ func (r *byteSrc) fourState(width int) logic.BV {
 // node, along an edge, or by knocking one register to an arbitrary
 // four-state value), raises branch events and samples. Every monitor
 // and the reference (when non-nil) see the same walk, and PrevNode
-// must agree with the reference after every step.
+// must agree with the reference after every step. A Sample that puts
+// a cluster off-graph, by the reference, must add nothing to that
+// cluster's static sets: neither the valuation nor the move onto it is
+// static coverage.
 func covWalk(t testing.TB, p *cfg.Partition, in []byte, ref *refCov, ms ...*CFGCov) {
 	t.Helper()
 	src := byteSrc(in)
 	f := newFakeDUV(p.Design)
 	cur := make([]int, len(p.Graphs))
+	sizes := make([][]int, len(ms))
 	for step := 0; len(src) > 0 && step < 4096; step++ {
-		switch op := src.next() % 16; op {
+		for i, m := range ms {
+			sizes[i] = sizes[i][:0]
+			for gi := 0; ref != nil && gi < len(p.Graphs); gi++ {
+				sizes[i] = append(sizes[i], len(m.NodesSeen[gi])+len(m.EdgesSeen[gi]))
+			}
+		}
+		op := src.next() % 16
+		switch op {
 		case 0:
 			for _, m := range ms {
 				m.ResetPosition()
@@ -240,18 +257,22 @@ func covWalk(t testing.TB, p *cfg.Partition, in []byte, ref *refCov, ms ...*CFGC
 				if got, want := m.PrevNode(gi), ref.prevNode[gi]; got != want {
 					t.Fatalf("step %d: monitor %d PrevNode(%d) = %d, want %d", step, i, gi, got, want)
 				}
+				if op > 1 && ref.prevNode[gi] < 0 && len(m.NodesSeen[gi])+len(m.EdgesSeen[gi]) != sizes[i][gi] {
+					t.Fatalf("step %d: monitor %d recorded static coverage for off-graph cluster %d", step, i, gi)
+				}
 			}
 		}
 	}
 }
 
 type covSets struct {
-	Nodes, Edges               []map[int]bool
-	DynNodes, DynEdges, Tuples map[string]bool
+	Nodes, Edges []map[int]bool
+	Tuples       map[string]bool
+	Points       int
 }
 
 func setsOf(c *CFGCov) covSets {
-	return covSets{c.NodesSeen, c.EdgesSeen, c.DynNodes, c.DynEdges, c.Tuples}
+	return covSets{c.NodesSeen, c.EdgesSeen, c.Tuples, c.Points()}
 }
 
 // diffFixture is opentitan_mini's partition plus a monitor that
@@ -332,8 +353,8 @@ func randomBytes(seed int64, n int) []byte {
 // checkCovDiff runs one walk through a monitor from NewCFGCov, one
 // built as a struct literal (as wire decode builds them) and one that
 // had coverage merged in before its first Sample, and requires each
-// to match the reference rendering. It returns the reference's sets.
-func checkCovDiff(t testing.TB, in []byte) covSets {
+// to match the reference rendering. It returns the reference.
+func checkCovDiff(t testing.TB, in []byte) *refCov {
 	fx := loadDiffFixture(t)
 	p := fx.p
 	fresh := NewCFGCov(p)
@@ -341,8 +362,6 @@ func checkCovDiff(t testing.TB, in []byte) covSets {
 		P:         p,
 		NodesSeen: make([]map[int]bool, len(p.Graphs)),
 		EdgesSeen: make([]map[int]bool, len(p.Graphs)),
-		DynNodes:  map[string]bool{},
-		DynEdges:  map[string]bool{},
 		Tuples:    map[string]bool{},
 	}
 	for gi := range p.Graphs {
@@ -367,7 +386,7 @@ func checkCovDiff(t testing.TB, in []byte) covSets {
 	if !reflect.DeepEqual(setsOf(merged), setsOf(union)) {
 		t.Error("merged-then-sampled monitor differs from reference ∪ merged coverage")
 	}
-	return want
+	return ref
 }
 
 // syncThenSample is a covWalk that SyncPositions onto the initial,
@@ -380,7 +399,8 @@ var syncThenSample = []byte{1, 2, 0, 0, 3, 0}
 // FuzzCFGCovDiff drives CFGCov's packed-word sampling and the
 // render-every-cycle reference through the same arbitrary walk over
 // opentitan_mini's clusters, with X and Z register values, branch
-// events, ResetPosition and SyncPosition, and requires identical sets.
+// events, ResetPosition and SyncPosition, and requires identical
+// static sets, tuples and points, with no off-graph observation counted.
 func FuzzCFGCovDiff(f *testing.F) {
 	f.Add([]byte{})
 	for seed := int64(1); seed <= 3; seed++ {
@@ -394,8 +414,8 @@ func FuzzCFGCovDiff(f *testing.F) {
 
 // TestCFGCovDiffWalkReachesEveryKind guards FuzzCFGCovDiff's seed
 // walks against comparing empty sets: together they must cover static
-// edges, tuples, and off-graph nodes and edges. It also runs the
-// syncThenSample walk.
+// edges, tuples, and, by the reference, off-graph nodes and edges. It
+// also runs the syncThenSample walk.
 func TestCFGCovDiffWalkReachesEveryKind(t *testing.T) {
 	edges, tuples, dynNodes, dynEdges := 0, 0, 0, 0
 	walks := [][]byte{syncThenSample}
@@ -403,13 +423,13 @@ func TestCFGCovDiffWalkReachesEveryKind(t *testing.T) {
 		walks = append(walks, randomBytes(seed, 4096))
 	}
 	for _, walk := range walks {
-		got := checkCovDiff(t, walk)
-		for _, m := range got.Edges {
+		ref := checkCovDiff(t, walk)
+		for _, m := range ref.c.EdgesSeen {
 			edges += len(m)
 		}
-		tuples += len(got.Tuples)
-		dynNodes += len(got.DynNodes)
-		dynEdges += len(got.DynEdges)
+		tuples += len(ref.c.Tuples)
+		dynNodes += len(ref.dynNodes)
+		dynEdges += len(ref.dynEdges)
 	}
 	if edges == 0 || tuples == 0 || dynNodes == 0 || dynEdges == 0 {
 		t.Fatalf("walks too narrow: %d static edges, %d tuples, %d dyn nodes, %d dyn edges",
@@ -436,5 +456,81 @@ func TestCFGCovSampleRevisitDoesNotAllocate(t *testing.T) {
 	}
 	if len(c.Tuples) == 0 || c.PrevNode(0) < 0 {
 		t.Fatalf("sampling did not run: %d tuples, node %d", len(c.Tuples), c.PrevNode(0))
+	}
+}
+
+// TestCFGCovOffGraphChurnDoesNotAllocate pins the off-graph path on
+// opentitan_mini's comb-only u_rst cluster, whose static graph holds 32
+// of its 512 valuations: once every valuation is interned and its
+// successor memo is full, Samples that take off-graph transitions never
+// seen before allocate nothing.
+func TestCFGCovOffGraphChurnDoesNotAllocate(t *testing.T) {
+	fx := loadDiffFixture(t)
+	gi := slices.IndexFunc(fx.p.Graphs, func(g *cfg.Graph) bool {
+		var names []string
+		for _, cr := range g.Regs {
+			names = append(names, cr.Sig.Name)
+		}
+		slices.Sort(names)
+		return slices.Equal(names, []string{"u_rst.combo_en", "u_rst.key_combo", "u_rst.permit_mask"})
+	})
+	if gi < 0 {
+		t.Fatal("no cluster of u_rst.key_combo, combo_en and permit_mask")
+	}
+	g := fx.p.Graphs[gi]
+	f := newFakeDUV(fx.p.Design)
+	n := 1
+	for _, cr := range g.Regs {
+		n <<= cr.Sig.Width
+	}
+	// put sets the cluster's registers to valuation v, packed LSB-first
+	// in register order.
+	put := func(v int) {
+		for _, cr := range g.Regs {
+			f.a[cr.Sig.Index][0] = uint64(v) & (1<<cr.Sig.Width - 1)
+			v >>= cr.Sig.Width
+		}
+	}
+	c := NewCFGCov(fx.p)
+	// Every valuation moves to each of the next maxSucc valuations and
+	// back, which interns it and fills its successor memo. The walk takes
+	// only moves between valuations at most maxSucc apart.
+	var off []int
+	for v := 0; v < n; v++ {
+		put(v)
+		c.Sample(f)
+		if c.PrevNode(gi) < 0 {
+			off = append(off, v)
+		}
+		for k := 1; k <= maxSucc; k++ {
+			put((v + k) % n)
+			c.Sample(f)
+			put(v)
+			c.Sample(f)
+		}
+	}
+	if len(g.Nodes) >= n || len(off) != n-len(g.Nodes) {
+		t.Fatalf("%d of %d valuations off-graph with %d static nodes", len(off), n, len(g.Nodes))
+	}
+	static := len(c.NodesSeen[gi]) + len(c.EdgesSeen[gi])
+	// Each run moves from an off-graph valuation u to u+n/2 and on to
+	// the next run's u: new moves, each with an off-graph end.
+	runs := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		u := off[runs%len(off)]
+		runs++
+		put(u)
+		c.Sample(f)
+		put((u + n/2) % n)
+		c.Sample(f)
+	})
+	if runs > len(off) {
+		t.Fatalf("%d runs repeat moves: only %d off-graph valuations", runs, len(off))
+	}
+	if allocs != 0 {
+		t.Errorf("Sample on a new off-graph transition allocates %.1f times", allocs)
+	}
+	if got := len(c.NodesSeen[gi]) + len(c.EdgesSeen[gi]); got != static {
+		t.Errorf("off-graph moves changed static coverage: %d -> %d", static, got)
 	}
 }

@@ -5,10 +5,10 @@ import (
 )
 
 // snapshotCounts digests a monitor's set sizes for equality checks.
-func snapshotCounts(c *CFGCov) [6]int {
+func snapshotCounts(c *CFGCov) [4]int {
 	nodes, _ := c.NodeCoverage()
 	edges, _ := c.EdgeCoverage()
-	return [6]int{c.Points(), nodes, edges, len(c.Tuples), len(c.DynNodes), len(c.DynEdges)}
+	return [4]int{c.Points(), nodes, edges, len(c.Tuples)}
 }
 
 // TestCFGCovMergeIdempotent pins the parallel-merge contract: merging
@@ -58,7 +58,7 @@ func TestCFGCovMergeUnion(t *testing.T) {
 	Attach(fb.s, b)
 	drive(t, fb, 1, 3, 0) // path 0->1->3->0 (overlaps 0->1)
 
-	union := func(first, second *CFGCov) [6]int {
+	union := func(first, second *CFGCov) [4]int {
 		m := NewCFGCov(fa.g)
 		m.Merge(first)
 		m.Merge(second)

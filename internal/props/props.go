@@ -354,6 +354,7 @@ type Checker struct {
 	depth      int // length of every history ring (>= 2)
 	histPos    int
 	histFilled int
+	samples    uint64 // Samples so far; stamps history positions
 	sim        sim.DUV
 	violations []Violation
 	// FirstOnly reports each property at most once.
@@ -373,17 +374,19 @@ type slot struct {
 	sig   int      // DUV signal index, -1 for a name the design lacks
 	width int      // of the signal's values; 1 for a missing name
 	cur   logic.BV // last value read
-	// ring holds the signal's history. An entry whose value was not
-	// read when it was pushed keeps only its words, in words, and past
-	// builds its value on first use.
-	ring  []entry
+	// The history ring: position pos holds the signal's aval then bval
+	// words in words[2*nw*pos:], pushed by Sample number stamp[pos] (0
+	// for never). past builds a position's value on its first read and
+	// keeps it in built, valid while its stamp is the position's.
+	stamp []uint64
 	words []uint64
+	built []stamped
 }
 
-// entry is one history position of a slot.
-type entry struct {
-	v       logic.BV // the value; invalid while only its words are kept
-	written bool
+// stamped is a value past built, with the stamp of its position.
+type stamped struct {
+	stamp uint64
+	v     logic.BV
 }
 
 // NewChecker builds a checker over the given properties.
@@ -428,8 +431,8 @@ func (c *Checker) AddProperty(p *Property) {
 	c.props = append(c.props, b)
 	// All rings share the global depth so a single write cursor works.
 	for i := range c.slots {
-		if len(c.slots[i].ring) != c.depth {
-			c.slots[i].ring = make([]entry, c.depth)
+		if sl := &c.slots[i]; len(sl.stamp) != c.depth {
+			sl.stamp, sl.words, sl.built = make([]uint64, c.depth), nil, nil
 		}
 	}
 	c.histPos = -1
@@ -548,62 +551,52 @@ func holds(a, b []uint64, v logic.BV) bool {
 	return true
 }
 
-// push records slot i's current value at history position pos: the
-// last value read when the signal still holds it, and otherwise a copy
-// of its words, from which past builds the value if asked.
+// push records slot i's current words at history position pos.
 func (c *Checker) push(i, pos int) {
 	sl := &c.slots[i]
-	e := &sl.ring[pos]
-	var a, b []uint64
-	if sl.sig >= 0 {
-		a, b = c.sim.Words(sl.sig)
-	}
-	if sl.sig < 0 || holds(a, b, sl.cur) {
-		// A signal that held still for the whole ring finds its value
-		// already in place.
-		if !e.written || !sameValue(e.v, sl.cur) {
-			*e = entry{v: sl.cur, written: true}
-		}
+	if sl.sig < 0 {
 		return
 	}
-	*e = entry{written: true}
+	a, b := c.sim.Words(sl.sig)
 	nw := len(a)
-	// The words are sized on first use after the ring is (re)made;
-	// every entry written before that holds its value.
-	if len(sl.words) != 2*nw*len(sl.ring) {
-		sl.words = make([]uint64, 2*nw*len(sl.ring))
+	// The words are sized on first use after the ring is (re)made.
+	if len(sl.words) != 2*nw*len(sl.stamp) {
+		sl.words = make([]uint64, 2*nw*len(sl.stamp))
 	}
+	sl.stamp[pos] = c.samples
 	w := sl.words[2*nw*pos:]
 	copy(w[:nw], a)
 	copy(w[nw:2*nw], b)
 }
 
-// sameValue reports whether a and b are one value: equal widths and
-// the same planes, which an immutable BV never shares with another
-// value.
-func sameValue(a, b logic.BV) bool {
-	aw, _ := a.Words()
-	bw, _ := b.Words()
-	return len(aw) > 0 && len(bw) > 0 && &aw[0] == &bw[0] && a.Width() == b.Width()
-}
-
 // past returns slot i's value n cycles ago (X before enough history).
+// A position's value is built on its first read, reusing the last
+// value read when the words still equal it.
 func (c *Checker) past(i, n int) logic.BV {
 	sl := &c.slots[i]
-	if n > len(sl.ring) || n > c.histFilled {
+	if sl.sig < 0 || n > len(sl.stamp) || n > c.histFilled {
 		return bvX
 	}
-	pos := ((c.histPos-(n-1))%len(sl.ring) + len(sl.ring)) % len(sl.ring)
-	e := &sl.ring[pos]
-	if !e.written {
+	pos := ((c.histPos-(n-1))%len(sl.stamp) + len(sl.stamp)) % len(sl.stamp)
+	st := sl.stamp[pos]
+	if st == 0 {
 		return bvX
 	}
-	if !e.v.Valid() {
-		nw := (sl.width + 63) / 64
-		w := sl.words[2*nw*pos:]
-		e.v = logic.FromWords(sl.width, w[:nw], w[nw:2*nw])
+	if sl.built == nil {
+		sl.built = make([]stamped, len(sl.stamp))
 	}
-	return e.v
+	if b := sl.built[pos]; b.stamp == st {
+		return b.v
+	}
+	nw := (sl.width + 63) / 64
+	w := sl.words[2*nw*pos:]
+	a, b := w[:nw], w[nw:2*nw]
+	v := sl.cur
+	if !holds(a, b, v) {
+		v = logic.FromWords(sl.width, a, b)
+	}
+	sl.built[pos] = stamped{st, v}
+	return v
 }
 
 // Val implements Ctx.
@@ -663,6 +656,7 @@ func (c *Checker) Sample() {
 		}
 	}
 	c.histPos = (c.histPos + 1 + c.depth) % c.depth
+	c.samples++
 	for i := range c.slots {
 		c.push(i, c.histPos)
 	}
