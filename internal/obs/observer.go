@@ -356,8 +356,9 @@ func (o *Observer) CampaignStart(vectors uint64, points int) {
 // campaign_end to be the lane's last event. campaign_end carries the
 // lane's slicing totals (net variables sliced away, statically refuted
 // targets) so offline reports reconcile with Report.SlicedVars /
-// Report.InfeasibleTargets without replaying every dispatch.
-func (o *Observer) CampaignEnd(vectors uint64, points int) {
+// Report.InfeasibleTargets without replaying every dispatch, and the
+// lane's simulator profile when the engine collected one.
+func (o *Observer) CampaignEnd(vectors uint64, points int, sim ...SimEntry) {
 	if o == nil {
 		return
 	}
@@ -376,6 +377,7 @@ func (o *Observer) CampaignEnd(vectors uint64, points int) {
 		TNS: o.Now(), Type: EvCampaignEnd, Vectors: vectors, Points: points,
 		SlicedVars:        o.cSliceVars.Value(),
 		InfeasibleTargets: o.cSliceSkip.Value(),
+		Sim:               sim,
 	})
 }
 

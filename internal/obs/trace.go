@@ -99,6 +99,9 @@ type Event struct {
 	SlicedVars        int64 `json:"sliced_vars,omitempty"`
 	Infeasible        bool  `json:"infeasible,omitempty"`
 	InfeasibleTargets int64 `json:"infeasible_targets,omitempty"`
+	// Sim is the lane's per-process simulator profile (campaign_end
+	// only, when the engine profiles the simulator).
+	Sim []SimEntry `json:"sim,omitempty"`
 
 	// Causal-span fields (type "span"). Span IDs are deterministic,
 	// derived from (lane, interval, sequence) — e.g. "w2.i3.s1" — never
@@ -150,8 +153,9 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer {
 	return t
 }
 
-// Emit implements Tracer. Every Event field is a plain string, number
-// or bool, so encoding cannot fail and an Encode error is the writer's.
+// Emit implements Tracer. Every Event field is a plain string, number,
+// bool or slice of such structs, so encoding cannot fail and an Encode
+// error is the writer's.
 func (t *JSONLTracer) Emit(ev *Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
