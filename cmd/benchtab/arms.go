@@ -15,8 +15,8 @@ import (
 
 // This file is the measurement path the overhead experiments share:
 // the interleaved arm runner, the record writer, the tuned campaign
-// configuration, and the on/off overhead harness that the flight, prof
-// and watch experiments are instances of.
+// configuration, and the on/off overhead harness that the flight and
+// watch experiments are instances of.
 
 // arm runs the measured work once and returns its wall time in
 // nanoseconds. Set-up that is not part of the measurement (elaboration,
@@ -118,7 +118,7 @@ func sameReport(a, b *core.Report) bool {
 // to a campaign before its overhead experiment fails.
 const overheadBudget = 0.05
 
-// OverheadBench is the record the flight, prof and watch experiments
+// OverheadBench is the record the flight and watch experiments
 // write: the same campaign timed with an instrument on and off.
 type OverheadBench struct {
 	recordHeader

@@ -1,8 +1,8 @@
 // Command benchtab regenerates the paper's evaluation tables and
 // figures (§5) at a configurable budget and prints them as text, and
-// times what the campaign instruments cost: the flight recorder, the
-// cost profiler and the watch plane each write an on/off overhead
-// record (BENCH_<exp>.json at the root). Campaign throughput and its
+// times what the campaign instruments cost: the flight recorder and
+// the watch plane each write an on/off overhead record
+// (BENCH_<exp>.json at the root). Campaign throughput and its
 // per-layer split are measured by the end-to-end benchmark in bench/.
 //
 // Usage:
@@ -19,7 +19,7 @@
 // instrument that did no work or changed the campaign's report writes
 // nothing, an overhead past 5% is still written with within_5pct false:
 //
-//	benchtab -exp prof
+//	benchtab -exp flight
 //	benchtab -exp watch -runs 7 -out BENCH_watch_new.json
 package main
 
@@ -54,7 +54,6 @@ var experiments = []experiment{
 	{name: "sec54", table: table(eval.RunSection54, eval.WriteSection54)},
 	{name: "scalability", table: table(eval.RunScalability, eval.WriteScalability)},
 	{name: "flight", record: runFlight},
-	{name: "prof", record: runProf},
 	{name: "watch", record: runWatch},
 }
 
@@ -71,7 +70,7 @@ func table[T any](run func(eval.Config) (T, error), write func(io.Writer, T)) fu
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|sec54|scalability|flight|prof|watch|all (the paper tables run under all; flight, prof and watch write overhead records and run only by name)")
+		exp    = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|sec54|scalability|flight|watch|all (the paper tables run under all; flight and watch write overhead records and run only by name)")
 		budget = flag.Uint64("budget", 0, "vector budget per IP run (0 = defaults)")
 		soc    = flag.Uint64("soc-budget", 0, "vector budget for SoC curves")
 		runs   = flag.Int("runs", 0, "runs averaged (figure 4, table 2) or interleaved runs per arm (overhead records); 0 = the experiment's default")

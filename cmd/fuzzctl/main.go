@@ -109,7 +109,7 @@ func cmdCreate(base string, args []string) error {
 	keepGoing := fs.Bool("keep-going", true, "continue after full CFG coverage")
 	noSlice := fs.Bool("no-slice", false, "disable cone-of-influence slicing")
 	simBack := fs.String("sim", "compiled", "simulation backend: compiled or interp")
-	profile := fs.Bool("prof", false, "collect per-rank cost ledgers")
+	profile := fs.Bool("prof", false, "profile each rank's simulator: per-process eval counts in the campaign trace (fuzzprof renders its cost ledger)")
 	stopAt := fs.Int("stop-at-points", 0, "stop once the merged frontier reaches this many points")
 	fs.Parse(args)
 	if *name == "" || *bench == "" {

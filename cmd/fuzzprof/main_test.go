@@ -6,22 +6,30 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/prof"
+	"repro/internal/obs"
 )
 
-func sampleDump() *prof.Dump {
-	p := prof.New(prof.Options{Rank: 0})
-	p.SolverDispatch(0, 3, prof.DispatchCost{Sat: false, Clauses: 800, Conflicts: 4, SlicedVars: 100})
-	p.SolverDispatch(0, 5, prof.DispatchCost{Sat: true, Clauses: 60, SlicedVars: 7, Cache: prof.CacheMiss, BlastNS: 100})
-	p.PlanUnlocked(0, 5, 5)
-	p.SolverDispatch(1, 2, prof.DispatchCost{Sat: false, Infeasible: true})
-	p.SetSim([]prof.SimEntry{
-		{Proc: "regWrite", Kind: "seq", Level: -1, Evals: 2000, SampledEvals: 31, SampledNS: 9300},
-		{Proc: "assign0", Kind: "comb", Level: 1, Evals: 1990},
-	})
-	d := prof.NewDump("scmi_mailbox", 7, p.Ledgers())
-	d.Wire = []prof.WireEntry{{RPC: "report", Calls: 2, BytesIn: 100, BytesOut: 50, WallNS: 1000}}
-	return d
+// sampleLedger derives a ledger from a small single-engine trace: an
+// unsat solve, a sat solve whose plan unlocks 5 points, an infeasible
+// target on another graph, and a two-process simulator profile.
+func sampleLedger(t *testing.T) *obs.CostLedger {
+	t.Helper()
+	events := []obs.Event{
+		{Type: obs.EvCampaignStart},
+		{Type: obs.EvSpan, Kind: obs.SpanSolve, Span: "w0.i3.s1", Graph: 0, Edge: 3, Outcome: "unsat", Clauses: 800, Conflicts: 4, SlicedVars: 100},
+		{Type: obs.EvSpan, Kind: obs.SpanSolve, Span: "w0.i3.s2", Graph: 0, Edge: 5, Outcome: "sat", Clauses: 60, SlicedVars: 7, Cache: "miss", BlastNS: 100},
+		{Type: obs.EvSpan, Kind: obs.SpanPlanApply, Span: "w0.i3.s3", Parent: "w0.i3.s2", Graph: 0, Edge: 5, Gained: 5},
+		{Type: obs.EvSpan, Kind: obs.SpanSolve, Span: "w0.i4.s1", Graph: 1, Edge: 2, Outcome: "unsat", Infeasible: true},
+		{Type: obs.EvCampaignEnd, Sim: []obs.SimEntry{
+			{Proc: "regWrite", Kind: "seq", Level: -1, Evals: 2000, SampledEvals: 31, SampledNS: 9300},
+			{Proc: "assign0", Kind: "comb", Level: 1, Evals: 1990},
+		}},
+	}
+	l, err := obs.BuildCostLedger(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // TestTreemapLayout pins the layout invariants: tiles are in-bounds,
@@ -65,10 +73,10 @@ func TestTreemapLayout(t *testing.T) {
 	}
 }
 
-// TestRenderReportDeterministic renders the same dump twice and checks
-// the report carries the ledger's key numbers.
+// TestRenderReportDeterministic renders the same ledger twice and
+// checks the report carries the ledger's key numbers.
 func TestRenderReportDeterministic(t *testing.T) {
-	d := sampleDump()
+	d := sampleLedger(t)
 	var b1, b2 bytes.Buffer
 	renderReport(&b1, d, 10, 72)
 	renderReport(&b2, d, 10, 72)
@@ -77,8 +85,8 @@ func TestRenderReportDeterministic(t *testing.T) {
 	}
 	out := b1.String()
 	for _, want := range []string{
-		"scmi_mailbox seed 7", "3 solver dispatches", "1 infeasible",
-		"g0:e3", "regWrite", "coordinator wire ledger",
+		"1 rank(s)", "3 solver dispatches", "1 infeasible", "5 coverage points unlocked",
+		"g0:e3", "regWrite", "coverage unlocked per solver cost",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -89,7 +97,7 @@ func TestRenderReportDeterministic(t *testing.T) {
 // TestFlameJSON checks the hierarchy invariant flamegraph consumers
 // rely on: every parent's value is the sum of its children.
 func TestFlameJSON(t *testing.T) {
-	data, err := flameJSON(sampleDump())
+	data, err := flameJSON(sampleLedger(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
-	"repro/internal/prof"
+	"repro/internal/obs"
 )
 
 // renderReport writes the terminal cost report. Everything except the
 // explicitly-marked annotation columns is derived from deterministic
-// counters, so the same dump always renders the same bytes.
-func renderReport(w io.Writer, d *prof.Dump, topN, width int) {
-	fmt.Fprintf(w, "campaign cost ledger: %s seed %d, %d rank(s)\n", d.Bench, d.Seed, d.Workers)
+// counters, so the same trace always renders the same bytes.
+func renderReport(w io.Writer, d *obs.CostLedger, topN, width int) {
+	fmt.Fprintf(w, "campaign cost ledger: %d rank(s)\n", d.Workers)
 	t := d.Totals
 	fmt.Fprintf(w, "totals: %d sim evals; %d solver dispatches (%d sat, %d unsat, %d infeasible)\n",
 		t.Evals, t.Dispatches, t.Sat, t.Unsat, t.Infeasible)
@@ -56,7 +55,7 @@ func renderReport(w io.Writer, d *prof.Dump, topN, width int) {
 		fmt.Fprintf(w, "\ntop solver targets by clauses:\n")
 		fmt.Fprintf(w, "  %-10s %6s %5s %6s %5s %9s %9s %7s %8s %10s\n",
 			"target", "disp", "sat", "unsat", "infea", "clauses", "conflicts", "sliced", "unlocked", "clauses/pt")
-		rows := append([]prof.SolverEntry(nil), solver...)
+		rows := append([]obs.SolverEntry(nil), solver...)
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Clauses > rows[j].Clauses })
 		for i, s := range rows {
 			if i >= topN {
@@ -76,7 +75,7 @@ func renderReport(w io.Writer, d *prof.Dump, topN, width int) {
 	if len(sim) > 0 {
 		fmt.Fprintf(w, "\nhot simulator processes (levelized; ns/eval is a sampled annotation):\n")
 		fmt.Fprintf(w, "  %-40s %-4s %5s %12s %9s\n", "process", "kind", "level", "evals", "ns/eval")
-		rows := append([]prof.SimEntry(nil), sim...)
+		rows := append([]obs.SimEntry(nil), sim...)
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Evals > rows[j].Evals })
 		for i, s := range rows {
 			if i >= topN {
@@ -99,21 +98,12 @@ func renderReport(w io.Writer, d *prof.Dump, topN, width int) {
 		fmt.Fprintf(w, "\ncoverage unlocked per solver cost (cumulative, %d dispatches):\n", len(curve))
 		fmt.Fprint(w, renderCurve(curve, width))
 	}
-
-	if len(d.Wire) > 0 {
-		fmt.Fprintf(w, "\ncoordinator wire ledger (annotation — timer-driven, not reproducible):\n")
-		fmt.Fprintf(w, "  %-10s %8s %12s %12s %12s\n", "rpc", "calls", "bytes in", "bytes out", "wall")
-		for _, e := range d.Wire {
-			fmt.Fprintf(w, "  %-10s %8d %12d %12d %12s\n",
-				e.RPC, e.Calls, e.BytesIn, e.BytesOut, time.Duration(e.WallNS).Round(time.Microsecond))
-		}
-	}
 }
 
 // mergeSolver folds per-rank solver entries into campaign-wide
 // per-target entries, ordered by (graph, edge).
-func mergeSolver(d *prof.Dump) []prof.SolverEntry {
-	byKey := map[[2]int]*prof.SolverEntry{}
+func mergeSolver(d *obs.CostLedger) []obs.SolverEntry {
+	byKey := map[[2]int]*obs.SolverEntry{}
 	var keys [][2]int
 	for _, r := range d.Ranks {
 		for _, s := range r.Solver {
@@ -147,7 +137,7 @@ func mergeSolver(d *prof.Dump) []prof.SolverEntry {
 		}
 		return keys[i][1] < keys[j][1]
 	})
-	out := make([]prof.SolverEntry, 0, len(keys))
+	out := make([]obs.SolverEntry, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, *byKey[k])
 	}
@@ -156,8 +146,8 @@ func mergeSolver(d *prof.Dump) []prof.SolverEntry {
 
 // mergeSim folds per-rank sim entries into campaign-wide per-process
 // entries, keeping rank 0's process order (static per design).
-func mergeSim(d *prof.Dump) []prof.SimEntry {
-	byProc := map[string]*prof.SimEntry{}
+func mergeSim(d *obs.CostLedger) []obs.SimEntry {
+	byProc := map[string]*obs.SimEntry{}
 	var order []string
 	for _, r := range d.Ranks {
 		for _, s := range r.Sim {
@@ -173,7 +163,7 @@ func mergeSim(d *prof.Dump) []prof.SimEntry {
 			e.SampledNS += s.SampledNS
 		}
 	}
-	out := make([]prof.SimEntry, 0, len(order))
+	out := make([]obs.SimEntry, 0, len(order))
 	for _, p := range order {
 		out = append(out, *byProc[p])
 	}
@@ -182,13 +172,13 @@ func mergeSim(d *prof.Dump) []prof.SimEntry {
 
 // mergeCurve concatenates rank curves in rank order, renumbering the
 // dispatch axis so the x axis is campaign-cumulative.
-func mergeCurve(d *prof.Dump) []prof.CostPoint {
-	var out []prof.CostPoint
+func mergeCurve(d *obs.CostLedger) []obs.CostPoint {
+	var out []obs.CostPoint
 	var baseN, baseC, baseK, baseU int64
 	for _, r := range d.Ranks {
-		var last prof.CostPoint
+		var last obs.CostPoint
 		for _, p := range r.Curve {
-			out = append(out, prof.CostPoint{
+			out = append(out, obs.CostPoint{
 				Dispatch:  baseN + p.Dispatch,
 				Clauses:   baseC + p.Clauses,
 				Conflicts: baseK + p.Conflicts,
@@ -206,7 +196,7 @@ func mergeCurve(d *prof.Dump) []prof.CostPoint {
 
 // renderCurve draws unlocked-coverage (y) against cumulative clauses
 // (x) as a fixed-height ASCII plot.
-func renderCurve(curve []prof.CostPoint, width int) string {
+func renderCurve(curve []obs.CostPoint, width int) string {
 	const height = 8
 	maxC, maxU := curve[len(curve)-1].Clauses, int64(0)
 	for _, p := range curve {

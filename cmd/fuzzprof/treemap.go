@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/prof"
+	"repro/internal/obs"
 )
 
 // item is one treemap tile: a label and a deterministic weight.
@@ -150,13 +150,13 @@ type flameNode struct {
 	Children []*flameNode `json:"children,omitempty"`
 }
 
-// flameJSON converts a dump into a flamegraph hierarchy. Values are
+// flameJSON converts a ledger into a flamegraph hierarchy. Values are
 // the deterministic cost counters — simulator evals on sim leaves, CNF
 // clauses on solver leaves (infeasible/zero-clause dispatches count 1
 // each so they stay visible) — so the JSON is byte-identical across
 // runs of the same seed.
-func flameJSON(d *prof.Dump) ([]byte, error) {
-	root := &flameNode{Name: fmt.Sprintf("campaign %s seed %d", d.Bench, d.Seed)}
+func flameJSON(d *obs.CostLedger) ([]byte, error) {
+	root := &flameNode{Name: "campaign"}
 	for _, r := range d.Ranks {
 		rn := &flameNode{Name: fmt.Sprintf("rank %d", r.Rank)}
 		sim := &flameNode{Name: "sim"}

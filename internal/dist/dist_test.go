@@ -19,7 +19,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/prof"
 )
 
 // These tests drive the worker and the wire protocol end to end
@@ -374,66 +373,98 @@ func TestCrossProcessCausalChain(t *testing.T) {
 	}
 }
 
-// TestProfiledLedgerMatchesPar is the cost-profiler parity contract:
-// a profiled 2-process loopback campaign ships per-rank cost ledgers
-// on the report wire, and the coordinator's rank-ordered merge is
-// byte-identical (canonically) to the in-process par orchestrator's —
-// and to a second distributed run of the same seed.
+// canonicalLedger derives the canonical cost ledger of a JSONL trace.
+func canonicalLedger(t *testing.T, trace []byte) []byte {
+	t.Helper()
+	events, err := obs.ReadEvents(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := obs.BuildCostLedger(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Workers != 2 || l.Totals.Evals == 0 || l.Totals.Dispatches == 0 {
+		t.Fatalf("want 2 profiled ranks with sim evals and solver dispatches, got %d ranks, totals %+v", l.Workers, l.Totals)
+	}
+	out, err := l.Canonical().MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestProfiledLedgerMatchesPar is the cost-ledger parity contract: the
+// canonical ledger derived from a profiled 2-process loopback
+// campaign's merged trace is byte-identical to the one derived from
+// the in-process par orchestrator's trace — and to a second
+// distributed run of the same seed.
 func TestProfiledLedgerMatchesPar(t *testing.T) {
 	b := designs.IPBenchmark(designs.Mailbox(), true)
 	spec := mailboxSpec(7)
+	spec.Profile = true
 
-	// In-process reference dump.
+	var parTrace bytes.Buffer
 	cc := core.Config{
 		Interval: spec.Interval, Threshold: spec.Threshold, MaxVectors: spec.MaxVectors,
 		Seed: spec.Seed, UseSnapshots: spec.UseSnapshots, ContinueAfterCoverage: spec.ContinueAfterCoverage,
+		SimProfile: true,
+		Obs:        obs.New(obs.Options{Tracer: obs.NewJSONLTracer(&parTrace)}),
 	}
-	base := prof.New(prof.Options{})
-	cc.Prof = base
 	if _, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: spec.Workers}); err != nil {
 		t.Fatalf("par: %v", err)
 	}
-	want := prof.NewDump(b.Name, spec.Seed, base.Ledgers())
+	if err := cc.Obs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := canonicalLedger(t, parTrace.Bytes())
 
-	spec.Profile = true
-	runDist := func() *prof.Dump {
-		s, cs := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: spec})
+	runDist := func() []byte {
+		var buf bytes.Buffer
+		o := obs.New(obs.Options{Tracer: obs.NewJSONLTracer(&buf)})
+		s, _ := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: spec, Obs: o})
 		runWorkers(t, s.Addr(), "pA", "pB")
 		wait(t, s)
-		d := prof.NewDump(b.Name, spec.Seed, cs.Ledgers())
-		d.Wire = cs.WireLedger()
-		return d
-	}
-	got1, got2 := runDist(), runDist()
-
-	canon := func(d *prof.Dump) []byte {
-		out, err := d.Canonical().MarshalIndent()
-		if err != nil {
+		if err := o.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return canonicalLedger(t, buf.Bytes())
 	}
-	cw, c1, c2 := canon(want), canon(got1), canon(got2)
-	if !bytes.Equal(c1, cw) {
-		t.Errorf("distributed canonical ledger diverged from in-process run:\ndist: %s\npar:  %s", c1, cw)
+	got1, got2 := runDist(), runDist()
+	if !bytes.Equal(got1, want) {
+		t.Errorf("distributed canonical ledger diverged from in-process run:\ndist: %s\npar:  %s", got1, want)
 	}
-	if !bytes.Equal(c1, c2) {
-		t.Errorf("distributed canonical ledger not deterministic across runs:\n%s\nvs\n%s", c1, c2)
+	if !bytes.Equal(got1, got2) {
+		t.Errorf("distributed canonical ledger not deterministic across runs:\n%s\nvs\n%s", got1, got2)
 	}
+}
 
-	// The wire ledger (annotation) saw every RPC kind a full campaign
-	// exercises — the interval publishes ride /v1/batch.
-	seen := map[string]bool{}
-	for _, e := range got1.Wire {
-		seen[e.RPC] = true
-		if e.Calls <= 0 {
-			t.Errorf("wire entry %q with nonpositive calls: %+v", e.RPC, e)
-		}
+// TestSolverMeterCountsEachSolveOnce pins the admission layer's
+// solver-seconds meter on a profiled 2-rank campaign: SolverNS is the
+// sum of the solve times the ranks stored into the plan cache, each
+// live solve counted once however the campaign is instrumented.
+func TestSolverMeterCountsEachSolveOnce(t *testing.T) {
+	spec := mailboxSpec(7)
+	spec.Profile = true
+	var mu sync.Mutex
+	var stored int64
+	stores := 0
+	s, cs := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: spec,
+		OnSolve: func(rank, graph, to int, outcome string, ns int64) {
+			mu.Lock()
+			stored += ns
+			stores++
+			mu.Unlock()
+		}})
+	runWorkers(t, s.Addr(), "mA", "mB")
+	wait(t, s)
+	mu.Lock()
+	defer mu.Unlock()
+	if stores == 0 || stored == 0 {
+		t.Fatalf("no timed cache stores observed (%d stores, %d ns)", stores, stored)
 	}
-	for _, rpc := range []string{"join", "lease", "batch", "report"} {
-		if !seen[rpc] {
-			t.Errorf("wire ledger missing %q: %+v", rpc, got1.Wire)
-		}
+	if got := cs.SolverNS(); got != stored {
+		t.Errorf("SolverNS = %d, want the %d stores' sum %d", got, stores, stored)
 	}
 }
 

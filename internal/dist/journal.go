@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/watch"
 )
 
@@ -49,11 +48,10 @@ type journalRecord struct {
 	Spec       *CampaignSpec `json:"spec,omitempty"`
 
 	// kind == "report"
-	Rank     int              `json:"rank,omitempty"`
-	Report   *core.Report     `json:"report,omitempty"`
-	Coverage *CovWire         `json:"coverage,omitempty"`
-	Events   []obs.Event      `json:"events,omitempty"`
-	Ledger   *prof.RankLedger `json:"ledger,omitempty"`
+	Rank     int          `json:"rank,omitempty"`
+	Report   *core.Report `json:"report,omitempty"`
+	Coverage *CovWire     `json:"coverage,omitempty"`
+	Events   []obs.Event  `json:"events,omitempty"`
 
 	// kind == "alert" — a watch-engine alert raised against this
 	// campaign. Alerts are durable: a resumed coordinator re-seeds its

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/prof"
 	"repro/internal/watch"
 )
 
@@ -104,6 +103,7 @@ func specConfig(s CampaignSpec, rank int) core.Config {
 		ContinueAfterCoverage: s.ContinueAfterCoverage,
 		DisableSlicing:        s.DisableSlicing,
 		SimBackend:            s.SimBackend,
+		SimProfile:            s.Profile,
 	}
 	if s.Workers > 1 {
 		wc.Shard = core.ShardSpec{Rank: rank, Workers: s.Workers}
@@ -154,18 +154,14 @@ type CampaignState struct {
 	finalOnce sync.Once
 	finalRep  *par.Report
 	finalErr  error
-
-	wire wireTally
 }
 
 // rankResult is a completed rank: its report, final coverage
-// snapshot, telemetry lane, and (when the campaign profiles) its cost
-// ledger.
+// snapshot, and telemetry lane.
 type rankResult struct {
 	report *core.Report
 	cov    *cov.CFGCov
 	events []obs.Event
-	ledger *prof.RankLedger
 }
 
 // lease is one live rank assignment.
@@ -251,7 +247,7 @@ func NewCampaignState(c CoordConfig) (*CampaignState, error) {
 			}
 			rec := replayed.Reports[rank]
 			cv := CovFromWire(*rec.Coverage)
-			cs.done[rank] = &rankResult{report: rec.Report, cov: cv, events: rec.Events, ledger: rec.Ledger}
+			cs.done[rank] = &rankResult{report: rec.Report, cov: cv, events: rec.Events}
 			cs.fr.Publish(rank, cv, rec.Report.Vectors)
 		}
 		if len(cs.done) == c.Spec.Workers {
@@ -291,14 +287,10 @@ func (cs *CampaignState) Done() <-chan struct{} { return cs.doneCh }
 // next boundary and deliver partial reports.
 func (cs *CampaignState) ForceStop() { cs.fr.ForceStop() }
 
-// AddWire records one RPC's wire cost against this campaign.
-func (cs *CampaignState) AddWire(rpc string, in, out, wallNS int64) {
-	cs.wire.add(rpc, in, out, wallNS)
-}
-
 // SolverNS returns the cumulative solver wall time (blast + CDCL)
-// that workers have reported into this campaign's plan cache and rank
-// ledgers — the admission layer's solver-seconds meter.
+// that workers have stored into this campaign's plan cache — the
+// admission layer's solver-seconds meter. Each live solve is stored
+// once, so it counts once.
 func (cs *CampaignState) SolverNS() int64 {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -565,27 +557,20 @@ func (cs *CampaignState) Report(req ReportRequest) (ReportResponse, *HTTPError) 
 	rep := req.Report
 	if err := cs.jr.append(journalRecord{
 		Kind: "report", Rank: req.Rank,
-		Report: &rep, Coverage: &req.Coverage, Events: req.Events, Ledger: req.Ledger,
+		Report: &rep, Coverage: &req.Coverage, Events: req.Events,
 	}); err != nil {
 		return ReportResponse{}, &HTTPError{Code: 500, Msg: err.Error()}
 	}
 
 	cv := CovFromWire(req.Coverage)
 	cs.fr.Publish(req.Rank, cv, rep.Vectors)
-	if req.Ledger != nil {
-		var ns int64
-		for i := range req.Ledger.Solver {
-			ns += req.Ledger.Solver[i].BlastNS + req.Ledger.Solver[i].SolveNS
-		}
-		cs.addSolverNS(ns)
-	}
 
 	if cs.cfg.OnPublish != nil {
 		cs.cfg.OnPublish(req.Rank, 0, rep.Vectors, cs.fr.Points())
 	}
 
 	cs.mu.Lock()
-	cs.done[req.Rank] = &rankResult{report: &rep, cov: cv, events: req.Events, ledger: req.Ledger}
+	cs.done[req.Rank] = &rankResult{report: &rep, cov: cv, events: req.Events}
 	delete(cs.leases, req.Rank)
 	n := len(cs.done)
 	if n == cs.spec.Workers && !cs.ended {
@@ -676,30 +661,6 @@ func (cs *CampaignState) finalize(interrupted bool) (*par.Report, error) {
 	return out, nil
 }
 
-// Ledgers returns the completed ranks' cost ledgers in rank order
-// (nil entries are skipped — a rank ledger is only present when the
-// campaign spec enables profiling). The result is the same
-// rank-ordered sequence an in-process par campaign's base profiler
-// yields, so prof.NewDump over it is byte-identical to the
-// `-workers N` run's canonical dump.
-func (cs *CampaignState) Ledgers() []*prof.RankLedger {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	var out []*prof.RankLedger
-	for r := 0; r < cs.spec.Workers; r++ {
-		if res := cs.done[r]; res != nil && res.ledger != nil {
-			out = append(out, res.ledger)
-		}
-	}
-	return out
-}
-
-// WireLedger returns the per-RPC wire cost tally, sorted by RPC name.
-// Annotation only — see wireTally.
-func (cs *CampaignState) WireLedger() []prof.WireEntry {
-	return cs.wire.snapshot()
-}
-
 // Status is a point-in-time campaign summary for the fleet control
 // surface.
 type Status struct {
@@ -760,44 +721,3 @@ func (cs *CampaignState) Status() Status {
 
 // CloseJournal closes the journal file (safe on nil journal).
 func (cs *CampaignState) CloseJournal() error { return cs.jr.Close() }
-
-// wireTally tallies per-RPC wire cost on the coordinator side: calls,
-// request/response bytes, and handler wall time per /v1 endpoint. It
-// is pure annotation — heartbeat and batch cadence are timer-driven,
-// so these numbers are not reproducible and never enter a canonical
-// ledger (Dump.Canonical drops the whole Wire section).
-type wireTally struct {
-	mu sync.Mutex
-	m  map[string]*prof.WireEntry
-}
-
-func (t *wireTally) add(rpc string, in, out, wallNS int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.m == nil {
-		t.m = map[string]*prof.WireEntry{}
-	}
-	e := t.m[rpc]
-	if e == nil {
-		e = &prof.WireEntry{RPC: rpc}
-		t.m[rpc] = e
-	}
-	e.Calls++
-	if in > 0 {
-		e.BytesIn += in
-	}
-	e.BytesOut += out
-	e.WallNS += wallNS
-}
-
-// snapshot returns the tally sorted by RPC name.
-func (t *wireTally) snapshot() []prof.WireEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []prof.WireEntry
-	for _, e := range t.m {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RPC < out[j].RPC })
-	return out
-}

@@ -40,7 +40,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/smt"
 )
 
@@ -59,8 +58,11 @@ import (
 // redelivery and a resync signal after a coordinator restart), and the
 // Batch capability flag on the join response. v4 also retired the v3
 // synchronous /v1/publish endpoint and the /v1/cache "store" op, so
-// /v1/batch is the only publish path.
-const ProtoVersion = 4
+// /v1/batch is the only publish path. v5 removed the rank cost ledger
+// from /v1/report: a profiled rank's simulator profile rides its lane's
+// campaign_end event instead, and the solver ledger is derived from
+// the lane's spans (obs.BuildCostLedger).
+const ProtoVersion = 5
 
 // TraceCtx is the wire trace context: the emitting lane and span that
 // a message correlates with. On batched cache stores it names the
@@ -102,9 +104,9 @@ type CampaignSpec struct {
 	UseSnapshots          bool   `json:"use_snapshots"`
 	ContinueAfterCoverage bool   `json:"continue_after_coverage"`
 	DisableSlicing        bool   `json:"disable_slicing,omitempty"`
-	// Profile turns on per-rank cost profiling: each worker attaches a
-	// prof.Profiler to its engine and ships the rank ledger with its
-	// report (proto v3).
+	// Profile turns on each rank's simulator profile
+	// (core.Config.SimProfile): per-process eval counts on the rank
+	// lane's campaign_end, for the trace-derived cost ledger.
 	Profile bool `json:"profile,omitempty"`
 	// SimBackend selects the workers' DUV implementation ("interp" or
 	// "compiled"); empty means interp. Reports are backend-independent,
@@ -184,18 +186,16 @@ type CacheResponse struct {
 }
 
 // ReportRequest delivers a rank's final report, its final full
-// coverage snapshot, the rank's complete telemetry lane (the
-// worker-stamped trace events of the whole run, in emit order), and —
-// when the campaign profiles — the rank's cost ledger (proto v3).
+// coverage snapshot, and the rank's complete telemetry lane (the
+// worker-stamped trace events of the whole run, in emit order).
 type ReportRequest struct {
-	WorkerID string           `json:"worker_id"`
-	Rank     int              `json:"rank"`
-	Report   core.Report      `json:"report"`
-	Coverage CovWire          `json:"coverage"`
-	Events   []obs.Event      `json:"events,omitempty"`
-	Trace    *TraceCtx        `json:"trace,omitempty"`
-	Ledger   *prof.RankLedger `json:"ledger,omitempty"`
-	Campaign string           `json:"campaign,omitempty"`
+	WorkerID string      `json:"worker_id"`
+	Rank     int         `json:"rank"`
+	Report   core.Report `json:"report"`
+	Coverage CovWire     `json:"coverage"`
+	Events   []obs.Event `json:"events,omitempty"`
+	Trace    *TraceCtx   `json:"trace,omitempty"`
+	Campaign string      `json:"campaign,omitempty"`
 }
 
 // ReportResponse acks the report; Done=true means every rank is

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/props"
 	"repro/internal/smt"
 )
@@ -69,18 +68,6 @@ func goldenFixtures() map[string]any {
 				{TNS: 99, Type: "bug_found", Worker: 2, Vectors: 812, Property: "mailbox_err_intr_en"},
 			},
 			Trace: &TraceCtx{Worker: 2, Span: "w2"},
-			Ledger: &prof.RankLedger{
-				Rank: 1,
-				Sim: []prof.SimEntry{{Proc: "u_mailbox.ctrl_comb", Kind: "comb", Level: 2,
-					Evals: 9000, SampledEvals: 140, SampledNS: 880_000}},
-				Solver: []prof.SolverEntry{{Graph: 0, Edge: 4, Dispatches: 2, Sat: 2,
-					CacheLookups: 2, Clauses: 88, Conflicts: 6, Restarts: 1, SlicedVars: 24,
-					Unlocked: 3, CacheHits: 1, CacheMisses: 1, BlastNS: 50_000, SolveNS: 61_000}},
-				Curve: []prof.CostPoint{
-					{Dispatch: 1, Clauses: 44, Conflicts: 3},
-					{Dispatch: 2, Clauses: 88, Conflicts: 6, Unlocked: 3},
-				},
-			},
 		},
 		"report_response": ReportResponse{OK: true, Done: true},
 		"batch_request": BatchRequest{

@@ -13,7 +13,6 @@ import (
 	"repro/internal/designs"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/prof"
 	"repro/internal/props"
 )
 
@@ -257,14 +256,6 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 
 	wc := specConfig(w.spec, lr.Rank)
 	wc.Obs = lane
-	// The rank ledger ships with the report (proto v3); prof ranks are
-	// 0-based shard ranks, matching the in-process par orchestrator so
-	// the coordinator's rank-ordered merge is byte-identical to it.
-	var profiler *prof.Profiler
-	if w.spec.Profile {
-		profiler = prof.New(prof.Options{Rank: lr.Rank})
-		wc.Prof = profiler
-	}
 	rankTrace := &TraceCtx{Worker: lane.Lane(), Span: lane.RootSpan()}
 	pub := newBatchPublisher(rankCtx, w.cl, w.campaign, w.id, lr.Rank, rankTrace,
 		w.flushEvery, w.flushInterval)
@@ -360,7 +351,6 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 		Coverage: CovToWire(eng.Coverage()),
 		Events:   buf.take(),
 		Trace:    rankTrace,
-		Ledger:   profiler.Ledger(),
 		Campaign: w.campaign,
 	})
 	if err != nil {

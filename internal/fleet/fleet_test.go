@@ -21,7 +21,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/prof"
 )
 
 // mailboxSpec is the shared campaign of the fleet tests — the same
@@ -708,36 +707,6 @@ func TestHostWaitCancelInterrupted(t *testing.T) {
 	}
 	if tr.closed.Load() {
 		t.Error("fleet closed an observer it did not create")
-	}
-}
-
-// TestFleetWireLedgerComplete pins the per-RPC wire tally: on a
-// profiled fleet campaign every campaign-routed RPC is counted once,
-// in its handler, with request and response bytes and wall time.
-func TestFleetWireLedgerComplete(t *testing.T) {
-	s := newTestServer(t, Config{})
-	spec := mailboxSpec(7)
-	spec.Profile = true
-	createCampaign(t, s.Addr(), CreateRequest{Name: "wired", Spec: spec})
-	runWorkers(t, s.Addr(), "wired", 2, 0)
-	if _, err := s.WaitCampaign(context.Background(), "wired"); err != nil {
-		t.Fatal(err)
-	}
-	c, herr := s.lookup("wired")
-	if herr != nil {
-		t.Fatal(herr)
-	}
-	wire := map[string]prof.WireEntry{}
-	for _, e := range c.cs.WireLedger() {
-		wire[e.RPC] = e
-	}
-	for _, rpc := range []string{"join", "lease", "batch", "report"} {
-		if wire[rpc].Calls <= 0 {
-			t.Errorf("wire ledger has no %q calls: %+v", rpc, wire)
-		}
-	}
-	if b := wire["batch"]; b.BytesIn <= 0 || b.BytesOut <= 0 || b.WallNS <= 0 {
-		t.Errorf("batch wire entry incomplete: %+v", b)
 	}
 }
 

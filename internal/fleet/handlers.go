@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
@@ -35,35 +34,23 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(dist.ErrorResponse{Error: msg})
 }
 
-// countingWriter counts response bytes for the wire tally.
-type countingWriter struct {
-	http.ResponseWriter
-	n int64
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.n += int64(n)
-	return n, err
-}
-
 // ---- worker-facing endpoints (campaign-routed) ----
 
 // routeWorkerRPCs registers the six worker RPCs. Each answers from the
 // campaign its request names.
 func (s *Server) routeWorkerRPCs(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/join", routed(s, "join", func(q *dist.JoinRequest) string { return q.Campaign },
+	mux.HandleFunc("/v1/join", routed(s, func(q *dist.JoinRequest) string { return q.Campaign },
 		func(c *campaign, req *dist.JoinRequest, _ *http.Request) (any, *dist.HTTPError) {
 			return c.cs.Join(*req)
 		}))
-	mux.HandleFunc("/v1/lease", routed(s, "lease", func(q *dist.LeaseRequest) string { return q.Campaign },
+	mux.HandleFunc("/v1/lease", routed(s, func(q *dist.LeaseRequest) string { return q.Campaign },
 		func(c *campaign, req *dist.LeaseRequest, _ *http.Request) (any, *dist.HTTPError) {
 			if c.cancelled.Load() {
 				return dist.LeaseResponse{Rank: -1, Done: true}, nil
 			}
 			return c.cs.Lease(*req), nil
 		}))
-	mux.HandleFunc("/v1/heartbeat", routed(s, "heartbeat", func(q *dist.HeartbeatRequest) string { return q.Campaign },
+	mux.HandleFunc("/v1/heartbeat", routed(s, func(q *dist.HeartbeatRequest) string { return q.Campaign },
 		func(c *campaign, req *dist.HeartbeatRequest, _ *http.Request) (any, *dist.HTTPError) {
 			resp := c.cs.Heartbeat(*req)
 			if c.cancelled.Load() {
@@ -71,27 +58,24 @@ func (s *Server) routeWorkerRPCs(mux *http.ServeMux) {
 			}
 			return resp, nil
 		}))
-	mux.HandleFunc("/v1/batch", routed(s, "batch", func(q *dist.BatchRequest) string { return q.Campaign }, s.serveBatch))
-	mux.HandleFunc("/v1/cache", routed(s, "cache", func(q *dist.CacheRequest) string { return q.Campaign },
+	mux.HandleFunc("/v1/batch", routed(s, func(q *dist.BatchRequest) string { return q.Campaign }, s.serveBatch))
+	mux.HandleFunc("/v1/cache", routed(s, func(q *dist.CacheRequest) string { return q.Campaign },
 		func(c *campaign, req *dist.CacheRequest, _ *http.Request) (any, *dist.HTTPError) {
 			return c.cs.Cache(*req)
 		}))
-	mux.HandleFunc("/v1/report", routed(s, "report", func(q *dist.ReportRequest) string { return q.Campaign },
+	mux.HandleFunc("/v1/report", routed(s, func(q *dist.ReportRequest) string { return q.Campaign },
 		func(c *campaign, req *dist.ReportRequest, _ *http.Request) (any, *dist.HTTPError) {
 			return c.cs.Report(*req)
 		}))
 }
 
 // routed adapts one campaign-routed worker RPC: decode the request,
-// resolve the campaign it names, answer it with serve, and charge the
-// round trip — request and response bytes, handler wall time including
-// any ingest-queue wait — to that campaign's wire tally. A nil answer
-// with no error writes nothing (the client went away). A 429 carries
-// the Retry-After the worker client's backoff honors.
-func routed[Req any](s *Server, rpc string, campaignOf func(*Req) string,
+// resolve the campaign it names, and answer it with serve. A nil
+// answer with no error writes nothing (the client went away). A 429
+// carries the Retry-After the worker client's backoff honors.
+func routed[Req any](s *Server, campaignOf func(*Req) string,
 	serve func(*campaign, *Req, *http.Request) (any, *dist.HTTPError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
 		var req Req
 		if !decode(w, r, &req) {
 			return
@@ -101,18 +85,16 @@ func routed[Req any](s *Server, rpc string, campaignOf func(*Req) string,
 			writeErr(w, herr.Code, herr.Msg)
 			return
 		}
-		cw := &countingWriter{ResponseWriter: w}
 		resp, herr := serve(c, &req, r)
 		switch {
 		case herr != nil:
 			if herr.Code == http.StatusTooManyRequests {
-				cw.Header().Set("Retry-After", "1")
+				w.Header().Set("Retry-After", "1")
 			}
-			writeErr(cw, herr.Code, herr.Msg)
+			writeErr(w, herr.Code, herr.Msg)
 		case resp != nil:
-			writeJSON(cw, resp)
+			writeJSON(w, resp)
 		}
-		c.cs.AddWire(rpc, r.ContentLength, cw.n, int64(time.Since(t0)))
 	}
 }
 

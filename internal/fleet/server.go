@@ -25,8 +25,6 @@
 //     fetch reports from, and cancel campaigns, plus a /metrics
 //     endpoint exporting every campaign's registry under a
 //     campaign="<name>" label.
-//   - A per-RPC wire tally on every campaign (calls, bytes each way,
-//     handler wall time), the Wire section of a profiled dump.
 //
 // Determinism is inherited, not re-proven: every CampaignState merges
 // by rank through trajectory-neutral interfaces, so each campaign's

@@ -183,9 +183,6 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 			wc.MaxVectors = share
 		}
 		wc.Obs = baseObs.ForWorker(r + 1)
-		// Prof ranks are 0-based (they mirror dist ranks, so the merged
-		// ledger is byte-identical to the distributed run's).
-		wc.Prof = base.Prof.ForWorker(r)
 		rank := r
 		wc.Sync = func(cv *cov.CFGCov, rep *core.Report) bool {
 			fr.Publish(rank, cv, rep.Vectors)

@@ -37,7 +37,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/prof"
 	"repro/internal/props"
 	"repro/internal/sim"
 	"repro/internal/smt"
@@ -452,41 +451,6 @@ var (
 	RenderReportHTML = obs.RenderHTML
 	// RenderReportText writes a report as terminal text.
 	RenderReportText = obs.RenderText
-)
-
-// ---- cost profiling (campaign cost ledgers) ----
-
-// Profiler attributes campaign cost to design constructs: per-IR-process
-// simulator eval counts, per-CFG-target solver ledgers, and the
-// cumulative coverage-unlocked-per-cost curve. Pass one via
-// Config.Prof; a nil Profiler disables profiling at negligible cost,
-// and profiling is strictly observational — reports are byte-identical
-// with it on or off.
-type Profiler = prof.Profiler
-
-// ProfilerOptions configures NewProfiler.
-type ProfilerOptions = prof.Options
-
-// RankLedger is one worker rank's complete cost ledger (the unit
-// shipped on the distributed report wire and merged rank-ordered).
-type RankLedger = prof.RankLedger
-
-// CostDump is the serialized campaign ledger file written by
-// `symbfuzz -prof` and consumed by cmd/fuzzprof. Its Canonical form
-// strips every wall-clock annotation and is byte-identical across
-// runs, worker counts, and the in-process vs. distributed
-// orchestrators for a fixed seed.
-type CostDump = prof.Dump
-
-// Cost-profiling constructors and helpers.
-var (
-	// NewProfiler builds a campaign profiler (zero options = rank 0,
-	// monotonic clock, default sampling stride).
-	NewProfiler = prof.New
-	// NewCostDump assembles a campaign dump from rank ledgers.
-	NewCostDump = prof.NewDump
-	// ReadCostDump loads and schema-checks a ledger dump file.
-	ReadCostDump = prof.ReadDump
 )
 
 // ---- UVM testbench (Figure 2) ----

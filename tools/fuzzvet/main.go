@@ -51,7 +51,7 @@ var rangemapPkgs = map[string]bool{
 	"internal/uvm":   true,
 	"internal/par":   true,
 	"internal/dist":  true,
-	"internal/prof":  true,
+	"internal/obs":   true,
 	"internal/watch": true,
 }
 

@@ -39,12 +39,12 @@ func TestBadFixture(t *testing.T) {
 }
 
 // TestLedgerFixture vets the cost-ledger fixture under the
-// internal/prof scope: both order-leaking ledger ranges are caught,
+// internal/obs scope: both order-leaking ledger ranges are caught,
 // the sorted collect-then-index idiom passes, and the wall-clock
-// sampling prof legitimately does draws no timenow finding (prof is
-// deterministic, not pure — its sampled timings are annotations).
+// reads obs legitimately does draw no timenow finding (obs is
+// deterministic, not pure — its timings are annotations).
 func TestLedgerFixture(t *testing.T) {
-	fs, err := vetFile(filepath.Join("testdata", "ledger.go"), "internal/prof")
+	fs, err := vetFile(filepath.Join("testdata", "ledger.go"), "internal/obs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestLedgerFixture(t *testing.T) {
 		t.Errorf("rangemap: %d findings, want 2 (unsorted append + external emit)\nall: %v", got["rangemap"], fs)
 	}
 	if got["timenow"] != 0 {
-		t.Errorf("timenow fired in internal/prof (sampled timings are allowed): %v", fs)
+		t.Errorf("timenow fired in internal/obs (timings are allowed): %v", fs)
 	}
 	if len(fs) != 2 {
 		t.Errorf("total findings = %d, want 2: %v", len(fs), fs)

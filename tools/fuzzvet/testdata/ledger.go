@@ -1,4 +1,4 @@
-// Package ledger is a fuzzvet fixture for the internal/prof scope: a
+// Package ledger is a fuzzvet fixture for the internal/obs scope: a
 // cost-ledger aggregation whose map iteration leaks order into the
 // dumped ledger. The canonical ledger must be byte-identical across
 // runs, so every range over a per-target map has to sort its keys
@@ -63,9 +63,9 @@ func sortedLedger(p *profiler) []entry {
 	return rows
 }
 
-// sampleClock reads the wall clock: fine in internal/prof, whose
-// sampled timings are explicitly non-canonical annotations — the
-// timenow rule must stay out of scope there.
+// sampleClock reads the wall clock: fine in internal/obs, whose
+// timings are explicitly non-canonical annotations — the timenow rule
+// must stay out of scope there.
 func sampleClock(t0 time.Time) int64 {
 	return int64(time.Since(t0))
 }
