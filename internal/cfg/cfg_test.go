@@ -3,6 +3,7 @@ package cfg
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/elab"
 	"repro/internal/hdl"
 	"repro/internal/logic"
@@ -140,6 +141,36 @@ func TestBuildTransitionFSM(t *testing.T) {
 	}
 	if tr.EqCount == 0 {
 		t.Error("no dependency equations counted")
+	}
+}
+
+// TestTransitionWideIndexMatchesInterpreter pins the transition
+// relation to the interpreter on indices wider than their operand: an
+// out-of-range dynamic bit write is dropped (elab's TBit.Assign), and
+// a shift by the operand's width or more clears it, not wraps it.
+func TestTransitionWideIndexMatchesInterpreter(t *testing.T) {
+	d := elaborate(t, `
+module wide (input clk_i, input [7:0] idx, input d, output reg [3:0] r, output reg [3:0] s);
+  always_ff @(posedge clk_i) begin
+    r[idx] <= d;
+    s <= 4'd1 << idx;
+  end
+endmodule`, "wide")
+	tr, err := BuildTransition(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := map[string]*smt.Term{
+		InVar + "idx": smt.ConstUint(8, 16),
+		InVar + "d":   smt.True(),
+		CurVar + "r":  smt.ConstUint(4, 0b0100),
+		CurVar + "s":  smt.ConstUint(4, 0b0011),
+	}
+	for name, want := range map[string]uint64{"r": 0b0100, "s": 0} {
+		next := analysis.FoldTerm(tr.Next[d.ByName[name].Index], bind, nil)
+		if v, ok := next.Val.Uint64(); next.Kind != smt.KConst || !ok || v != want {
+			t.Errorf("next %s at idx=16 = %s, want %d", name, next, want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/elab"
 	"repro/internal/logic"
 	"repro/internal/smt"
@@ -57,114 +58,9 @@ func (sy *symbolicEvaluator) fresh(width int, why string) *smt.Term {
 // signals missing from env get hold variables (their value is
 // unconstrained state held from earlier cycles).
 func (sy *symbolicEvaluator) evalExpr(env SymEnv, x elab.Expr) *smt.Term {
-	switch n := x.(type) {
-	case elab.Const:
-		if n.V.IsFullyDefined() {
-			return smt.Const(n.V)
-		}
-		// Unknown constant bits are unconstrained choices, matching the
-		// paper's treatment of undefined pin/register values.
-		return sy.fresh(n.V.Width(), "xconst")
-	case elab.Sig:
-		if t, ok := env[n.Idx]; ok {
-			return t
-		}
-		t := smt.Var(HoldVar+sy.d.Signals[n.Idx].Name, n.W)
-		env[n.Idx] = t
-		return t
-	case elab.Bin:
-		xx := sy.evalExpr(env, n.X)
-		yy := sy.evalExpr(env, n.Y)
-		switch n.Op {
-		case elab.OpAdd:
-			return smt.Add(xx, yy)
-		case elab.OpSub:
-			return smt.Sub(xx, yy)
-		case elab.OpMul:
-			return smt.Mul(xx, yy)
-		case elab.OpAnd:
-			return smt.And(xx, yy)
-		case elab.OpOr:
-			return smt.Or(xx, yy)
-		case elab.OpXor:
-			return smt.Xor(xx, yy)
-		case elab.OpXnor:
-			return smt.Not(smt.Xor(xx, yy))
-		case elab.OpEq, elab.OpCaseEq:
-			return smt.Eq(xx, yy)
-		case elab.OpNeq, elab.OpCaseNeq:
-			return smt.Ne(xx, yy)
-		case elab.OpLt:
-			return smt.Ult(xx, yy)
-		case elab.OpLe:
-			return smt.Ule(xx, yy)
-		case elab.OpGt:
-			return smt.Ugt(xx, yy)
-		case elab.OpGe:
-			return smt.Uge(xx, yy)
-		case elab.OpShl:
-			return smt.Shl(xx, smt.ZExt(yy, xx.Width()))
-		case elab.OpShr, elab.OpAshr:
-			return smt.Shr(xx, smt.ZExt(yy, xx.Width()))
-		case elab.OpLAnd:
-			return smt.And(smt.RedOr(xx), smt.RedOr(yy))
-		case elab.OpLOr:
-			return smt.Or(smt.RedOr(xx), smt.RedOr(yy))
-		}
-		return sy.fresh(n.W, "binop")
-	case elab.Un:
-		xx := sy.evalExpr(env, n.X)
-		switch n.Op {
-		case elab.OpNot:
-			return smt.Not(xx)
-		case elab.OpLNot:
-			return smt.Not(smt.RedOr(xx))
-		case elab.OpNeg:
-			return smt.Neg(xx)
-		case elab.OpRedAnd:
-			return smt.RedAnd(xx)
-		case elab.OpRedOr:
-			return smt.RedOr(xx)
-		case elab.OpRedXor:
-			return smt.RedXor(xx)
-		case elab.OpRedNand:
-			return smt.Not(smt.RedAnd(xx))
-		case elab.OpRedNor:
-			return smt.Not(smt.RedOr(xx))
-		case elab.OpRedXnor:
-			return smt.Not(smt.RedXor(xx))
-		}
-		return sy.fresh(n.W, "unop")
-	case elab.Cond:
-		c := sy.evalExpr(env, n.C)
-		return smt.Ite(smt.RedOr(c), sy.evalExpr(env, n.T), sy.evalExpr(env, n.F))
-	case elab.CatE:
-		parts := make([]*smt.Term, len(n.Parts))
-		for i, p := range n.Parts {
-			parts[i] = sy.evalExpr(env, p)
-		}
-		return smt.Concat(parts...)
-	case elab.Slice:
-		return smt.Extract(sy.evalExpr(env, n.X), n.Hi, n.Lo)
-	case elab.BitSel:
-		x := sy.evalExpr(env, n.X)
-		idx := sy.evalExpr(env, n.Idx)
-		return smt.Extract(smt.Shr(x, smt.ZExt(idx, x.Width())), 0, 0)
-	case elab.DynSlice:
-		x := sy.evalExpr(env, n.X)
-		start := sy.evalExpr(env, n.Start)
-		shifted := smt.Shr(x, smt.ZExt(start, x.Width()))
-		if n.W <= x.Width() {
-			return smt.Extract(shifted, n.W-1, 0)
-		}
-		return smt.ZExt(shifted, n.W)
-	case elab.ZExt:
-		return smt.ZExt(sy.evalExpr(env, n.X), n.W)
-	case elab.MemRead:
-		// Memory contents are unconstrained in the transition relation.
-		return sy.fresh(n.W, "mem")
-	}
-	panic(fmt.Sprintf("cfg: cannot symbolically evaluate %T", x))
+	return analysis.Lower(x, func(idx, w int) *smt.Term {
+		return sy.readFor(env, env, idx, w)
+	}, sy.fresh)
 }
 
 // assign writes a term to a target within env (blocking semantics; the
@@ -189,9 +85,11 @@ func (sy *symbolicEvaluator) assign(env SymEnv, tgt elab.Target, val *smt.Term, 
 	case elab.TBit:
 		cur := sy.readFor(readEnv, env, t.Idx, t.W)
 		idx := sy.evalExpr(readEnv, t.BitE)
-		one := smt.Shl(smt.ZExt(smt.ConstUint(1, 1), t.W), smt.ZExt(idx, t.W))
+		// An out-of-range index shifts both masks to zero: the write is
+		// dropped, as in the interpreter.
+		one := analysis.Shift(elab.OpShl, smt.ZExt(smt.ConstUint(1, 1), t.W), idx)
 		bit := smt.ZExt(smt.Extract(val, 0, 0), t.W)
-		setv := smt.Shl(bit, smt.ZExt(idx, t.W))
+		setv := analysis.Shift(elab.OpShl, bit, idx)
 		env[t.Idx] = smt.Or(smt.And(cur, smt.Not(one)), setv)
 	case elab.TCat:
 		v := smt.ZExt(val, t.W)
@@ -237,10 +135,11 @@ func (sy *symbolicEvaluator) execStmts(env, nbEnv SymEnv, stmts []elab.Stmt) {
 			sy.execStmts(thenEnv, thenNB, n.Then)
 			elseEnv, elseNB := env.clone(), nbEnv.clone()
 			sy.execStmts(elseEnv, elseNB, n.Else)
-			sy.mergeEnv(env, cond, thenEnv, elseEnv, sy.blockingFallback(env))
-			sy.mergeEnv(nbEnv, cond, thenNB, elseNB, sy.nbFallback(env))
+			sy.mergeEnv(env, cond, thenEnv, elseEnv, sy.holdFallback(env))
+			sy.mergeEnv(nbEnv, cond, thenNB, elseNB, sy.holdFallback(env))
 		case elab.SCase:
 			subj := sy.evalExpr(env, n.Subject)
+			lower := func(x elab.Expr) *smt.Term { return sy.evalExpr(env, x) }
 			// Build the arm conditions, then fold from the default up.
 			type arm struct {
 				cond *smt.Term
@@ -248,16 +147,7 @@ func (sy *symbolicEvaluator) execStmts(env, nbEnv SymEnv, stmts []elab.Stmt) {
 			}
 			var arms []arm
 			for _, item := range n.Items {
-				var c *smt.Term
-				for _, m := range item.Matches {
-					mc := smt.Eq(subj, smt.ZExt(sy.evalExpr(env, m), subj.Width()))
-					if c == nil {
-						c = mc
-					} else {
-						c = smt.Or(c, mc)
-					}
-				}
-				arms = append(arms, arm{cond: c, body: item.Body})
+				arms = append(arms, arm{cond: analysis.CaseMatch(subj, item.Matches, lower), body: item.Body})
 			}
 			// Execute every arm against a copy, then chain ite merges.
 			curEnv, curNB := env.clone(), nbEnv.clone()
@@ -266,8 +156,8 @@ func (sy *symbolicEvaluator) execStmts(env, nbEnv SymEnv, stmts []elab.Stmt) {
 				armEnv, armNB := env.clone(), nbEnv.clone()
 				sy.execStmts(armEnv, armNB, arms[i].body)
 				nextEnv, nextNB := env.clone(), nbEnv.clone()
-				sy.mergeEnv(nextEnv, arms[i].cond, armEnv, curEnv, sy.blockingFallback(env))
-				sy.mergeEnv(nextNB, arms[i].cond, armNB, curNB, sy.nbFallback(env))
+				sy.mergeEnv(nextEnv, arms[i].cond, armEnv, curEnv, sy.holdFallback(env))
+				sy.mergeEnv(nextNB, arms[i].cond, armNB, curNB, sy.holdFallback(env))
 				curEnv, curNB = nextEnv, nextNB
 			}
 			for k, v := range curEnv {
@@ -280,17 +170,11 @@ func (sy *symbolicEvaluator) execStmts(env, nbEnv SymEnv, stmts []elab.Stmt) {
 	}
 }
 
-// blockingFallback resolves a signal untouched by one branch arm to its
-// pre-branch value (or a hold variable when it has none).
-func (sy *symbolicEvaluator) blockingFallback(env SymEnv) func(int) *smt.Term {
-	return func(k int) *smt.Term {
-		return sy.readFor(env, env, k, sy.d.Signals[k].Width)
-	}
-}
-
-// nbFallback resolves a register not non-blocking-assigned in one branch
-// arm: the register holds, so its next value is its current value.
-func (sy *symbolicEvaluator) nbFallback(env SymEnv) func(int) *smt.Term {
+// holdFallback resolves a signal untouched by one branch arm to its
+// pre-branch value, or a hold variable when it has none. For the
+// non-blocking env that is the register's current value: a register
+// not assigned in an arm holds.
+func (sy *symbolicEvaluator) holdFallback(env SymEnv) func(int) *smt.Term {
 	return func(k int) *smt.Term {
 		return sy.readFor(env, env, k, sy.d.Signals[k].Width)
 	}

@@ -468,6 +468,38 @@ func TestSolverMeterCountsEachSolveOnce(t *testing.T) {
 	}
 }
 
+// TestSingleRankSolverMeter pins the solver meter of a campaign with
+// no plan cache: a 1-rank campaign meters its accepted report's solve
+// totals, and a coordinator resumed from the journal reads the same.
+func TestSingleRankSolverMeter(t *testing.T) {
+	spec := mailboxSpec(7)
+	spec.Workers = 1
+	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
+	ctx := context.Background()
+
+	s1, cs1 := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: spec, JournalPath: journal})
+	runWorkers(t, s1.Addr(), "solo")
+	rep := wait(t, s1).PerWorker[0]
+	if rep.SymbolicInvocations == 0 {
+		t.Fatal("the campaign made no symbolic invocations")
+	}
+	want := rep.Timings.Solve.BlastNS + rep.Timings.Solve.CDCLNS
+	if want <= 0 {
+		t.Fatalf("rank report carries no solve time (%+v)", rep.Timings.Solve)
+	}
+	if got := cs1.SolverNS(); got != want {
+		t.Errorf("SolverNS = %d, want the rank's blast+CDCL %d", got, want)
+	}
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	_, cs2 := serve(t, "127.0.0.1:0", dist.CoordConfig{Spec: spec, JournalPath: journal, Resume: true})
+	if got := cs2.SolverNS(); got != want {
+		t.Errorf("resumed SolverNS = %d, want %d", got, want)
+	}
+}
+
 // TestVersionSkew pins the join-time version gate: a worker speaking
 // a different protocol revision is rejected with a clear error, not
 // silently admitted.

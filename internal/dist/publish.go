@@ -39,7 +39,6 @@ type batchPublisher struct {
 	rank     int
 	trace    *TraceCtx
 
-	flushEvery    int
 	flushInterval time.Duration
 
 	mu       sync.Mutex
@@ -63,21 +62,21 @@ type batchPublisher struct {
 	done     chan struct{}
 }
 
+// flushEvery is how many coalesced publishes trigger a flush before
+// flushInterval elapses.
+const flushEvery = 8
+
 // maxStoreQueue bounds the fire-and-forget store queue; older entries
 // are dropped first (a lost store only costs other ranks a re-solve).
 const maxStoreQueue = 256
 
-func newBatchPublisher(ctx context.Context, cl *Client, campaign, workerID string, rank int, trace *TraceCtx, flushEvery int, flushInterval time.Duration) *batchPublisher {
-	if flushEvery <= 0 {
-		flushEvery = 8
-	}
+func newBatchPublisher(ctx context.Context, cl *Client, campaign, workerID string, rank int, trace *TraceCtx, flushInterval time.Duration) *batchPublisher {
 	if flushInterval <= 0 {
 		flushInterval = 25 * time.Millisecond
 	}
 	p := &batchPublisher{
 		ctx: ctx, cl: cl, campaign: campaign, workerID: workerID, rank: rank, trace: trace,
-		flushEvery: flushEvery, flushInterval: flushInterval,
-		kick: make(chan struct{}, 1),
+		flushInterval: flushInterval, kick: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -157,7 +156,7 @@ func (p *batchPublisher) enqueuePublish(cv *cov.CFGCov, vectors uint64) {
 	// at the same count cadence as a dirty one, so the watch plane's
 	// stall detector sees flat samples instead of silence. Cost is one
 	// small batch per flushEvery intervals while saturated.
-	full := (p.dirty || p.prog) && p.pubs >= p.flushEvery
+	full := (p.dirty || p.prog) && p.pubs >= flushEvery
 	if full {
 		p.pubs = 0
 	}

@@ -249,6 +249,7 @@ func NewCampaignState(c CoordConfig) (*CampaignState, error) {
 			cv := CovFromWire(*rec.Coverage)
 			cs.done[rank] = &rankResult{report: rec.Report, cov: cv, events: rec.Events}
 			cs.fr.Publish(rank, cv, rec.Report.Vectors)
+			cs.meterRank(rec.Report)
 		}
 		if len(cs.done) == c.Spec.Workers {
 			cs.ended = true
@@ -290,11 +291,22 @@ func (cs *CampaignState) ForceStop() { cs.fr.ForceStop() }
 // SolverNS returns the cumulative solver wall time (blast + CDCL)
 // that workers have stored into this campaign's plan cache — the
 // admission layer's solver-seconds meter. Each live solve is stored
-// once, so it counts once.
+// once, so it counts once. A single-rank campaign has no plan cache;
+// its meter reads the rank's report when it is accepted (meterRank).
 func (cs *CampaignState) SolverNS() int64 {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	return cs.solverNS
+}
+
+// meterRank feeds a single-rank campaign's solver meter from the
+// accepted (or replayed) rank report's solve totals. Multi-rank
+// campaigns meter their plan-cache stores instead, so this is a no-op
+// for them.
+func (cs *CampaignState) meterRank(rep *core.Report) {
+	if cs.spec.Workers == 1 {
+		cs.addSolverNS(rep.Timings.Solve.BlastNS + rep.Timings.Solve.CDCLNS)
+	}
 }
 
 func (cs *CampaignState) addSolverNS(ns int64) {
@@ -564,6 +576,7 @@ func (cs *CampaignState) Report(req ReportRequest) (ReportResponse, *HTTPError) 
 
 	cv := CovFromWire(req.Coverage)
 	cs.fr.Publish(req.Rank, cv, rep.Vectors)
+	cs.meterRank(&rep)
 
 	if cs.cfg.OnPublish != nil {
 		cs.cfg.OnPublish(req.Rank, 0, rep.Vectors, cs.fr.Points())

@@ -33,9 +33,8 @@ type WorkerConfig struct {
 	// serially drain every rank of a campaign).
 	MaxRanks int
 
-	// FlushEvery / FlushInterval tune the batch publisher (defaults 8
-	// publishes / 25ms; test knobs).
-	FlushEvery    int
+	// FlushInterval tunes the batch publisher's flush period (default
+	// 25ms; a test knob).
 	FlushInterval time.Duration
 
 	// test hooks (zero in production): DieAfterPublishes > 0 makes the
@@ -158,7 +157,6 @@ func RunWorker(ctx context.Context, c WorkerConfig) error {
 		spec:          spec,
 		bench:         bench,
 		properties:    properties,
-		flushEvery:    c.FlushEvery,
 		flushInterval: c.FlushInterval,
 		publishesLeft: c.DieAfterPublishes,
 	}
@@ -220,7 +218,6 @@ type worker struct {
 	// worker runs (per-rank remoteCache adapters wrap it).
 	l1 *par.SolveCache
 
-	flushEvery    int
 	flushInterval time.Duration
 
 	// publishesLeft counts down to the induced crash (test hook);
@@ -258,7 +255,7 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 	wc.Obs = lane
 	rankTrace := &TraceCtx{Worker: lane.Lane(), Span: lane.RootSpan()}
 	pub := newBatchPublisher(rankCtx, w.cl, w.campaign, w.id, lr.Rank, rankTrace,
-		w.flushEvery, w.flushInterval)
+		w.flushInterval)
 	defer pub.close()
 	if w.l1 != nil {
 		wc.PlanCache = &remoteCache{ctx: rankCtx, c: w.cl, l1: w.l1, campaign: w.campaign, bp: pub}

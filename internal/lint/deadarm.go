@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/elab"
@@ -32,7 +33,7 @@ func (DeadArmCheck) Description() string {
 
 // Run implements Check.
 func (DeadArmCheck) Run(ctx *Context) []Diagnostic {
-	pr := &armProver{d: ctx.Design, facts: ctx.Facts}
+	pr := &armProver{d: ctx.Design, facts: ctx.Facts, allowed: map[string][][]uint64{}}
 	var diags []Diagnostic
 	for _, p := range ctx.Design.Procs {
 		diags = append(diags, pr.walk(p.Body, nil)...)
@@ -62,6 +63,8 @@ type armProver struct {
 	d       *elab.Design
 	facts   *Facts
 	freshID int
+	// allowed memoizes allowedSets by variable name.
+	allowed map[string][][]uint64
 }
 
 func (pr *armProver) walk(stmts []elab.Stmt, path []*smt.Term) []Diagnostic {
@@ -92,19 +95,7 @@ func (pr *armProver) walk(stmts []elab.Stmt, path []*smt.Term) []Diagnostic {
 			subj := pr.evalExpr(n.Subject)
 			matches := make([]*smt.Term, len(n.Items))
 			for i, item := range n.Items {
-				var c *smt.Term
-				for _, m := range item.Matches {
-					mc := smt.Eq(subj, smt.ZExt(pr.evalExpr(m), subj.Width()))
-					if c == nil {
-						c = mc
-					} else {
-						c = smt.Or(c, mc)
-					}
-				}
-				if c == nil {
-					c = smt.False()
-				}
-				matches[i] = c
+				matches[i] = analysis.CaseMatch(subj, item.Matches, pr.evalExpr)
 			}
 			for i, item := range n.Items {
 				// Arm i runs when it matches and no earlier arm did.
@@ -180,20 +171,20 @@ func (pr *armProver) unsat(conds []*smt.Term) bool {
 	}
 	pr.facts.SolverQueries++
 	s := smt.NewSolver()
-	seen := map[string]bool{}
+	widths := map[string]int{}
 	for _, c := range conds {
-		for _, name := range c.Vars() {
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			v := pr.declareByTermName(s, c, name)
-			if v == nil {
-				continue
-			}
-			if dc := pr.domainConstraint(s, name, v); dc != nil {
-				s.Assert(dc)
-			}
+		analysis.CollectVars(c, widths)
+	}
+	// Declare in name order: declaration order numbers the solver's
+	// variables, so map order would vary it from run to run.
+	names := make([]string, 0, len(widths))
+	for name := range widths {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if dc := pr.domainConstraint(s.Var(name, widths[name])); dc != nil {
+			s.Assert(dc)
 		}
 	}
 	for _, c := range conds {
@@ -202,124 +193,76 @@ func (pr *armProver) unsat(conds []*smt.Term) bool {
 	return s.Solve() == smt.Unsat
 }
 
-// declareByTermName declares variable name with the width it has inside
-// term t (every variable is built with a single width, so the first
-// occurrence is authoritative).
-func (pr *armProver) declareByTermName(s *smt.Solver, t *smt.Term, name string) *smt.Term {
-	var found *smt.Term
-	var walk func(x *smt.Term)
-	walk = func(x *smt.Term) {
-		if found != nil {
-			return
-		}
-		if x.Kind == smt.KVar && x.Name == name {
-			found = x
-			return
-		}
-		for _, a := range x.Args {
-			walk(a)
-		}
-	}
-	walk(t)
-	if found == nil {
-		return nil
-	}
-	return s.Var(name, found.W)
-}
-
-// domainConstraint builds "v is one of its allowed values" for a signal
-// variable, combining the declared enum domain with the inferred value
-// domain. Returns nil when the signal is unconstrained.
-func (pr *armProver) domainConstraint(s *smt.Solver, name string, v *smt.Term) *smt.Term {
-	if len(name) <= len(sigVar) || name[:len(sigVar)] != sigVar {
-		return nil
-	}
-	sig, ok := pr.d.ByName[name[len(sigVar):]]
-	if !ok || sig.Width > maxDomainWidth {
-		return nil
-	}
-	member := func(vals []uint64) *smt.Term {
-		if len(vals) == 0 || len(vals) > maxDomainValues {
-			return nil
-		}
-		var alts []*smt.Term
-		for _, val := range vals {
-			alts = append(alts, smt.Eq(v, smt.ConstUint(v.Width(), val&maskOf(v.Width()))))
-		}
-		return smt.BoolOr(alts...)
-	}
-	var out *smt.Term
-	if len(sig.EnumNames) > 0 {
-		// Declared enum domain, plus 0 for the X-at-reset canonical state
-		// and any declaration initializer.
-		set := map[uint64]bool{0: true}
-		for ev := range sig.EnumNames {
-			set[ev&maskOf(sig.Width)] = true
-		}
-		if sig.Init != nil {
-			if iv, ok := sig.Init.Uint64(); ok {
-				set[iv&maskOf(sig.Width)] = true
-			}
-		}
-		vals := make([]uint64, 0, len(set))
-		for ev := range set {
-			vals = append(vals, ev)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		out = member(vals)
-	}
-	if dom, bounded := pr.facts.DomainOf(sig.Index); bounded {
-		if m := member(dom); m != nil {
-			if out == nil {
-				out = m
-			} else {
-				out = smt.And(out, m)
-			}
-		}
-	}
-	return out
-}
-
-// staticValue abstracts a query variable for the lattice fast path. It
-// must over-approximate exactly the constraint domainConstraint would
-// assert: a signal variable becomes the hull of its allowed value set
-// under the same caps (so a solver-unconstrained variable is Top here
-// too), and fresh variables are unconstrained. That containment is what
-// makes an abstract refutation imply solver-level unsatisfiability.
-func (pr *armProver) staticValue(name string, w int) analysis.Value {
-	if len(name) <= len(sigVar) || name[:len(sigVar)] != sigVar {
-		return analysis.Top(w)
-	}
-	sig, ok := pr.d.ByName[name[len(sigVar):]]
-	if !ok || sig.Width > maxDomainWidth {
-		return analysis.Top(w)
+// allowedSets returns the value sets a query variable is constrained
+// to, in assertion order: the signal's declared enum domain (plus 0 for
+// the X-at-reset canonical state and any declaration initializer), then
+// its inferred value domain. A set counts only when it is non-empty and
+// within maxDomainValues. Fresh variables and signals wider than
+// maxDomainWidth are unconstrained. domainConstraint and staticValue
+// both read this one list; the facts it reads do not change during the
+// walk, so it is built once per variable.
+func (pr *armProver) allowedSets(name string) [][]uint64 {
+	if sets, ok := pr.allowed[name]; ok {
+		return sets
 	}
 	usable := func(vals []uint64) bool {
 		return len(vals) > 0 && len(vals) <= maxDomainValues
 	}
 	var sets [][]uint64
-	if len(sig.EnumNames) > 0 {
-		set := map[uint64]bool{0: true}
-		for ev := range sig.EnumNames {
-			set[ev&maskOf(sig.Width)] = true
-		}
-		if sig.Init != nil {
-			if iv, ok := sig.Init.Uint64(); ok {
-				set[iv&maskOf(sig.Width)] = true
+	sigName, isSig := strings.CutPrefix(name, sigVar)
+	if sig, ok := pr.d.ByName[sigName]; isSig && ok && sig.Width <= maxDomainWidth {
+		if len(sig.EnumNames) > 0 {
+			set := map[uint64]bool{0: true}
+			for ev := range sig.EnumNames {
+				set[ev&maskOf(sig.Width)] = true
+			}
+			if sig.Init != nil {
+				if iv, ok := sig.Init.Uint64(); ok {
+					set[iv&maskOf(sig.Width)] = true
+				}
+			}
+			vals := make([]uint64, 0, len(set))
+			for ev := range set {
+				vals = append(vals, ev)
+			}
+			sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+			if usable(vals) {
+				sets = append(sets, vals)
 			}
 		}
-		vals := make([]uint64, 0, len(set))
-		for ev := range set {
-			vals = append(vals, ev)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		if usable(vals) {
-			sets = append(sets, vals)
+		if dom, bounded := pr.facts.DomainOf(sig.Index); bounded && usable(dom) {
+			sets = append(sets, dom)
 		}
 	}
-	if dom, bounded := pr.facts.DomainOf(sig.Index); bounded && usable(dom) {
-		sets = append(sets, dom)
+	pr.allowed[name] = sets
+	return sets
+}
+
+// domainConstraint builds "v is one of its allowed values" for a query
+// variable: one membership disjunction per allowed set, conjoined.
+// Returns nil when the variable is unconstrained.
+func (pr *armProver) domainConstraint(v *smt.Term) *smt.Term {
+	var out *smt.Term
+	for _, vals := range pr.allowedSets(v.Name) {
+		alts := make([]*smt.Term, len(vals))
+		for i, val := range vals {
+			alts[i] = smt.Eq(v, smt.ConstUint(v.Width(), val&maskOf(v.Width())))
+		}
+		if m := smt.BoolOr(alts...); out == nil {
+			out = m
+		} else {
+			out = smt.And(out, m)
+		}
 	}
+	return out
+}
+
+// staticValue abstracts a query variable for the lattice fast path as
+// the hull of the values domainConstraint admits: the intersection of
+// its allowed sets, or Top when it has none. That containment is what
+// makes an abstract refutation imply solver-level unsatisfiability.
+func (pr *armProver) staticValue(name string, w int) analysis.Value {
+	sets := pr.allowedSets(name)
 	switch len(sets) {
 	case 0:
 		return analysis.Top(w)
@@ -346,113 +289,12 @@ func (pr *armProver) staticValue(name string, w int) analysis.Value {
 
 // evalExpr converts an IR expression into a term. Signal reads become
 // free "s.<name>" variables; memory reads and X constants become
-// per-occurrence fresh variables.
+// per-occurrence fresh "f.<n>" variables.
 func (pr *armProver) evalExpr(x elab.Expr) *smt.Term {
-	switch n := x.(type) {
-	case elab.Const:
-		if n.V.IsFullyDefined() {
-			return smt.Const(n.V)
-		}
-		return pr.fresh(n.V.Width())
-	case elab.Sig:
-		return smt.Var(sigVar+pr.d.Signals[n.Idx].Name, n.W)
-	case elab.Bin:
-		xx := pr.evalExpr(n.X)
-		yy := pr.evalExpr(n.Y)
-		switch n.Op {
-		case elab.OpAdd:
-			return smt.Add(xx, yy)
-		case elab.OpSub:
-			return smt.Sub(xx, yy)
-		case elab.OpMul:
-			return smt.Mul(xx, yy)
-		case elab.OpAnd:
-			return smt.And(xx, yy)
-		case elab.OpOr:
-			return smt.Or(xx, yy)
-		case elab.OpXor:
-			return smt.Xor(xx, yy)
-		case elab.OpXnor:
-			return smt.Not(smt.Xor(xx, yy))
-		case elab.OpEq, elab.OpCaseEq:
-			return smt.Eq(xx, yy)
-		case elab.OpNeq, elab.OpCaseNeq:
-			return smt.Ne(xx, yy)
-		case elab.OpLt:
-			return smt.Ult(xx, yy)
-		case elab.OpLe:
-			return smt.Ule(xx, yy)
-		case elab.OpGt:
-			return smt.Ugt(xx, yy)
-		case elab.OpGe:
-			return smt.Uge(xx, yy)
-		case elab.OpShl:
-			return smt.Shl(xx, smt.ZExt(yy, xx.Width()))
-		case elab.OpShr, elab.OpAshr:
-			return smt.Shr(xx, smt.ZExt(yy, xx.Width()))
-		case elab.OpLAnd:
-			return smt.And(smt.RedOr(xx), smt.RedOr(yy))
-		case elab.OpLOr:
-			return smt.Or(smt.RedOr(xx), smt.RedOr(yy))
-		}
-		return pr.fresh(n.W)
-	case elab.Un:
-		xx := pr.evalExpr(n.X)
-		switch n.Op {
-		case elab.OpNot:
-			return smt.Not(xx)
-		case elab.OpLNot:
-			return smt.Not(smt.RedOr(xx))
-		case elab.OpNeg:
-			return smt.Neg(xx)
-		case elab.OpRedAnd:
-			return smt.RedAnd(xx)
-		case elab.OpRedOr:
-			return smt.RedOr(xx)
-		case elab.OpRedXor:
-			return smt.RedXor(xx)
-		case elab.OpRedNand:
-			return smt.Not(smt.RedAnd(xx))
-		case elab.OpRedNor:
-			return smt.Not(smt.RedOr(xx))
-		case elab.OpRedXnor:
-			return smt.Not(smt.RedXor(xx))
-		}
-		return pr.fresh(n.W)
-	case elab.Cond:
-		return smt.Ite(smt.RedOr(pr.evalExpr(n.C)), pr.evalExpr(n.T), pr.evalExpr(n.F))
-	case elab.CatE:
-		parts := make([]*smt.Term, len(n.Parts))
-		for i, p := range n.Parts {
-			parts[i] = pr.evalExpr(p)
-		}
-		return smt.Concat(parts...)
-	case elab.Slice:
-		return smt.Extract(pr.evalExpr(n.X), n.Hi, n.Lo)
-	case elab.BitSel:
-		xx := pr.evalExpr(n.X)
-		idx := pr.evalExpr(n.Idx)
-		return smt.Extract(smt.Shr(xx, smt.ZExt(idx, xx.Width())), 0, 0)
-	case elab.DynSlice:
-		xx := pr.evalExpr(n.X)
-		start := pr.evalExpr(n.Start)
-		shifted := smt.Shr(xx, smt.ZExt(start, xx.Width()))
-		if n.W <= xx.Width() {
-			return smt.Extract(shifted, n.W-1, 0)
-		}
-		return smt.ZExt(shifted, n.W)
-	case elab.ZExt:
-		return smt.ZExt(pr.evalExpr(n.X), n.W)
-	case elab.MemRead:
-		return pr.fresh(n.W)
-	}
-	return pr.fresh(x.Width())
-}
-
-func (pr *armProver) fresh(w int) *smt.Term {
-	pr.freshID++
-	if w <= 0 {
-		w = 1
-	}
-	return smt.Var(fmt.Sprintf("f.%d", pr.freshID), w)
+	return analysis.Lower(x, func(idx, w int) *smt.Term {
+		return smt.Var(sigVar+pr.d.Signals[idx].Name, w)
+	}, func(w int, _ string) *smt.Term {
+		pr.freshID++
+		return smt.Var(fmt.Sprintf("f.%d", pr.freshID), w)
+	})
 }

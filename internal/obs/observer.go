@@ -36,21 +36,6 @@ type CacheRef struct {
 	OriginSpan   string
 }
 
-// WatchSink receives streaming telemetry at interval boundaries and
-// solver completions — the feed for a live health engine
-// (internal/watch). Implementations must be safe for concurrent use
-// and must not block: they run on the fuzzing hot path. A nil sink is
-// the disabled state and costs nothing (pinned by test).
-type WatchSink interface {
-	// WatchSample delivers one completed interval's sample (the same
-	// shape as the Series ring's points).
-	WatchSample(p SeriesPoint)
-	// WatchSolve delivers one solver dispatch: the emitting lane, the
-	// targeted cluster graph and edge, the outcome ("sat"/"unsat"),
-	// the solve wall time, and the campaign-clock timestamp.
-	WatchSolve(lane, graph, to int, outcome string, durNS, tns int64)
-}
-
 // CurvePoint is one live coverage-curve sample.
 type CurvePoint struct {
 	Vectors uint64 `json:"vectors"`
@@ -94,10 +79,6 @@ type Options struct {
 	// fresh DefaultSeriesCap ring. ForWorker lanes share their base
 	// observer's ring.
 	Series *Series
-	// Watch streams interval samples and solve completions to a live
-	// health engine; nil (the default) disables the stream at zero
-	// cost. ForWorker lanes share their base observer's sink.
-	Watch WatchSink
 }
 
 // Observer is the engine-facing telemetry facade: a metrics registry
@@ -111,7 +92,6 @@ type Observer struct {
 	origin int64
 	worker int
 	series *Series
-	watch  WatchSink
 
 	mu    sync.Mutex
 	curve []CurvePoint
@@ -182,7 +162,7 @@ func New(opts Options) *Observer {
 	if series == nil {
 		series = NewSeries(0)
 	}
-	o := &Observer{reg: reg, tracer: opts.Tracer, now: now, worker: opts.Worker, series: series, watch: opts.Watch, intervalIdx: -1}
+	o := &Observer{reg: reg, tracer: opts.Tracer, now: now, worker: opts.Worker, series: series, intervalIdx: -1}
 	o.origin = now()
 	p := func(name string) string { return opts.Prefix + name }
 	o.cIntervals = reg.Counter(p("fuzz_intervals"))
@@ -239,7 +219,6 @@ func (o *Observer) ForWorker(id int) *Observer {
 		Prefix:   fmt.Sprintf("w%d_", id),
 		Worker:   id,
 		Series:   o.series,
-		Watch:    o.watch,
 	})
 	w.origin = o.origin // timestamps align with the campaign origin
 	return w
@@ -401,7 +380,7 @@ func (o *Observer) IntervalStart(vectors uint64, points int) {
 // IntervalEnd records one completed fuzz interval and its engine-
 // measured wall time, closing the interval span (which carries that
 // time and the vectors the interval applied) and sampling the
-// per-interval time series for the ring and the watch sink.
+// per-interval time series ring.
 func (o *Observer) IntervalEnd(vectors uint64, points int, durNS int64) {
 	if o == nil {
 		return
@@ -431,9 +410,6 @@ func (o *Observer) IntervalEnd(vectors uint64, points int, durNS int64) {
 		Plans: o.cPlans.Value(),
 	}
 	o.series.Add(p)
-	if o.watch != nil {
-		o.watch.WatchSample(p)
-	}
 }
 
 // Stagnation records a Th-interval coverage stall triggering symbolic
@@ -525,9 +501,6 @@ func (o *Observer) SolverDispatch(graph, edge int, vectors uint64, points int, s
 			SlicedVars: st.SlicedVars, Infeasible: st.Infeasible,
 			Cache: cache.State, OriginWorker: cache.OriginWorker, OriginSpan: cache.OriginSpan,
 		})
-	}
-	if o.watch != nil {
-		o.watch.WatchSolve(o.worker, graph, edge, st.Outcome, st.BlastNS+st.SolveNS, o.Now())
 	}
 	return span
 }

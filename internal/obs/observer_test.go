@@ -203,3 +203,21 @@ func TestServeStatus(t *testing.T) {
 		t.Errorf("unknown path status = %d, want 404", nf.StatusCode)
 	}
 }
+
+// TestWatchDisabledZeroAlloc pins the observer's cost without a
+// tracer: a live (non-nil) observer must not allocate on the
+// interval/solve hot path. The fleet's watch plane reads the
+// coordinator's publish and solve hooks, so nothing else rides it.
+func TestWatchDisabledZeroAlloc(t *testing.T) {
+	o := New(Options{Now: fakeClock()})
+	st := SolveStats{Outcome: "sat", Conflicts: 1, BlastNS: 2, SolveNS: 3}
+	o.CampaignStart(0, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		o.IntervalStart(1, 2)
+		o.SolverDispatch(0, 1, 1, 2, st, CacheRef{})
+		o.IntervalEnd(1, 2, 3)
+	})
+	if allocs != 0 {
+		t.Errorf("untraced hot path allocated %.0f times per run, want 0", allocs)
+	}
+}

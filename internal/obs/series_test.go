@@ -82,23 +82,30 @@ func TestObserverSamplesSeriesAtIntervalEnd(t *testing.T) {
 			o.CampaignStart(0, 0)
 			o.IntervalStart(0, 0)
 			o.IntervalEnd(100, 5, 1000)
+			o.IntervalStart(100, 5)
+			o.IntervalEnd(150, 6, 1000)
 			w := o.ForWorker(2)
-			w.IntervalStart(100, 5)
+			w.IntervalStart(150, 6)
 			w.IntervalEnd(250, 9, 1000)
 			o.CampaignEnd(250, 9)
 
 			pts := o.Series().Points()
-			if len(pts) != 2 {
-				t.Fatalf("series samples = %d, want 2 (lanes share the ring)", len(pts))
+			if len(pts) != 3 {
+				t.Fatalf("series samples = %d, want 3 (lanes share the ring)", len(pts))
 			}
-			if pts[0].Worker != 0 || pts[0].Vectors != 100 || pts[0].Points != 5 {
+			// The interval index advances per lane whether or not span
+			// bookkeeping is on.
+			if pts[0].Worker != 0 || pts[0].Interval != 0 || pts[0].Vectors != 100 || pts[0].Points != 5 {
 				t.Errorf("sample 0 = %+v", pts[0])
 			}
-			if pts[1].Worker != 2 || pts[1].Vectors != 250 || pts[1].Interval != 0 {
+			if pts[1].Worker != 0 || pts[1].Interval != 1 || pts[1].Vectors != 150 || pts[1].Points != 6 {
 				t.Errorf("sample 1 = %+v", pts[1])
 			}
-			if snap := o.Snapshot(); len(snap.Series) != 2 {
-				t.Errorf("snapshot series = %d samples, want 2", len(snap.Series))
+			if pts[2].Worker != 2 || pts[2].Interval != 0 || pts[2].Vectors != 250 {
+				t.Errorf("sample 2 = %+v", pts[2])
+			}
+			if snap := o.Snapshot(); len(snap.Series) != 3 {
+				t.Errorf("snapshot series = %d samples, want 3", len(snap.Series))
 			}
 		})
 	}

@@ -65,14 +65,6 @@ type Config struct {
 	// (benchmarking time-to-coverage). The stop vector count depends
 	// on scheduling; leave 0 for deterministic fixed-budget campaigns.
 	StopAtPoints int
-	// StopWhenAllCovered stops once every static CFG edge is globally
-	// covered (also scheduling-dependent; off by default).
-	StopWhenAllCovered bool
-	// SplitBudget divides MaxVectors across workers instead of giving
-	// each worker the full budget.
-	SplitBudget bool
-	// DisableSolveSharing turns the cross-worker plan cache off.
-	DisableSolveSharing bool
 }
 
 // Report is a parallel campaign's outcome: the deterministic merged
@@ -140,7 +132,7 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 	baseObs := base.Obs
 
 	var cache *SolveCache
-	if n > 1 && !c.DisableSolveSharing {
+	if n > 1 {
 		cache = NewSolveCache()
 	}
 
@@ -175,13 +167,6 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 			}
 			wc.CFG.Pin = pin
 		}
-		if c.SplitBudget && n > 1 {
-			share := base.MaxVectors / uint64(n)
-			if uint64(r) < base.MaxVectors%uint64(n) {
-				share++
-			}
-			wc.MaxVectors = share
-		}
 		wc.Obs = baseObs.ForWorker(r + 1)
 		rank := r
 		wc.Sync = func(cv *cov.CFGCov, rep *core.Report) bool {
@@ -200,7 +185,7 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 	for _, g := range part.Graphs {
 		edgesTotal += len(g.Edges)
 	}
-	fr = NewFrontier(len(part.Graphs), edgesTotal, n, c.StopAtPoints, c.StopWhenAllCovered, baseObs)
+	fr = NewFrontier(len(part.Graphs), edgesTotal, n, c.StopAtPoints, false, baseObs)
 
 	baseObs.CampaignStart(0, 0)
 	start := time.Now()
