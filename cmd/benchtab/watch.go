@@ -13,12 +13,13 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/fleet"
+	"repro/internal/watch"
 )
 
-// The watch experiment measures what the streaming health plane costs:
-// the same fixed-budget 2-worker fleet campaign runs with the watch
-// plane enabled (publish/solve hooks feeding the health engine, the
-// periodic sweep, alert journaling, the subscription bus) and with it
+// The watch experiment measures what the health plane costs: the same
+// fixed-budget 2-worker fleet campaign runs with the watch plane
+// enabled (publish/solve hooks feeding the health engine, the periodic
+// sweep, alert journaling) and with it
 // disabled (the nil-hook path the zero-alloc test pins). The work
 // counter is the number of health-series samples /v1/watch/snapshot
 // holds after the on arm; the alerts it raised are informational.
@@ -37,8 +38,8 @@ func runWatch(seed int64, runs int, w io.Writer) (any, error) {
 		workers:  spec.Workers,
 		runs:     5,
 		workUnit: "health_samples",
-		note: "on arm hosts the campaign with the streaming health plane on (hooks, sweep, alert " +
-			"journal, bus); off arm runs the nil-hook path",
+		note: "on arm hosts the campaign with the health plane on (hooks, sweep, alert " +
+			"journal); off arm runs the nil-hook path",
 		run: func(on bool) (instrumentRun, error) {
 			dir, err := os.MkdirTemp("", "benchwatch")
 			if err != nil {
@@ -71,7 +72,7 @@ func runWatch(seed int64, runs int, w io.Writer) (any, error) {
 				return instrumentRun{}, err
 			}
 			defer sresp.Body.Close()
-			var snap fleet.WatchSnapshot
+			var snap watch.Snapshot
 			if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
 				return instrumentRun{}, fmt.Errorf("watch snapshot: %w", err)
 			}

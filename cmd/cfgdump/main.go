@@ -179,26 +179,10 @@ func printAnalysis(d *elab.Design, part *cfg.Partition) {
 }
 
 func builtin(name string) (*symbfuzz.Benchmark, error) {
-	switch name {
-	case "alu":
-		return symbfuzz.ALU(), nil
-	case "opentitan_mini":
-		return symbfuzz.OpenTitanMini(nil), nil
-	case "cva6_mini":
-		return symbfuzz.CVA6Mini(true), nil
-	case "rocket_mini":
-		return symbfuzz.RocketMini(true), nil
-	case "mor1kx_mini":
-		return symbfuzz.Mor1kxMini(true), nil
-	case "":
+	if name == "" {
 		return nil, fmt.Errorf("one of -bench or -src is required")
 	}
-	for _, ip := range designs.AllIPs() {
-		if ip.Name == name {
-			return designs.IPBenchmark(ip, true), nil
-		}
-	}
-	if b, ok := designs.FindBenchmark(name); ok {
+	if b, ok := designs.Lookup(name, true); ok {
 		return b, nil
 	}
 	return nil, fmt.Errorf("unknown benchmark %q", name)

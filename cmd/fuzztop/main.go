@@ -1,10 +1,11 @@
 // Command fuzztop is the fleet's terminal dashboard: a live top-style
 // view of every hosted campaign's progress, health score, and active
-// alerts, driven by the coordinator's /v1/watch SSE stream.
+// alerts, polled from the coordinator's /v1/fleet and
+// /v1/watch/snapshot documents.
 //
 // Usage:
 //
-//	fuzztop -addr host:7070          # live view, redrawn per health frame
+//	fuzztop -addr host:7070          # live view, redrawn every -interval
 //	fuzztop -addr host:7070 -once    # render one frame to stdout and exit
 //
 // -once is byte-deterministic for a settled fleet: the frame carries
@@ -15,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -25,14 +25,13 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/watch"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "fleet coordinator address")
 	once := flag.Bool("once", false, "render a single frame to stdout and exit")
-	interval := flag.Duration("interval", time.Second, "live-mode minimum redraw interval")
+	interval := flag.Duration("interval", time.Second, "live-mode redraw interval")
 	flag.Parse()
 	base := "http://" + strings.TrimPrefix(strings.TrimRight(*addr, "/"), "http://")
 
@@ -61,11 +60,10 @@ func fetchModel(base string) (model, error) {
 		return m, err
 	}
 	m.Campaigns = fs.Campaigns
-	var snap fleet.WatchSnapshot
+	var snap watch.Snapshot
 	switch err := getJSON(base+"/v1/watch/snapshot", &snap); {
 	case err == nil:
 		m.Watch = true
-		m.Dropped = snap.Dropped
 		for _, h := range snap.Campaigns {
 			m.Health[h.Campaign] = h
 		}
@@ -89,86 +87,19 @@ func getJSON(url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// live consumes the /v1/watch SSE stream, folding health frames and
-// alert events into the model and redrawing at most once per interval.
-// Progress columns refresh from /v1/fleet on the same cadence.
+// live redraws one polled frame per interval until a fetch fails.
 func live(base string, interval time.Duration) error {
-	m, err := fetchModel(base)
-	if err != nil {
-		return err
-	}
-	draw(m)
-	if !m.Watch {
-		// No stream to follow: poll the one-shot surfaces.
-		for {
-			time.Sleep(interval)
-			if m, err = fetchModel(base); err != nil {
-				return err
-			}
-			draw(m)
+	for {
+		m, err := fetchModel(base)
+		if err != nil {
+			return err
 		}
+		draw(m)
+		time.Sleep(interval)
 	}
-
-	resp, err := http.Get(base + "/v1/watch")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/v1/watch: status %d", resp.StatusCode)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	last := time.Now()
-	dirty := false
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var u watch.Update
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &u); err != nil {
-			continue
-		}
-		switch {
-		case u.Health != nil:
-			h := *u.Health
-			if prev, ok := m.Health[u.Campaign]; ok && len(h.Series) == 0 {
-				h.Series = prev.Series // sweep frames travel light
-			}
-			m.Health[u.Campaign] = h
-			dirty = true
-		case u.Alert != nil:
-			dirty = true
-		case u.Sample != nil:
-			// Samples refresh the sparkline between sweeps.
-			h := m.Health[u.Campaign]
-			h.Campaign = u.Campaign
-			h.Series = append(h.Series, obs.SeriesPoint{
-				TNS: u.Sample.TNS, Worker: u.Sample.Lane, Interval: u.Sample.Interval,
-				Vectors: u.Sample.Vectors, Points: u.Sample.Points,
-			})
-			if len(h.Series) > 2*sparkWidth {
-				h.Series = h.Series[len(h.Series)-sparkWidth:]
-			}
-			m.Health[u.Campaign] = h
-			dirty = true
-		}
-		if dirty && time.Since(last) >= interval {
-			if fm, err := fetchModel(base); err == nil {
-				fm.Health = m.Health // the stream is fresher than the snapshot
-				m = fm
-			}
-			draw(m)
-			last, dirty = time.Now(), false
-		}
-	}
-	// Stream closed: the fleet shut down.
-	return sc.Err()
 }
 
 // draw repaints the terminal with one frame.
 func draw(m model) {
-	os.Stdout.WriteString("\x1b[H\x1b[2J" + render(m) + renderLiveFooter(m))
+	os.Stdout.WriteString("\x1b[H\x1b[2J" + render(m))
 }

@@ -51,8 +51,7 @@ const sparkWidth = 32
 type model struct {
 	Campaigns []fleet.CampaignStatus
 	Health    map[string]watch.CampaignHealth
-	Watch     bool  // watch plane reachable
-	Dropped   int64 // bus drop counter (live footer only)
+	Watch     bool // watch plane reachable
 }
 
 // render draws one frame. Campaigns sort by name; alerts arrive
@@ -117,10 +116,4 @@ func render(m model) string {
 		}
 	}
 	return b.String()
-}
-
-// renderLiveFooter appends the live-mode-only trailer (drop accounting
-// is wall-clock-ish state, so -once never prints it).
-func renderLiveFooter(m model) string {
-	return fmt.Sprintf("\nbus drops: %d   (q to quit via ^C)\n", m.Dropped)
 }

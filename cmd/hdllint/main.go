@@ -101,17 +101,15 @@ func main() {
 		// reachability facts for the same design.
 		type factsRecord struct {
 			analysis.Dump
-			DeadArms     map[int][]int `json:"dead_arms,omitempty"`
-			StaticProofs int           `json:"static_proofs"`
-			SolverQuery  int           `json:"solver_queries"`
+			DeadArms    map[int][]int `json:"dead_arms,omitempty"`
+			SolverQuery int           `json:"solver_queries"`
 		}
 		var records []factsRecord
 		for _, j := range jobs {
 			res := lint.Run(j.design, j.opts)
 			rec := factsRecord{
-				Dump:         analysis.Analyze(j.design).DumpFacts(),
-				StaticProofs: res.Facts.StaticProofs,
-				SolverQuery:  res.Facts.SolverQueries,
+				Dump:        analysis.Analyze(j.design).DumpFacts(),
+				SolverQuery: res.Facts.SolverQueries,
 			}
 			rec.Design = j.name
 			if len(res.Facts.DeadArms) > 0 {

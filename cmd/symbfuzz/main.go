@@ -112,7 +112,7 @@ func main() {
 		journalDir = flag.String("journal-dir", "", "fleet journal directory (one <campaign>.jsonl per campaign; enables -resume)")
 		traceDir   = flag.String("trace-dir", "", "fleet trace directory (one merged <campaign>.trace.jsonl per campaign)")
 		campaign   = flag.String("campaign", "", "campaign name to work on when connecting to a fleet coordinator")
-		watchOn    = flag.Bool("watch", false, "fleet: enable the streaming health plane (journaled alerts, /v1/watch SSE, fuzztop)")
+		watchOn    = flag.Bool("watch", false, "fleet: enable the health plane (journaled alerts, /v1/watch/snapshot, fuzztop)")
 	)
 	flag.Var(&extraProps, "prop",
 		`extra security property, repeatable: -prop 'name=err |-> en;!rst_ni'`)
@@ -338,7 +338,7 @@ func runFleet(ctx context.Context, addr, journalDir, traceDir string, resume, wa
 	fmt.Printf("fleet coordinator listening on %s (control surface: http://%s/v1/campaigns, metrics: /metrics)\n",
 		s.Addr(), s.Addr())
 	if watch {
-		fmt.Printf("watch plane on: stream http://%s/v1/watch or run fuzztop -addr %s\n", s.Addr(), s.Addr())
+		fmt.Printf("watch plane on: poll http://%s/v1/watch/snapshot or run fuzztop -addr %s\n", s.Addr(), s.Addr())
 	}
 	<-ctx.Done()
 	fmt.Println("fleet coordinator shutting down")
@@ -435,30 +435,10 @@ func resolveBenchmark(bench, srcFile, top string, fixed bool) (*symbfuzz.Benchma
 		}
 		return &symbfuzz.Benchmark{Name: top, Top: top, Source: string(data)}, nil
 	}
-	buggy := !fixed
-	switch bench {
-	case "alu":
-		return symbfuzz.ALU(), nil
-	case "opentitan_mini":
-		if fixed {
-			return symbfuzz.OpenTitanMini(map[string]bool{}), nil
-		}
-		return symbfuzz.OpenTitanMini(nil), nil
-	case "cva6_mini":
-		return symbfuzz.CVA6Mini(buggy), nil
-	case "rocket_mini":
-		return symbfuzz.RocketMini(buggy), nil
-	case "mor1kx_mini":
-		return symbfuzz.Mor1kxMini(buggy), nil
-	case "":
+	if bench == "" {
 		return nil, fmt.Errorf("one of -bench or -src is required")
 	}
-	for _, ip := range designs.AllIPs() {
-		if ip.Name == bench {
-			return designs.IPBenchmark(ip, buggy), nil
-		}
-	}
-	if b, ok := designs.FindBenchmark(bench); ok {
+	if b, ok := designs.Lookup(bench, !fixed); ok {
 		return b, nil
 	}
 	return nil, fmt.Errorf("unknown benchmark %q", bench)

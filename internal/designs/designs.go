@@ -165,11 +165,35 @@ func AllBenchmarks() []*Benchmark {
 	return out
 }
 
-// FindBenchmark returns the builtin benchmark with the given name.
-func FindBenchmark(name string) (*Benchmark, bool) {
-	for _, b := range AllBenchmarks() {
-		if b.Name == name {
-			return b, true
+// FindBenchmark returns the builtin benchmark with the given name, in
+// its fixed variant.
+func FindBenchmark(name string) (*Benchmark, bool) { return Lookup(name, false) }
+
+// Lookup is the one benchmark-name table: it builds the named builtin
+// with its injected bugs present (buggy) or fixed. The names are those
+// of AllBenchmarks; alu and bus_arb have no bug variants and ignore
+// buggy.
+func Lookup(name string, buggy bool) (*Benchmark, bool) {
+	switch name {
+	case "alu":
+		return ALU(), true
+	case "bus_arb":
+		return BusArb(), true
+	case "opentitan_mini":
+		if buggy {
+			return OpenTitanMini(nil), true
+		}
+		return OpenTitanMini(map[string]bool{}), true
+	case "cva6_mini":
+		return CVA6Mini(buggy), true
+	case "rocket_mini":
+		return RocketMini(buggy), true
+	case "mor1kx_mini":
+		return Mor1kxMini(buggy), true
+	}
+	for _, ip := range AllIPs() {
+		if ip.Name == name {
+			return IPBenchmark(ip, buggy), true
 		}
 	}
 	return nil, false

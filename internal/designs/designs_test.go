@@ -152,3 +152,38 @@ func TestSymbFuzzFindsEveryPlantedBug(t *testing.T) {
 		})
 	}
 }
+
+// TestLookupTable checks the benchmark-name table against the builtin
+// lists: every AllBenchmarks name resolves, its fixed variant is the
+// listed benchmark, and its buggy variant differs exactly when the
+// design carries injected bugs; every AllIPs name resolves to its
+// IPBenchmark in both variants.
+func TestLookupTable(t *testing.T) {
+	for _, want := range AllBenchmarks() {
+		fixed, ok := Lookup(want.Name, false)
+		if !ok || fixed.Name != want.Name || fixed.Source != want.Source ||
+			len(fixed.Properties) != len(want.Properties) {
+			t.Errorf("Lookup(%q, fixed) does not match AllBenchmarks", want.Name)
+			continue
+		}
+		buggy, ok := Lookup(want.Name, true)
+		if !ok || buggy.Name != want.Name {
+			t.Errorf("Lookup(%q, buggy) = %v, %v", want.Name, buggy, ok)
+			continue
+		}
+		if hasBugs := len(want.Bugs) > 0; (buggy.Source != fixed.Source) != hasBugs {
+			t.Errorf("%s: buggy source differs = %v, want %v", want.Name, buggy.Source != fixed.Source, hasBugs)
+		}
+	}
+	for _, ip := range AllIPs() {
+		for _, bug := range []bool{false, true} {
+			got, ok := Lookup(ip.Name, bug)
+			if !ok || got.Source != IPBenchmark(ip, bug).Source {
+				t.Errorf("Lookup(%q, %v) is not its IPBenchmark", ip.Name, bug)
+			}
+		}
+	}
+	if b, ok := Lookup("no_such_design", false); ok {
+		t.Errorf("unknown name resolved to %v", b.Name)
+	}
+}

@@ -22,10 +22,9 @@ func ResolveSpec(s CampaignSpec) (*designs.Benchmark, []*props.Property, error) 
 		}
 		b = &designs.Benchmark{Name: s.Top, Top: s.Top, Source: s.Source}
 	case s.Bench != "":
-		var err error
-		b, err = lookupBench(s.Bench, s.Fixed)
-		if err != nil {
-			return nil, nil, err
+		var ok bool
+		if b, ok = designs.Lookup(s.Bench, !s.Fixed); !ok {
+			return nil, nil, fmt.Errorf("dist: unknown benchmark %q", s.Bench)
 		}
 	default:
 		return nil, nil, fmt.Errorf("dist: spec names neither a benchmark nor a source file")
@@ -40,33 +39,4 @@ func ResolveSpec(s CampaignSpec) (*designs.Benchmark, []*props.Property, error) 
 		properties = append(properties, p)
 	}
 	return b, properties, nil
-}
-
-// lookupBench mirrors the symbfuzz CLI's benchmark table.
-func lookupBench(name string, fixed bool) (*designs.Benchmark, error) {
-	buggy := !fixed
-	switch name {
-	case "alu":
-		return designs.ALU(), nil
-	case "opentitan_mini":
-		if fixed {
-			return designs.OpenTitanMini(map[string]bool{}), nil
-		}
-		return designs.OpenTitanMini(nil), nil
-	case "cva6_mini":
-		return designs.CVA6Mini(buggy), nil
-	case "rocket_mini":
-		return designs.RocketMini(buggy), nil
-	case "mor1kx_mini":
-		return designs.Mor1kxMini(buggy), nil
-	}
-	for _, ip := range designs.AllIPs() {
-		if ip.Name == name {
-			return designs.IPBenchmark(ip, buggy), nil
-		}
-	}
-	if b, ok := designs.FindBenchmark(name); ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("dist: unknown benchmark %q", name)
 }

@@ -689,7 +689,7 @@ type Status struct {
 	UptimeNS   int64  `json:"uptime_ns"`
 
 	// Watch-engine health annotation, populated by hosts running the
-	// streaming watch plane (Watched marks the fields as live — a
+	// watch plane (Watched marks the fields as live — a
 	// 0 score on an unwatched campaign means "not scored").
 	Watched      bool `json:"watched,omitempty"`
 	HealthScore  int  `json:"health_score,omitempty"`

@@ -288,7 +288,7 @@ func (e Bin) Eval(st Store) logic.BV {
 		return x.Shr(y)
 	case OpAshr:
 		// Arithmetic right shift on the operand's width.
-		n, ok := y.Uint64()
+		n, ok := y.ShiftAmount()
 		if !ok {
 			return logic.X(x.Width())
 		}

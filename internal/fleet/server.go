@@ -119,8 +119,8 @@ type Config struct {
 	// a test hook for forcing 429 backpressure deterministically.
 	DrainDelay time.Duration
 
-	// Watch enables the streaming health plane: the deterministic
-	// health engine, journaled alerts, /v1/watch SSE, and the periodic
+	// Watch enables the health plane: the deterministic health
+	// engine, journaled alerts, /v1/watch/snapshot, and the periodic
 	// sweep. Disabled (the default), the fleet runs byte-identically to
 	// a watch-less build — no hooks installed, no extra goroutine, no
 	// extra metrics on /metrics beyond the always-on admission
@@ -233,10 +233,8 @@ type Server struct {
 	quitOnce sync.Once
 	wg       sync.WaitGroup
 
-	// Watch plane (bus is always constructed so Subscribe/Close are
-	// nil-safe; watch is nil unless Config.Watch).
+	// Watch plane (watch is nil unless Config.Watch).
 	watch     *watch.Engine
-	bus       *watch.Bus
 	watchQuit chan struct{}
 	watchOnce sync.Once
 	sweepWG   sync.WaitGroup
@@ -266,7 +264,6 @@ func NewServer(addr string, cfg Config) (*Server, error) {
 		camps:     map[string]*campaign{},
 		quit:      make(chan struct{}),
 		watchQuit: make(chan struct{}),
-		bus:       watch.NewBus(),
 		start:     time.Now(),
 	}
 	s.fleetReg = obs.NewRegistry()
@@ -305,7 +302,6 @@ func NewServer(addr string, cfg Config) (*Server, error) {
 	mux.HandleFunc("/v1/campaigns", s.handleCampaigns)
 	mux.HandleFunc("/v1/campaigns/", s.handleCampaign)
 	mux.HandleFunc("/v1/fleet", s.handleFleet)
-	mux.HandleFunc("/v1/watch", s.handleWatch)
 	mux.HandleFunc("/v1/watch/snapshot", s.handleWatchSnapshot)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
@@ -676,12 +672,10 @@ func (s *Server) leaseTTL() time.Duration {
 
 // Shutdown stops the watch plane, drains the HTTP server, stops the
 // drainers, finalizes every completed campaign (flushing its merged
-// trace), and closes every journal. The watch plane goes down FIRST:
-// closing the bus closes every subscriber channel, which is what makes
-// a parked /v1/watch stream return — otherwise http.Server.Shutdown
-// would wait on it forever. Handlers parked on their campaign's
-// drainer still finish (Shutdown waits for in-flight requests), so no
-// queued batch is left unanswered.
+// trace), and closes every journal. The watch sweep stops first (see
+// stopWatch). Handlers parked on their campaign's drainer still finish
+// (Shutdown waits for in-flight requests), so no queued batch is left
+// unanswered.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopWatch()
 	err := s.srv.Shutdown(ctx)

@@ -1,10 +1,7 @@
 package fleet
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -15,8 +12,8 @@ import (
 // deterministic health engine, a periodic sweep observes what the wire
 // cannot (expired leases, queue occupancy, budget burn), and every
 // raised alert is journaled (kill -9 durable), folded into the
-// campaign trace as a typed span, counted on the campaign's registry,
-// and fanned out on the subscription bus that /v1/watch streams.
+// campaign trace as a typed span, and counted on the campaign's
+// registry. Readers poll /v1/watch/snapshot.
 
 // defaultSweepInterval paces the watch sweep when Config.SweepInterval
 // is zero.
@@ -52,11 +49,7 @@ func (s *Server) watchPublish(c *campaign, rank int, seq uint64, vectors uint64,
 		TNS: s.watchTNS(), Worker: rank, Interval: interval,
 		Vectors: vectors, Points: points,
 	}
-	alerts := s.watch.ObserveSample(c.name, p)
-	s.bus.Publish(watch.Update{Type: watch.UpdateSample, Campaign: c.name, Sample: &watch.SamplePayload{
-		TNS: p.TNS, Lane: rank, Interval: interval, Vectors: vectors, Points: points,
-	}})
-	s.raiseAlerts(c, alerts)
+	s.raiseAlerts(c, s.watch.ObserveSample(c.name, p))
 }
 
 // watchSolve is the OnSolve hook: every solver result folded into the
@@ -68,18 +61,16 @@ func (s *Server) watchSolve(c *campaign, rank, graph, to int, outcome string, ns
 
 // raiseAlerts runs every side effect of a newly raised alert: fsynced
 // journal record + trace span (AppendAlert, idempotent by ID), the
-// per-campaign alert counter, the health gauges, and the bus fan-out.
+// per-campaign alert counter, and the health gauges.
 func (s *Server) raiseAlerts(c *campaign, alerts []watch.Alert) {
 	if len(alerts) == 0 {
 		return
 	}
-	for i := range alerts {
-		a := alerts[i]
+	for _, a := range alerts {
 		_ = c.cs.AppendAlert(a)
 		if c.cAlerts != nil {
 			c.cAlerts.Inc()
 		}
-		s.bus.Publish(watch.Update{Type: watch.UpdateAlert, Campaign: c.name, Alert: &alerts[i]})
 	}
 	s.updateHealthGauges(c)
 }
@@ -126,8 +117,7 @@ func (s *Server) seedWatchAlerts(c *campaign) {
 // sweep is the watch plane's periodic observer, one goroutine per
 // fleet: dead-rank detection from the lease tables plus the ops
 // samples (queue occupancy, 429 rate, budget burn) the wire hooks
-// cannot see. It also refreshes health gauges and streams one health
-// frame per campaign per tick.
+// cannot see. It also refreshes every campaign's health gauges.
 func (s *Server) sweep() {
 	defer s.sweepWG.Done()
 	t := time.NewTicker(s.sweepInterval())
@@ -165,111 +155,29 @@ func (s *Server) sweepOnce() {
 			TNS:         tns,
 		}))
 		s.updateHealthGauges(c)
-		h := s.watch.Health(c.name)
-		h.Series = nil // health frames stay light; series ride /v1/watch/snapshot
-		s.bus.Publish(watch.Update{Type: watch.UpdateHealth, Campaign: c.name, Health: &h})
 	}
 }
 
-// stopWatch halts the sweep and closes the bus — and with it every
-// subscriber channel, so SSE handlers unblock and return. It runs
-// BEFORE the HTTP drain in Shutdown: http.Server.Shutdown waits for
-// in-flight requests, and a long-lived /v1/watch stream would park it
-// forever if its channel were still open. Idempotent.
+// stopWatch halts the sweep and waits for its last pass. Shutdown
+// calls it before the HTTP drain so that no sweep-raised alert can
+// reach a journal or trace after Shutdown starts closing them; the
+// wire hooks stop with the drain, since they run inside requests.
+// Idempotent.
 func (s *Server) stopWatch() {
 	s.watchOnce.Do(func() {
 		close(s.watchQuit)
 		s.sweepWG.Wait()
-		s.bus.Close()
 	})
 }
 
 // ---- HTTP surface ----
 
-// handleWatch streams watch updates as Server-Sent Events: an initial
-// burst of one health frame per campaign, then every bus update the
-// client keeps up with. Each client gets its own bounded buffer; a
-// slow client drops (counted on the bus), never blocking the drainers
-// or the sweep. The handler exits when the client disconnects or the
-// bus closes (fleet shutdown).
-func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	if s.watch == nil {
-		writeErr(w, http.StatusNotFound, "watch plane disabled (start the fleet with watch enabled)")
-		return
-	}
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	buf := 0
-	if v := r.URL.Query().Get("buf"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			buf = n
-		}
-	}
-	sub := s.bus.Subscribe(buf)
-	defer sub.Close()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	snap := s.watch.SnapshotAll()
-	for i := range snap.Campaigns {
-		ch := snap.Campaigns[i]
-		ch.Series = nil
-		writeSSE(w, watch.Update{Type: watch.UpdateHealth, Campaign: ch.Campaign, Health: &ch})
-	}
-	fl.Flush()
-
-	for {
-		select {
-		case u, ok := <-sub.C:
-			if !ok {
-				return // bus closed: fleet is shutting down
-			}
-			writeSSE(w, u)
-			fl.Flush()
-		case <-r.Context().Done():
-			return // client went away
-		}
-	}
-}
-
-// writeSSE frames one update as a Server-Sent Event.
-func writeSSE(w http.ResponseWriter, u watch.Update) {
-	data, err := json.Marshal(u)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", u.Type, data)
-}
-
-// WatchSnapshot is the GET /v1/watch/snapshot document: the full
-// health snapshot (series included) plus the bus's drop accounting.
-type WatchSnapshot struct {
-	watch.Snapshot
-	Subscribers int   `json:"subscribers"`
-	Dropped     int64 `json:"dropped"`
-}
-
-// handleWatchSnapshot serves the one-shot health document fuzztop
-// -once renders.
+// handleWatchSnapshot serves GET /v1/watch/snapshot: the full health
+// snapshot, series included, that fuzztop polls.
 func (s *Server) handleWatchSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.watch == nil {
 		writeErr(w, http.StatusNotFound, "watch plane disabled (start the fleet with watch enabled)")
 		return
 	}
-	writeJSON(w, WatchSnapshot{
-		Snapshot:    s.watch.SnapshotAll(),
-		Subscribers: s.bus.Subscribers(),
-		Dropped:     s.bus.Dropped(),
-	})
+	writeJSON(w, s.watch.SnapshotAll())
 }

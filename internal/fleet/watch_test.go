@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,7 +69,7 @@ func alertIDs(alerts []watch.Alert) []string {
 	return ids
 }
 
-func getSnapshot(t *testing.T, addr string) WatchSnapshot {
+func getSnapshot(t *testing.T, addr string) watch.Snapshot {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/v1/watch/snapshot")
 	if err != nil {
@@ -80,7 +79,7 @@ func getSnapshot(t *testing.T, addr string) WatchSnapshot {
 	if resp.StatusCode != 200 {
 		t.Fatalf("snapshot: status %d", resp.StatusCode)
 	}
-	var snap WatchSnapshot
+	var snap watch.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("snapshot decode: %v", err)
 	}
@@ -344,12 +343,11 @@ func TestWatchRankDeadAndResumeSeeding(t *testing.T) {
 	}
 }
 
-// TestWatchSSEStream pins the streaming surface: a client receives the
-// initial health burst, a disconnect mid-stream releases its
-// subscription (no goroutine parked forever — run under -race), and
-// Shutdown with a client still connected terminates the stream instead
-// of deadlocking the HTTP drain.
-func TestWatchSSEStream(t *testing.T) {
+// TestWatchSnapshotReadPath pins the watch plane's one read path: with
+// the plane on, /v1/watch/snapshot serves the health snapshot itself
+// (no wrapper fields), the retired /v1/watch stream answers 404, and
+// Shutdown returns promptly with the sweep running.
+func TestWatchSnapshotReadPath(t *testing.T) {
 	s := newTestServer(t, Config{
 		Watch: true, WatchRules: quietRules(),
 		SweepInterval: 30 * time.Millisecond,
@@ -358,58 +356,46 @@ func TestWatchSSEStream(t *testing.T) {
 	spec.Workers = 1
 	createCampaign(t, s.Addr(), CreateRequest{Name: "camp", Spec: spec})
 
-	// Client 1: read the initial burst plus a few sweep frames, then
-	// disconnect mid-stream.
-	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, "GET", "http://"+s.Addr()+"/v1/watch?buf=4", nil)
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get("http://" + s.Addr() + "/v1/watch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	br := bufio.NewReader(resp.Body)
-	var sawHealth atomic.Bool
-	go func() {
-		for {
-			line, err := br.ReadString('\n')
-			if err != nil {
-				return
-			}
-			if strings.HasPrefix(line, "event: health") {
-				sawHealth.Store(true)
-			}
-		}
-	}()
-	waitFor(t, 3*time.Second, "health frame on SSE stream", sawHealth.Load)
-	waitFor(t, 3*time.Second, "subscriber registered", func() bool { return s.bus.Subscribers() == 1 })
-	cancel()
 	resp.Body.Close()
-	waitFor(t, 3*time.Second, "subscription released after disconnect", func() bool {
-		return s.bus.Subscribers() == 0
-	})
+	if resp.StatusCode != 404 {
+		t.Errorf("/v1/watch with watch enabled: status %d, want 404", resp.StatusCode)
+	}
 
-	// Client 2 stays connected through Shutdown: the stream must end
-	// and Shutdown must return promptly.
-	resp2, err := http.Get("http://" + s.Addr() + "/v1/watch")
+	waitFor(t, 3*time.Second, "camp in the snapshot", func() bool {
+		snap := getSnapshot(t, s.Addr())
+		return len(snap.Campaigns) == 1 && snap.Campaigns[0].Campaign == "camp"
+	})
+	resp, err = http.Get("http://" + s.Addr() + "/v1/watch/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("snapshot decode: %v: %s", err, body)
+	}
+	if len(doc) != 1 || doc["campaigns"] == nil {
+		t.Errorf("snapshot keys = %s, want only campaigns", body)
+	}
+
 	done := make(chan error, 1)
 	go func() {
 		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer scancel()
 		done <- s.Shutdown(sctx)
 	}()
-	if _, err := io.ReadAll(resp2.Body); err != nil && !strings.Contains(err.Error(), "EOF") {
-		t.Logf("stream ended with %v", err)
-	}
 	select {
-	case <-done:
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
 	case <-time.After(15 * time.Second):
-		t.Fatal("Shutdown deadlocked with an SSE client connected")
+		t.Fatal("Shutdown did not return with the watch plane on")
 	}
 }
 

@@ -156,19 +156,7 @@ func (pr *armProver) diag(branch, arm int, what string) Diagnostic {
 
 // unsat decides whether the conjunction of conds is unsatisfiable under
 // the domain constraints of every signal variable the terms reference.
-// A static fast path first evaluates each conjunct over the shared
-// value-range lattice, abstracting every signal variable by the same
-// value set the solver would be constrained to: a conjunct that
-// abstractly evaluates to constant zero refutes the whole conjunction
-// without a solver query.
 func (pr *armProver) unsat(conds []*smt.Term) bool {
-	memo := map[*smt.Term]analysis.Value{}
-	for _, c := range conds {
-		if v, ok := analysis.EvalTerm(c, pr.staticValue, memo).IsConst(); ok && v == 0 {
-			pr.facts.StaticProofs++
-			return true
-		}
-	}
 	pr.facts.SolverQueries++
 	s := smt.NewSolver()
 	widths := map[string]int{}
@@ -198,9 +186,8 @@ func (pr *armProver) unsat(conds []*smt.Term) bool {
 // the X-at-reset canonical state and any declaration initializer), then
 // its inferred value domain. A set counts only when it is non-empty and
 // within maxDomainValues. Fresh variables and signals wider than
-// maxDomainWidth are unconstrained. domainConstraint and staticValue
-// both read this one list; the facts it reads do not change during the
-// walk, so it is built once per variable.
+// maxDomainWidth are unconstrained. The facts it reads do not change
+// during the walk, so it is built once per variable.
 func (pr *armProver) allowedSets(name string) [][]uint64 {
 	if sets, ok := pr.allowed[name]; ok {
 		return sets
@@ -255,36 +242,6 @@ func (pr *armProver) domainConstraint(v *smt.Term) *smt.Term {
 		}
 	}
 	return out
-}
-
-// staticValue abstracts a query variable for the lattice fast path as
-// the hull of the values domainConstraint admits: the intersection of
-// its allowed sets, or Top when it has none. That containment is what
-// makes an abstract refutation imply solver-level unsatisfiability.
-func (pr *armProver) staticValue(name string, w int) analysis.Value {
-	sets := pr.allowedSets(name)
-	switch len(sets) {
-	case 0:
-		return analysis.Top(w)
-	case 1:
-		return analysis.DomainValue(w, sets[0])
-	}
-	// Both constraints assert: the allowed set is the intersection.
-	in := map[uint64]bool{}
-	for _, v := range sets[0] {
-		in[v] = true
-	}
-	var inter []uint64
-	for _, v := range sets[1] {
-		if in[v] {
-			inter = append(inter, v)
-		}
-	}
-	if len(inter) == 0 {
-		// Contradictory constraints; stay with one side (still sound).
-		return analysis.DomainValue(w, sets[0])
-	}
-	return analysis.DomainValue(w, inter)
 }
 
 // evalExpr converts an IR expression into a term. Signal reads become

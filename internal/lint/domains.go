@@ -26,10 +26,6 @@ type Facts struct {
 	DeadArms map[int][]int
 	// SolverQueries counts SMT queries issued while proving facts.
 	SolverQueries int
-	// StaticProofs counts arm refutations discharged by the shared
-	// value-range lattice (internal/analysis) without touching the
-	// solver; SolverQueries counts only the queries that actually ran.
-	StaticProofs int
 }
 
 // DomainOf returns the proven value set of a signal, if bounded.

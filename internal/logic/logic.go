@@ -9,6 +9,7 @@ package logic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -249,18 +250,36 @@ func (v BV) IsZero() bool {
 // Uint64 returns the value as a uint64. ok is false when any bit is
 // unknown or the value does not fit in 64 bits.
 func (v BV) Uint64() (val uint64, ok bool) {
+	if !v.fits64() {
+		return 0, false
+	}
+	return v.ShiftAmount()
+}
+
+// ShiftAmount returns the value as a shift amount. ok is false only
+// when a bit is unknown; a value of 2^64 or more saturates to
+// math.MaxUint64, which shifts any operand out entirely.
+func (v BV) ShiftAmount() (n uint64, ok bool) {
 	if v.HasUnknown() {
 		return 0, false
 	}
-	for i := 1; i < len(v.a); i++ {
-		if v.a[i] != 0 {
-			return 0, false
-		}
+	if !v.fits64() {
+		return math.MaxUint64, true
 	}
 	if len(v.a) == 0 {
 		return 0, true
 	}
 	return v.a[0], true
+}
+
+// fits64 reports whether every value bit at or above 64 is clear.
+func (v BV) fits64() bool {
+	for i := 1; i < len(v.a); i++ {
+		if v.a[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Eq4 reports exact four-state equality (Verilog ===).
@@ -634,7 +653,7 @@ func boolBit(b bool) Bit {
 
 // Shl returns v << amount. An unknown amount yields all X.
 func (v BV) Shl(amount BV) BV {
-	n, ok := amount.Uint64()
+	n, ok := amount.ShiftAmount()
 	if !ok {
 		return X(v.width)
 	}
@@ -660,7 +679,7 @@ func (v BV) shlN(n int) BV {
 
 // Shr returns the logical right shift v >> amount. Unknown amount -> X.
 func (v BV) Shr(amount BV) BV {
-	n, ok := amount.Uint64()
+	n, ok := amount.ShiftAmount()
 	if !ok {
 		return X(v.width)
 	}

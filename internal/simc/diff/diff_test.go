@@ -4,10 +4,14 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/designs"
 	"repro/internal/elab"
+	"repro/internal/hdl"
+	"repro/internal/logic"
 	"repro/internal/sim"
 	"repro/internal/simc"
+	"repro/internal/smt"
 )
 
 // TestDiffBuiltinDesigns runs the full lockstep differential — values,
@@ -26,6 +30,61 @@ func TestDiffBuiltinDesigns(t *testing.T) {
 				t.Fatalf("backends diverged: %v", err)
 			}
 		})
+	}
+}
+
+// TestShiftByAmountPast64Bits pins a fully defined shift amount of 2^64
+// or more: every bit shifts out, so << and >> give 0 and >>> gives the
+// MSB fill. The interpreter, the compiled backend and the constant
+// solver fold must all agree; none may read the amount as unknown.
+func TestShiftByAmountPast64Bits(t *testing.T) {
+	const src = `
+module wshift(input [3:0] x, input [69:0] amt,
+  output [3:0] shl, output [3:0] shr, output [3:0] ashr);
+  assign shl = x << amt;
+  assign shr = x >> amt;
+  assign ashr = x >>> amt;
+endmodule`
+	ast, err := hdl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := elab.Elaborate(ast, "wshift", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := logic.FromUint64(4, 0b1001)
+	amt := logic.Zero(70).WithBit(65, logic.L1)
+	want := map[string]logic.BV{
+		"shl": logic.Zero(4), "shr": logic.Zero(4), "ashr": logic.FromUint64(4, 0b1111),
+	}
+
+	si, err := sim.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := simc.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]sim.DUV{"sim": si, "simc": mc} {
+		b.Set(b.SignalIndex("x"), x)
+		b.Set(b.SignalIndex("amt"), amt)
+		if err := b.Settle(); err != nil {
+			t.Fatalf("%s settle: %v", name, err)
+		}
+		for out, w := range want {
+			if got := b.Get(b.SignalIndex(out)); !got.Eq4(w) {
+				t.Errorf("%s: %s = %v, want %v", name, out, got, w)
+			}
+		}
+	}
+
+	for op, out := range map[elab.BinOp]string{elab.OpShl: "shl", elab.OpShr: "shr", elab.OpAshr: "ashr"} {
+		term := analysis.Shift(op, smt.Const(x), smt.Const(amt))
+		if term.Kind != smt.KConst || !term.Val.Eq4(want[out]) {
+			t.Errorf("smt fold: %s = %v, want %v", out, term, want[out])
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package simc
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // pval is a mutable word-packed four-state value: the evaluation
 // currency of the compiled backend. Like logic.BV it carries the VPI
@@ -145,18 +148,34 @@ func (p *pval) truthy() int {
 // uint64Val mirrors logic.BV.Uint64: ok is false when any bit is
 // unknown or the value does not fit in 64 bits.
 func (p *pval) uint64Val() (uint64, bool) {
+	if !p.fits64() {
+		return 0, false
+	}
+	return p.shiftAmount()
+}
+
+// shiftAmount mirrors logic.BV.ShiftAmount: unknown bits fail, and a
+// value of 2^64 or more saturates to math.MaxUint64.
+func (p *pval) shiftAmount() (uint64, bool) {
 	if !p.twoState() {
 		return 0, false
 	}
-	for i := 1; i < len(p.a); i++ {
-		if p.a[i] != 0 {
-			return 0, false
-		}
+	if !p.fits64() {
+		return math.MaxUint64, true
 	}
 	if len(p.a) == 0 {
 		return 0, true
 	}
 	return p.a[0], true
+}
+
+func (p *pval) fits64() bool {
+	for i := 1; i < len(p.a); i++ {
+		if p.a[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // cmpWords compares two same-width fully defined values, big-endian
@@ -358,7 +377,7 @@ func shiftRightN(dst, x *pval, n int) {
 }
 
 func opShl(dst, x, y *pval) {
-	n, ok := y.uint64Val()
+	n, ok := y.shiftAmount()
 	if !ok {
 		dst.setX()
 		return
@@ -371,7 +390,7 @@ func opShl(dst, x, y *pval) {
 }
 
 func opShr(dst, x, y *pval) {
-	n, ok := y.uint64Val()
+	n, ok := y.shiftAmount()
 	if !ok {
 		dst.setX()
 		return
@@ -388,7 +407,7 @@ func opShr(dst, x, y *pval) {
 // k = min(amount, width) with the vacated top k bits filled with the
 // operand's original four-state MSB (a Z sign bit replicates as Z).
 func opAshr(dst, x, y *pval) {
-	n, ok := y.uint64Val()
+	n, ok := y.shiftAmount()
 	if !ok {
 		dst.setX()
 		return

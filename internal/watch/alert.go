@@ -1,8 +1,7 @@
-// Package watch is the fleet's streaming observability plane: a
-// bounded, drop-counting subscription bus carrying interval-boundary
-// metric samples and alert events, plus a deterministic health engine
-// that scores campaigns from that stream and raises rules-driven
-// alerts with reproducible identities.
+// Package watch is the fleet's health plane: a deterministic engine
+// that scores campaigns from interval-boundary metric samples, solve
+// results and ops samples, and raises rules-driven alerts with
+// reproducible identities.
 //
 // The engine is deliberately pure: it never reads the wall clock, it
 // iterates nothing in map order on an output path, and every alert ID
@@ -10,7 +9,7 @@
 // identical campaign trajectories raise byte-identical alerts, and a
 // journaled alert deduplicates exactly against its re-derivation after
 // a coordinator restart. Side effects (journaling, trace spans,
-// Prometheus gauges, SSE fan-out) belong to the caller.
+// Prometheus gauges, the HTTP snapshot) belong to the caller.
 package watch
 
 import "fmt"
