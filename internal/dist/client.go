@@ -178,12 +178,6 @@ func (c *Client) Heartbeat(ctx context.Context, req HeartbeatRequest) (Heartbeat
 	return out, err
 }
 
-func (c *Client) Cache(ctx context.Context, req CacheRequest) (CacheResponse, error) {
-	var out CacheResponse
-	err := c.call(ctx, "/v1/cache", req, &out)
-	return out, err
-}
-
 func (c *Client) Report(ctx context.Context, req ReportRequest) (ReportResponse, error) {
 	var out ReportResponse
 	err := c.call(ctx, "/v1/report", req, &out)

@@ -17,14 +17,12 @@ import (
 // durable campaign state: one "campaign" record written at startup
 // (the spec, for sanity-checking a resume) and one "report" record
 // per completed rank (the rank's final report, coverage, and trace
-// lane). In-flight state — leases, partial frontier contents, cache
-// entries — is deliberately NOT journaled: leases are re-established
-// by worker heartbeats and batches after a restart, frontier contents
-// are restored by the batch publisher's delta resync, and
-// the plan cache is a pure memoization whose loss costs only repeated
-// solves, never a trajectory change. A restarted coordinator with
-// -resume therefore converges to the same merged report as one that
-// never crashed.
+// lane). In-flight state — leases, partial frontier contents — is
+// deliberately NOT journaled: leases are re-established by worker
+// heartbeats and batches after a restart, and frontier contents are
+// restored by the batch publisher's delta resync. A restarted
+// coordinator with -resume therefore converges to the same merged
+// report as one that never crashed.
 //
 // Compaction keeps resume O(live state): the live state is exactly
 // the campaign record plus the last report record per rank, so once

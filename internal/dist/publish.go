@@ -14,7 +14,7 @@ import (
 // delta-encoded fire-and-forget batches. The engine's Sync hook only
 // diffs its local coverage against what the coordinator has already
 // acknowledged and returns — no HTTP on the hot path. A background
-// flusher ships the accumulated delta (plus any queued cache stores)
+// flusher ships the accumulated delta (plus any queued solve records)
 // every flushInterval, or sooner when flushEvery publishes have
 // coalesced. Deltas that carry neither new coverage nor vector
 // progress are never sent, and no point is sent twice once acked,
@@ -45,11 +45,11 @@ type batchPublisher struct {
 	base     *cov.CFGCov // coverage the coordinator has acked
 	pend     *cov.CFGCov // delta accumulated since the last flush
 	pendVecs uint64
+	diffed   int  // the engine's point count at the last diff
 	dirty    bool // pend holds unshipped coverage points
 	prog     bool // vectors advanced since the last shipped delta
 	pubs     int
 	stores   []CacheStore
-	drops    int
 	err      error
 	seq      uint64
 
@@ -66,8 +66,9 @@ type batchPublisher struct {
 // flushInterval elapses.
 const flushEvery = 8
 
-// maxStoreQueue bounds the fire-and-forget store queue; older entries
-// are dropped first (a lost store only costs other ranks a re-solve).
+// maxStoreQueue bounds the fire-and-forget solve-record queue; older
+// entries are dropped first (a lost record only under-reads the
+// coordinator's solver meter).
 const maxStoreQueue = 256
 
 func newBatchPublisher(ctx context.Context, cl *Client, campaign, workerID string, rank int, trace *TraceCtx, flushInterval time.Duration) *batchPublisher {
@@ -136,15 +137,21 @@ func diffInto(pend, cur, base *cov.CFGCov) bool {
 }
 
 // enqueuePublish records the engine's current cumulative coverage at
-// an interval boundary. Called from the Sync hook — no I/O.
+// an interval boundary. Called from the Sync hook — no I/O. Coverage
+// sets only grow, so an unchanged point count means nothing new to
+// diff: every point already diffed is in pend, in flight (which lands
+// in base or back in pend), or in base.
 func (p *batchPublisher) enqueuePublish(cv *cov.CFGCov, vectors uint64) {
 	p.mu.Lock()
 	if p.base == nil {
 		p.base = bareCovLike(cv)
 		p.pend = bareCovLike(cv)
 	}
-	if diffInto(p.pend, cv, p.base) {
-		p.dirty = true
+	if pts := cv.Points(); pts != p.diffed {
+		p.diffed = pts
+		if diffInto(p.pend, cv, p.base) {
+			p.dirty = true
+		}
 	}
 	if vectors > p.pendVecs {
 		p.pendVecs = vectors
@@ -169,14 +176,13 @@ func (p *batchPublisher) enqueuePublish(cv *cov.CFGCov, vectors uint64) {
 	}
 }
 
-// enqueueStore queues a fire-and-forget plan-cache store.
+// enqueueStore queues a fire-and-forget solve record.
 func (p *batchPublisher) enqueueStore(s CacheStore) {
 	p.mu.Lock()
 	p.stores = append(p.stores, s)
 	if len(p.stores) > maxStoreQueue {
 		over := len(p.stores) - maxStoreQueue
 		p.stores = p.stores[over:]
-		p.drops += over
 	}
 	p.mu.Unlock()
 }

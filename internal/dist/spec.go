@@ -9,8 +9,8 @@ import (
 
 // ResolveSpec turns a wire campaign spec into the benchmark and the
 // full property set. Both sides of the protocol run it — the
-// coordinator to validate the campaign and shape the frontier, each
-// worker to build its engines — so a registry benchmark resolves from
+// coordinator to validate the campaign, each worker to build its
+// engines — so a registry benchmark resolves from
 // the binary's own designs package and only -src campaigns ship HDL
 // source over the wire.
 func ResolveSpec(s CampaignSpec) (*designs.Benchmark, []*props.Property, error) {

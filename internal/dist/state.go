@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/cov"
 	"repro/internal/obs"
@@ -48,11 +47,10 @@ type CoordConfig struct {
 	// parallel campaign's.
 	Obs *obs.Observer
 
-	// StopAtPoints / StopWhenAllCovered arm the frontier's opt-in stop
-	// conditions (propagated to workers through batch and heartbeat
-	// responses). Leave unset for deterministic fixed-budget runs.
-	StopAtPoints       int
-	StopWhenAllCovered bool
+	// StopAtPoints arms the frontier's opt-in time-to-target stop
+	// (propagated to workers through batch and heartbeat responses).
+	// Leave unset for deterministic fixed-budget runs.
+	StopAtPoints int
 
 	// OnPublish, when set, observes every applied coverage publish:
 	// the rank, its delta sequence (0 for final reports), the rank's
@@ -60,10 +58,9 @@ type CoordConfig struct {
 	// the merge. The fleet's watch plane synthesizes interval samples
 	// from it. Must not block.
 	OnPublish func(rank int, seq uint64, vectors uint64, points int)
-	// OnSolve, when set, observes every solver result folded into the
-	// shared plan cache: the solving rank, the target (cluster graph,
-	// node), the outcome string, and the solve wall time. Must not
-	// block.
+	// OnSolve, when set, observes every live solve a rank ships on
+	// /v1/batch: the solving rank, the target (cluster graph, node),
+	// the outcome string, and the solve wall time. Must not block.
 	OnSolve func(rank, graph, to int, outcome string, ns int64)
 }
 
@@ -113,9 +110,10 @@ func specConfig(s CampaignSpec, rank int) core.Config {
 
 // CampaignState is one campaign's complete coordinator-side state
 // machine, independent of any HTTP host (internal/fleet routes wire
-// requests into it): the elaborated partition, the global frontier,
-// the shared plan cache, the lease table, the batch sequence
-// tracking, the journal, and the finalize-once merged-report builder.
+// requests into it): the global frontier, the lease table, the batch
+// sequence tracking, the journal, and the finalize-once merged-report
+// builder. It builds no engine: the ranks' coverage and reports carry
+// everything the frontier and the merge read.
 // All methods take decoded wire requests and return wire responses;
 // HTTP status mapping is the host's job (methods that can reject
 // return *HTTPError).
@@ -124,9 +122,7 @@ type CampaignState struct {
 	spec       CampaignSpec
 	campaignID string
 
-	part  *cfg.Partition
 	fr    *par.Frontier
-	cache *par.SolveCache
 	jr    *journal
 	start time.Time
 
@@ -142,6 +138,13 @@ type CampaignState struct {
 	doneCh   chan struct{}
 	ended    bool
 	solverNS int64
+
+	// graphs is the cluster-graph count every delta and report must
+	// carry, and static the report whose graph totals every later
+	// report must match: both are pinned by the first accepted one
+	// (graphs -1 until then). See pinShape.
+	graphs int
+	static *core.Report
 
 	// alertIDs dedups journaled watch alerts (seeded from replay);
 	// replayedAlerts are the prior incarnation's alerts in journal
@@ -178,9 +181,10 @@ type HTTPError struct {
 
 func (e *HTTPError) Error() string { return e.Msg }
 
-// NewCampaignState validates the spec (it must elaborate — better to
-// fail here than on every worker) and replays the journal when
-// resuming. It does not bind any listener; hosts route requests in.
+// NewCampaignState validates the spec (its benchmark and properties
+// must resolve and its design must elaborate — better to fail here
+// than on every worker) and replays the journal when resuming. It does
+// not bind any listener; hosts route requests in.
 func NewCampaignState(c CoordConfig) (*CampaignState, error) {
 	if c.Spec.Workers < 1 {
 		c.Spec.Workers = 1
@@ -189,43 +193,27 @@ func NewCampaignState(c CoordConfig) (*CampaignState, error) {
 		c.LeaseTTL = 5 * time.Second
 	}
 
-	// Elaborate a probe engine: it checks that every worker will be
-	// able to build the same campaign, and its partition gives the
-	// frontier its shape and the final merge its graph (cluster graphs
-	// are built deterministically, so worker partitions agree).
-	bench, properties, err := ResolveSpec(c.Spec)
+	bench, _, err := ResolveSpec(c.Spec)
 	if err != nil {
 		return nil, err
 	}
-	d, err := bench.Elaborate()
-	if err != nil {
+	if _, err := bench.Elaborate(); err != nil {
 		return nil, err
-	}
-	probe, err := core.New(d, properties, specConfig(c.Spec, 0))
-	if err != nil {
-		return nil, err
-	}
-	part := probe.Graph()
-	edgesTotal := 0
-	for _, g := range part.Graphs {
-		edgesTotal += len(g.Edges)
 	}
 
 	cs := &CampaignState{
 		cfg:        c,
 		spec:       c.Spec,
 		campaignID: fmt.Sprintf("%s-w%d-seed%d", bench.Name, c.Spec.Workers, c.Spec.Seed),
-		part:       part,
-		cache:      par.NewSolveCache(),
 		leases:     map[int]*lease{},
 		done:       map[int]*rankResult{},
 		pubSeq:     map[int]uint64{},
 		vectors:    map[int]uint64{},
 		alertIDs:   map[string]bool{},
 		doneCh:     make(chan struct{}),
+		graphs:     -1,
 	}
-	cs.fr = par.NewFrontier(len(part.Graphs), edgesTotal, c.Spec.Workers,
-		c.StopAtPoints, c.StopWhenAllCovered, c.Obs)
+	cs.fr = par.NewFrontier(c.Spec.Workers, c.StopAtPoints, c.Obs)
 
 	var replayed *journalState
 	if c.JournalPath != "" && c.Resume {
@@ -246,6 +234,9 @@ func NewCampaignState(c CoordConfig) (*CampaignState, error) {
 				continue
 			}
 			rec := replayed.Reports[rank]
+			if herr := cs.pinShape(rec.Report, *rec.Coverage); herr != nil {
+				return nil, fmt.Errorf("dist: journal %s: %s", c.JournalPath, herr.Msg)
+			}
 			cv := CovFromWire(*rec.Coverage)
 			cs.done[rank] = &rankResult{report: rec.Report, cov: cv, events: rec.Events}
 			cs.fr.Publish(rank, cv, rec.Report.Vectors)
@@ -288,11 +279,12 @@ func (cs *CampaignState) Done() <-chan struct{} { return cs.doneCh }
 // next boundary and deliver partial reports.
 func (cs *CampaignState) ForceStop() { cs.fr.ForceStop() }
 
-// SolverNS returns the cumulative solver wall time (blast + CDCL)
-// that workers have stored into this campaign's plan cache — the
-// admission layer's solver-seconds meter. Each live solve is stored
-// once, so it counts once. A single-rank campaign has no plan cache;
-// its meter reads the rank's report when it is accepted (meterRank).
+// SolverNS returns the cumulative solver wall time (blast + CDCL) of
+// the live solves ranks have shipped on /v1/batch — the admission
+// layer's solver-seconds meter. A rank ships each live solve once (a
+// plan-cache hit ships nothing), so it counts once. A single-rank
+// campaign has no plan cache and ships no solves; its meter reads the
+// rank's report when it is accepted (meterRank).
 func (cs *CampaignState) SolverNS() int64 {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -301,7 +293,7 @@ func (cs *CampaignState) SolverNS() int64 {
 
 // meterRank feeds a single-rank campaign's solver meter from the
 // accepted (or replayed) rank report's solve totals. Multi-rank
-// campaigns meter their plan-cache stores instead, so this is a no-op
+// campaigns meter their shipped solves instead, so this is a no-op
 // for them.
 func (cs *CampaignState) meterRank(rep *core.Report) {
 	if cs.spec.Workers == 1 {
@@ -472,13 +464,20 @@ func (cs *CampaignState) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 
 // ApplyBatch applies a batched fire-and-forget message: coverage
 // deltas in sequence order (skipping already-applied sequences) and
-// best-effort cache stores. Resync is set when the first delta the
+// the ranks' solve records. Resync is set when the first delta the
 // coordinator sees from a rank has seq > 1 — a restarted coordinator
-// lost that rank's earlier deltas and asks for a full fold-in.
-func (cs *CampaignState) ApplyBatch(req BatchRequest) BatchResponse {
+// lost that rank's earlier deltas and asks for a full fold-in. A
+// batch whose deltas disagree with the campaign's graph count is
+// rejected whole (400) before anything is applied.
+func (cs *CampaignState) ApplyBatch(req BatchRequest) (BatchResponse, *HTTPError) {
+	for _, p := range req.Publishes {
+		if herr := cs.pinShape(nil, p.Delta); herr != nil {
+			return BatchResponse{}, herr
+		}
+	}
 	resp := BatchResponse{Stop: cs.fr.ShouldStop()}
 	if !cs.renewLease(req.WorkerID, req.Rank) {
-		return resp
+		return resp, nil
 	}
 	resp.OK = true
 
@@ -510,37 +509,46 @@ func (cs *CampaignState) ApplyBatch(req BatchRequest) BatchResponse {
 	cs.mu.Unlock()
 
 	for _, s := range req.Stores {
-		if s.Value == nil {
-			continue
-		}
-		v, err := PlanFromWire(s.Value)
-		if err != nil {
-			continue // best-effort: a bad store only costs a re-solve
-		}
-		cs.cache.Store(KeyFromWire(s.Key), v)
-		cs.addSolverNS(v.Stats.BlastNS + v.Stats.SolveNS)
+		ns := s.Stats.BlastNS + s.Stats.SolveNS
+		cs.addSolverNS(ns)
 		if cs.cfg.OnSolve != nil {
-			cs.cfg.OnSolve(req.Rank, s.Key.Graph, s.Key.To, s.Value.Stats.Outcome,
-				v.Stats.BlastNS+v.Stats.SolveNS)
+			cs.cfg.OnSolve(req.Rank, s.Key.Graph, s.Key.To, s.Stats.Outcome, ns)
 		}
 	}
 
 	resp.AckSeq = applied
 	resp.Stop = cs.fr.ShouldStop()
-	return resp
+	return resp, nil
 }
 
-// Cache answers a shared-plan-cache lookup. Stores travel only on
-// /v1/batch (ApplyBatch).
-func (cs *CampaignState) Cache(req CacheRequest) (CacheResponse, *HTTPError) {
-	if req.Op != "lookup" {
-		return CacheResponse{}, &HTTPError{Code: 400, Msg: fmt.Sprintf("unknown cache op %q", req.Op)}
+// pinShape checks a rank's coverage (and, for a final report, its
+// static graph totals) against the shape the first accepted delta or
+// report pinned, pinning it on first use. Every rank builds the same
+// partition from the same spec, so a disagreement means a rank built
+// a different design: its graphs would be silently dropped or
+// misaligned in the frontier and the merge, so it is rejected instead.
+func (cs *CampaignState) pinShape(rep *core.Report, w CovWire) *HTTPError {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	graphs := cs.graphs
+	if graphs < 0 {
+		graphs = len(w.Nodes)
 	}
-	v, ok := cs.cache.Lookup(KeyFromWire(req.Key))
-	if !ok {
-		return CacheResponse{}, nil
+	if len(w.Nodes) != graphs || len(w.Edges) != graphs {
+		return &HTTPError{Code: 400, Msg: fmt.Sprintf(
+			"rank coverage has %d/%d node/edge graphs; the campaign has %d", len(w.Nodes), len(w.Edges), graphs)}
 	}
-	return CacheResponse{Found: true, Value: PlanToWire(v)}, nil
+	if st := cs.static; rep != nil && st != nil && (rep.GraphStats != st.GraphStats ||
+		rep.NodesTotal != st.NodesTotal || rep.EdgesTotal != st.EdgesTotal) {
+		return &HTTPError{Code: 400, Msg: fmt.Sprintf(
+			"rank report graph %+v (%d nodes, %d edges) differs from the campaign's %+v (%d nodes, %d edges)",
+			rep.GraphStats, rep.NodesTotal, rep.EdgesTotal, st.GraphStats, st.NodesTotal, st.EdgesTotal)}
+	}
+	cs.graphs = graphs
+	if rep != nil && cs.static == nil {
+		cs.static = rep
+	}
+	return nil
 }
 
 // Report accepts a rank's final report. The journal write happens
@@ -567,6 +575,9 @@ func (cs *CampaignState) Report(req ReportRequest) (ReportResponse, *HTTPError) 
 	cs.mu.Unlock()
 
 	rep := req.Report
+	if herr := cs.pinShape(&rep, req.Coverage); herr != nil {
+		return ReportResponse{}, herr
+	}
 	if err := cs.jr.append(journalRecord{
 		Kind: "report", Rank: req.Rank,
 		Report: &rep, Coverage: &req.Coverage, Events: req.Events,
@@ -633,7 +644,7 @@ func (cs *CampaignState) finalize(interrupted bool) (*par.Report, error) {
 		return nil, fmt.Errorf("dist: campaign interrupted before any rank completed")
 	}
 
-	merged := par.MergeReports(cs.part, covs, reports)
+	merged := par.MergeReports(covs, reports)
 	if interrupted {
 		merged.Interrupted = true
 	}
@@ -656,8 +667,8 @@ func (cs *CampaignState) finalize(interrupted bool) (*par.Report, error) {
 		WallNS:         int64(time.Since(cs.start)),
 		TargetPoints:   cs.cfg.StopAtPoints,
 		TimeToTargetNS: cs.fr.TimeToTargetNS(),
-		CacheHits:      cs.cache.Hits(),
-		CacheMisses:    cs.cache.Misses(),
+		CacheHits:      int64(merged.SolveCacheHits),
+		CacheMisses:    int64(merged.SolveCacheMisses),
 		Curve:          cs.fr.Curve(),
 	}
 	for r := 0; r < cs.spec.Workers; r++ {

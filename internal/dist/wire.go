@@ -3,17 +3,17 @@
 // that runs one SymbFuzz campaign across N processes, possibly on N
 // machines.
 //
-// The coordinator owns the campaign state that internal/par keeps in
-// process memory — the global coverage frontier (par.Frontier), the
-// cross-worker solved-plan cache (par.SolveCache), and a lease table
-// mapping core.ShardSpec shard ranks to workers. Workers run the
-// unmodified Algorithm-1 engine (core.Engine) locally and speak a
-// small versioned wire API:
+// The coordinator owns only the campaign state that ranks report into:
+// the global coverage frontier (par.Frontier), a lease table mapping
+// core.ShardSpec shard ranks to workers, the journal, and the
+// rank-ordered merge. It builds no engine. Workers run the unmodified
+// Algorithm-1 engine (core.Engine) locally, each with a worker-local
+// solved-plan cache (par.SolveCache), and speak a small versioned wire
+// API:
 //
 //	POST /v1/join       handshake: protocol version check, campaign spec
 //	POST /v1/lease      claim a shard rank (lowest available; hint honored)
-//	POST /v1/batch      coverage deltas + plan-cache stores, fire-and-forget
-//	POST /v1/cache      look up the shared solved-plan cache
+//	POST /v1/batch      coverage deltas + solve records, fire-and-forget
 //	POST /v1/heartbeat  renew the rank lease; poll stop conditions
 //	POST /v1/report     deliver the rank's final report + coverage + trace lane
 //
@@ -22,23 +22,20 @@
 // the fleet server.
 //
 // Determinism transfers from par unchanged because every cross-worker
-// coupling goes through the same three trajectory-neutral interfaces:
-// the frontier is a sink, the plan cache is a canonical-seed
-// memoization (a hit is byte-identical to the live solve), and the
-// merge is by rank. Worker seeds are a pure function of (campaign
-// seed, rank), so a replacement worker leasing a dead worker's rank
-// reproduces the lost trajectory exactly and the merged report equals
-// the fault-free run.
+// coupling goes through trajectory-neutral interfaces: the frontier is
+// a sink, the plan cache is a canonical-seed memoization (a hit is
+// byte-identical to the live solve, so whether a rank shares its cache
+// with anyone changes wall time only), and the merge is by rank.
+// Worker seeds are a pure function of (campaign seed, rank), so a
+// replacement worker leasing a dead worker's rank reproduces the lost
+// trajectory exactly and the merged report equals the fault-free run.
 package dist
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/cov"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/smt"
 )
@@ -61,15 +58,14 @@ import (
 // /v1/batch is the only publish path. v5 removed the rank cost ledger
 // from /v1/report: a profiled rank's simulator profile rides its lane's
 // campaign_end event instead, and the solver ledger is derived from
-// the lane's spans (obs.BuildCostLedger).
-const ProtoVersion = 5
+// the lane's spans (obs.BuildCostLedger). v6 removed the /v1/cache
+// lookup (ranks keep their plan caches local), and a batched store now
+// carries only the key and solve statistics the coordinator meters.
+const ProtoVersion = 6
 
 // TraceCtx is the wire trace context: the emitting lane and span that
-// a message correlates with. On batched cache stores it names the
-// solve span that produced the plan, so a remote rank's cache hit
-// links back to the originating rank's solve span in the merged
-// trace; on /v1/batch and /v1/report it names the rank's campaign
-// root span.
+// a message correlates with. On /v1/batch and /v1/report it names the
+// rank's campaign root span.
 type TraceCtx struct {
 	Worker int    `json:"worker,omitempty"`
 	Span   string `json:"span,omitempty"`
@@ -171,20 +167,6 @@ type HeartbeatResponse struct {
 	Stop bool `json:"stop,omitempty"`
 }
 
-// CacheRequest is a shared-plan-cache lookup: op "lookup" (the only
-// op) with a key.
-type CacheRequest struct {
-	Op       string      `json:"op"`
-	Key      PlanKeyWire `json:"key"`
-	Campaign string      `json:"campaign,omitempty"`
-}
-
-// CacheResponse answers a lookup (Found + Value).
-type CacheResponse struct {
-	Found bool      `json:"found,omitempty"`
-	Value *PlanWire `json:"value,omitempty"`
-}
-
 // ReportRequest delivers a rank's final report, its final full
 // coverage snapshot, and the rank's complete telemetry lane (the
 // worker-stamped trace events of the whole run, in emit order).
@@ -218,15 +200,17 @@ type PublishDelta struct {
 	Delta   CovWire `json:"delta"`
 }
 
-// CacheStore is one fire-and-forget plan-cache store inside a batch.
+// CacheStore is one fire-and-forget record of a rank's live solve
+// inside a batch: the plan-cache key it was stored under and the solve
+// statistics. The coordinator reads it for the solver-seconds meter
+// and the watch plane; the plan itself stays in the rank's cache.
 type CacheStore struct {
 	Key   PlanKeyWire `json:"key"`
-	Value *PlanWire   `json:"value"`
-	Trace *TraceCtx   `json:"trace,omitempty"`
+	Stats StatsWire   `json:"stats"`
 }
 
 // BatchRequest is the v4 batched fire-and-forget channel: coalesced
-// coverage deltas and cache stores from one rank, flushed by a
+// coverage deltas and solve records from one rank, flushed by a
 // background publisher instead of blocking the engine at interval
 // boundaries. A batch renews the rank's lease like a heartbeat does.
 type BatchRequest struct {
@@ -322,7 +306,7 @@ func sortedKeys(m map[int]bool) []int {
 	return out
 }
 
-// ---- plan-cache serialization ----
+// ---- solve-record serialization ----
 
 // PlanKeyWire mirrors core.PlanKey.
 type PlanKeyWire struct {
@@ -331,14 +315,9 @@ type PlanKeyWire struct {
 	Ctx   uint64 `json:"ctx"`
 }
 
-// KeyToWire / KeyFromWire convert cache keys.
+// KeyToWire converts a cache key to its wire form.
 func KeyToWire(k core.PlanKey) PlanKeyWire {
 	return PlanKeyWire{Graph: k.Graph, To: k.To, Ctx: k.Ctx}
-}
-
-// KeyFromWire converts a wire key back to the engine form.
-func KeyFromWire(k PlanKeyWire) core.PlanKey {
-	return core.PlanKey{Graph: k.Graph, To: k.To, Ctx: k.Ctx}
 }
 
 // StatsWire mirrors smt.SolveStats with a readable outcome.
@@ -354,85 +333,17 @@ type StatsWire struct {
 	SolveNS      int64  `json:"cdcl_ns,omitempty"`
 }
 
-// PlanWire is one memoized solve result in wire form. Unsat marks a
-// proven-unsat query (nil plan); Inputs encodes the solved stimulus
-// bit-vectors MSB-first ("10xz", logic.BV.BitString round trip).
-// OriginWorker/OriginSpan attribute the entry to the solve span that
-// produced it (telemetry-only; see core.CachedPlan).
-type PlanWire struct {
-	Unsat        bool              `json:"unsat,omitempty"`
-	Inputs       map[string]string `json:"inputs,omitempty"`
-	Stats        StatsWire         `json:"stats"`
-	SlicedVars   int               `json:"sliced_vars,omitempty"`
-	Infeasible   bool              `json:"infeasible,omitempty"`
-	OriginWorker int               `json:"origin_worker,omitempty"`
-	OriginSpan   string            `json:"origin_span,omitempty"`
-}
-
-// PlanToWire serializes a cached plan.
-func PlanToWire(v core.CachedPlan) *PlanWire {
-	w := &PlanWire{
-		Stats: StatsWire{
-			Outcome:      v.Stats.Outcome.String(),
-			Conflicts:    v.Stats.Conflicts,
-			Decisions:    v.Stats.Decisions,
-			Propagations: v.Stats.Propagations,
-			Restarts:     v.Stats.Restarts,
-			Clauses:      v.Stats.Clauses,
-			Vars:         v.Stats.Vars,
-			BlastNS:      v.Stats.BlastNS,
-			SolveNS:      v.Stats.SolveNS,
-		},
-		SlicedVars:   v.SlicedVars,
-		Infeasible:   v.Infeasible,
-		OriginWorker: v.OriginWorker,
-		OriginSpan:   v.OriginSpan,
+// statsToWire converts solve statistics to their wire form.
+func statsToWire(st smt.SolveStats) StatsWire {
+	return StatsWire{
+		Outcome:      st.Outcome.String(),
+		Conflicts:    st.Conflicts,
+		Decisions:    st.Decisions,
+		Propagations: st.Propagations,
+		Restarts:     st.Restarts,
+		Clauses:      st.Clauses,
+		Vars:         st.Vars,
+		BlastNS:      st.BlastNS,
+		SolveNS:      st.SolveNS,
 	}
-	if v.Plan == nil {
-		w.Unsat = true
-		return w
-	}
-	w.Inputs = make(map[string]string, len(v.Plan.Inputs))
-	for name, bv := range v.Plan.Inputs {
-		w.Inputs[name] = bv.BitString()
-	}
-	return w
-}
-
-// PlanFromWire deserializes a cached plan.
-func PlanFromWire(w *PlanWire) (core.CachedPlan, error) {
-	v := core.CachedPlan{
-		Stats: smt.SolveStats{
-			Conflicts:    w.Stats.Conflicts,
-			Decisions:    w.Stats.Decisions,
-			Propagations: w.Stats.Propagations,
-			Restarts:     w.Stats.Restarts,
-			Clauses:      w.Stats.Clauses,
-			Vars:         w.Stats.Vars,
-			BlastNS:      w.Stats.BlastNS,
-			SolveNS:      w.Stats.SolveNS,
-		},
-		SlicedVars:   w.SlicedVars,
-		Infeasible:   w.Infeasible,
-		OriginWorker: w.OriginWorker,
-		OriginSpan:   w.OriginSpan,
-	}
-	if w.Stats.Outcome == smt.Sat.String() {
-		v.Stats.Outcome = smt.Sat
-	} else {
-		v.Stats.Outcome = smt.Unsat
-	}
-	if w.Unsat {
-		return v, nil
-	}
-	plan := &cfg.StepPlan{Inputs: make(map[string]logic.BV, len(w.Inputs))}
-	for name, s := range w.Inputs {
-		bv, err := logic.FromString(s)
-		if err != nil {
-			return v, fmt.Errorf("dist: plan input %q: %w", name, err)
-		}
-		plan.Inputs[name] = bv
-	}
-	v.Plan = plan
-	return v, nil
 }

@@ -9,10 +9,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/cov"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/props"
 	"repro/internal/smt"
@@ -39,17 +37,6 @@ func goldenFixtures() map[string]any {
 		},
 		"heartbeat_request":  HeartbeatRequest{WorkerID: "host-1234", Rank: 1, Vectors: 1500},
 		"heartbeat_response": HeartbeatResponse{OK: true},
-		"cache_request_lookup": CacheRequest{
-			Op: "lookup", Key: PlanKeyWire{Graph: 2, To: 5, Ctx: 0xDEADBEEF},
-		},
-		"cache_response": CacheResponse{
-			Found: true,
-			Value: &PlanWire{
-				Inputs:       map[string]string{"din": "10x1", "we": "1"},
-				Stats:        StatsWire{Outcome: "sat", Conflicts: 3},
-				OriginWorker: 2, OriginSpan: "w2.i4.s2",
-			},
-		},
 		"report_request": ReportRequest{
 			WorkerID: "host-1234", Rank: 1,
 			Report: core.Report{
@@ -78,15 +65,10 @@ func goldenFixtures() map[string]any {
 			},
 			Stores: []CacheStore{{
 				Key: PlanKeyWire{Graph: 2, To: 5, Ctx: 0xDEADBEEF},
-				Value: &PlanWire{
-					Inputs: map[string]string{"din": "10x1", "we": "1"},
-					Stats: StatsWire{
-						Outcome: "sat", Conflicts: 3, Decisions: 17, Propagations: 120,
-						Restarts: 1, Clauses: 44, Vars: 18,
-					},
-					OriginWorker: 2, OriginSpan: "w2.i4.s2",
+				Stats: StatsWire{
+					Outcome: "sat", Conflicts: 3, Decisions: 17, Propagations: 120,
+					Restarts: 1, Clauses: 44, Vars: 18,
 				},
-				Trace: &TraceCtx{Worker: 2, Span: "w2.i4.s2"},
 			}},
 			Trace: &TraceCtx{Worker: 2, Span: "w2"},
 		},
@@ -172,48 +154,22 @@ func TestCovWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanWireRoundTrip checks plan serialization, including the
-// four-state bit-vector encoding and the unsat (nil-plan) case.
-func TestPlanWireRoundTrip(t *testing.T) {
-	bv, err := logic.FromString("10xz01")
-	if err != nil {
-		t.Fatal(err)
+// TestStatsToWire checks the solve record a rank ships: every
+// statistic the coordinator meters survives the conversion, and the
+// outcome reads as the solver's own string for sat and unsat alike.
+func TestStatsToWire(t *testing.T) {
+	st := smt.SolveStats{
+		Outcome: smt.Sat, Conflicts: 2, Decisions: 9, Propagations: 40,
+		Restarts: 3, Clauses: 12, Vars: 6, BlastNS: 111, SolveNS: 222,
 	}
-	sat := core.CachedPlan{
-		Plan: &cfg.StepPlan{Inputs: map[string]logic.BV{"din": bv}},
-		Stats: smt.SolveStats{
-			Outcome: smt.Sat, Conflicts: 2, Decisions: 9, Propagations: 40,
-			Restarts: 3, Clauses: 12, Vars: 6, BlastNS: 111, SolveNS: 222,
-		},
-		OriginWorker: 2, OriginSpan: "w2.i1.s2",
+	want := StatsWire{
+		Outcome: "sat", Conflicts: 2, Decisions: 9, Propagations: 40,
+		Restarts: 3, Clauses: 12, Vars: 6, BlastNS: 111, SolveNS: 222,
 	}
-	back, err := PlanFromWire(PlanToWire(sat))
-	if err != nil {
-		t.Fatal(err)
+	if got := statsToWire(st); got != want {
+		t.Fatalf("statsToWire = %+v, want %+v", got, want)
 	}
-	if back.Plan == nil {
-		t.Fatal("sat plan decoded as nil")
-	}
-	if got := back.Plan.Inputs["din"].BitString(); got != "10xz01" {
-		t.Fatalf("bit-vector round trip: got %q, want 10xz01", got)
-	}
-	if back.Stats != sat.Stats {
-		t.Fatalf("stats round trip: %+v vs %+v", back.Stats, sat.Stats)
-	}
-	if back.OriginWorker != 2 || back.OriginSpan != "w2.i1.s2" {
-		t.Fatalf("origin round trip: worker %d span %q", back.OriginWorker, back.OriginSpan)
-	}
-
-	unsat := core.CachedPlan{Stats: smt.SolveStats{Outcome: smt.Unsat, Conflicts: 5}}
-	w := PlanToWire(unsat)
-	if !w.Unsat {
-		t.Fatal("nil plan must serialize with the unsat flag")
-	}
-	back, err = PlanFromWire(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Plan != nil || back.Stats.Outcome != smt.Unsat || back.Stats.Conflicts != 5 {
-		t.Fatalf("unsat round trip: %+v", back)
+	if got := statsToWire(smt.SolveStats{Outcome: smt.Unsat}).Outcome; got != smt.Unsat.String() {
+		t.Fatalf("unsat outcome = %q, want %q", got, smt.Unsat.String())
 	}
 }

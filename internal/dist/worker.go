@@ -83,46 +83,18 @@ func (b *bufTracer) take() []obs.Event {
 	return out
 }
 
-// remoteCache adapts the coordinator's shared plan cache to
-// core.PlanCache, with a local L1 so a worker never re-fetches its
-// own entries. Network failures degrade to cache misses: the engine
-// then solves live, and because cached queries use canonical seeds
-// the result is byte-identical either way — cache availability can
-// change wall time, never a trajectory. Lookups are synchronous (the
-// engine needs the answer); stores ride the batch publisher.
-type remoteCache struct {
-	ctx      context.Context
-	c        *Client
-	l1       *par.SolveCache
-	campaign string
-	bp       *batchPublisher
+// shippingCache is a rank's plan cache: the worker-local cache, with
+// each live solve's statistics shipped on the batch publisher for the
+// coordinator's solver meter and watch plane. Lookups never leave the
+// process — a remote lookup costs about what the solve it saves does.
+type shippingCache struct {
+	*par.SolveCache
+	bp *batchPublisher
 }
 
-func (rc *remoteCache) Lookup(k core.PlanKey) (core.CachedPlan, bool) {
-	if v, ok := rc.l1.Lookup(k); ok {
-		return v, true
-	}
-	resp, err := rc.c.Cache(rc.ctx, CacheRequest{Op: "lookup", Key: KeyToWire(k), Campaign: rc.campaign})
-	if err != nil || !resp.Found || resp.Value == nil {
-		return core.CachedPlan{}, false
-	}
-	v, err := PlanFromWire(resp.Value)
-	if err != nil {
-		return core.CachedPlan{}, false
-	}
-	rc.l1.Store(k, v)
-	return v, true
-}
-
-func (rc *remoteCache) Store(k core.PlanKey, v core.CachedPlan) {
-	rc.l1.Store(k, v)
-	// Best-effort: a lost store only costs other workers a re-solve.
-	// The trace context names the solve span that produced the plan,
-	// so a hit on another rank links back to it in the merged trace.
-	rc.bp.enqueueStore(CacheStore{
-		Key: KeyToWire(k), Value: PlanToWire(v),
-		Trace: &TraceCtx{Worker: v.OriginWorker, Span: v.OriginSpan},
-	})
+func (c shippingCache) Store(k core.PlanKey, v core.CachedPlan) {
+	c.SolveCache.Store(k, v)
+	c.bp.enqueueStore(CacheStore{Key: KeyToWire(k), Stats: statsToWire(v.Stats)})
 }
 
 // RunWorker joins the coordinator at c.Addr and runs shard ranks
@@ -215,7 +187,7 @@ type worker struct {
 	bench      *designs.Benchmark
 	properties []*props.Property
 	// l1 is the process-local plan cache shared across the ranks this
-	// worker runs (per-rank remoteCache adapters wrap it).
+	// worker runs (per-rank shippingCache adapters wrap it).
 	l1 *par.SolveCache
 
 	flushInterval time.Duration
@@ -258,7 +230,7 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 		w.flushInterval)
 	defer pub.close()
 	if w.l1 != nil {
-		wc.PlanCache = &remoteCache{ctx: rankCtx, c: w.cl, l1: w.l1, campaign: w.campaign, bp: pub}
+		wc.PlanCache = shippingCache{w.l1, pub}
 	}
 	// The Sync hook only diffs local coverage into the publisher's
 	// pending delta — no I/O at interval boundaries. Lease loss and
@@ -336,7 +308,7 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Drain the publisher before reporting so queued cache stores land;
+	// Drain the publisher before reporting so queued solve records land;
 	// the report itself carries the full cumulative coverage, so lost
 	// deltas cannot cost correctness.
 	pub.close()

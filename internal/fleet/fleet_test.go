@@ -472,6 +472,34 @@ func TestFleetAdmission(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsBadSource pins admission without a probe engine:
+// a -src campaign whose HDL fails to parse, or parses but fails to
+// elaborate, is still refused at create with a 400, and no campaign is
+// left behind.
+func TestCreateRejectsBadSource(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for name, src := range map[string]string{
+		"unparsable":   "module m(input clk; endmodule",
+		"unelaborated": "module m(input clk, output o); assign o = ghost; endmodule",
+	} {
+		spec := mailboxSpec(7)
+		spec.Bench, spec.Source, spec.Top = "", src, "m"
+		body, _ := json.Marshal(CreateRequest{Name: name, Spec: spec})
+		resp, err := http.Post("http://"+s.Addr()+"/v1/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("%s source: status %d (%s), want 400", name, resp.StatusCode, msg)
+		}
+	}
+	if _, herr := s.lookup("unparsable"); herr == nil {
+		t.Error("a rejected campaign was installed")
+	}
+}
+
 // TestFleetBackpressure429 pins the ingest bound: with a single-slot
 // queue and a slowed drainer, concurrent batches overflow into 429 +
 // Retry-After, the queue metrics record it, and a later retry of the

@@ -36,7 +36,7 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 
 // ---- worker-facing endpoints (campaign-routed) ----
 
-// routeWorkerRPCs registers the six worker RPCs. Each answers from the
+// routeWorkerRPCs registers the five worker RPCs. Each answers from the
 // campaign its request names.
 func (s *Server) routeWorkerRPCs(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/join", routed(s, func(q *dist.JoinRequest) string { return q.Campaign },
@@ -59,10 +59,6 @@ func (s *Server) routeWorkerRPCs(mux *http.ServeMux) {
 			return resp, nil
 		}))
 	mux.HandleFunc("/v1/batch", routed(s, func(q *dist.BatchRequest) string { return q.Campaign }, s.serveBatch))
-	mux.HandleFunc("/v1/cache", routed(s, func(q *dist.CacheRequest) string { return q.Campaign },
-		func(c *campaign, req *dist.CacheRequest, _ *http.Request) (any, *dist.HTTPError) {
-			return c.cs.Cache(*req)
-		}))
 	mux.HandleFunc("/v1/report", routed(s, func(q *dist.ReportRequest) string { return q.Campaign },
 		func(c *campaign, req *dist.ReportRequest, _ *http.Request) (any, *dist.HTTPError) {
 			return c.cs.Report(*req)
@@ -118,7 +114,7 @@ func (s *Server) serveBatch(c *campaign, req *dist.BatchRequest, r *http.Request
 	if c.queuedBytes.Load()+n > s.quota.QueueBytes {
 		return reject("campaign ingest queue over byte budget")
 	}
-	in := ingest{req: *req, bytes: n, resp: make(chan dist.BatchResponse, 1)}
+	in := ingest{req: *req, bytes: n, resp: make(chan batchAnswer, 1)}
 	select {
 	case c.queue <- in:
 	default:
@@ -128,8 +124,11 @@ func (s *Server) serveBatch(c *campaign, req *dist.BatchRequest, r *http.Request
 	c.gDepth.Set(int64(len(c.queue)))
 	c.gBytes.Set(c.queuedBytes.Load())
 	select {
-	case resp := <-in.resp:
-		return resp, nil
+	case a := <-in.resp:
+		if a.herr != nil {
+			return nil, a.herr
+		}
+		return a.resp, nil
 	case <-r.Context().Done():
 		// Client gave up; the drainer will still apply the batch and
 		// its buffered response just gets dropped.

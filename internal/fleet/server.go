@@ -1,11 +1,10 @@
 // Package fleet is the campaign coordinator: one process hosting one
 // or many campaigns behind the v4 wire protocol. Each campaign keeps
-// its own frontier, plan cache, lease table, journal and metrics
-// registry — a dist.CampaignState — and every worker RPC carries a
-// campaign name that routes it to the right state machine. An empty
-// name routes to the sole hosted campaign, which is how `symbfuzz
-// -serve` runs: a fleet hosting one implicit, unnamed campaign
-// (Server.Host).
+// its own frontier, lease table, journal and metrics registry — a
+// dist.CampaignState — and every worker RPC carries a campaign name
+// that routes it to the right state machine. An empty name routes to
+// the sole hosted campaign, which is how `symbfuzz -serve` runs: a
+// fleet hosting one implicit, unnamed campaign (Server.Host).
 //
 // Around the state machines the fleet adds:
 //
@@ -14,10 +13,10 @@
 //     answers 429 with Retry-After instead of buffering unboundedly.
 //     Workers already treat 429 as a retryable backoff signal, so
 //     backpressure degrades throughput, never correctness.
-//   - Bounded ingest: batched publishes/stores flow through one
-//     bounded queue per campaign, drained by one goroutine per
-//     campaign — so a noisy campaign saturates its own queue and its
-//     own drainer, not its neighbours'.
+//   - Bounded ingest: batched publishes and solve records flow
+//     through one bounded queue per campaign, drained by one goroutine
+//     per campaign — so a noisy campaign saturates its own queue and
+//     its own drainer, not its neighbours'.
 //   - Budget enforcement: a campaign that exhausts its solver-seconds
 //     budget is force-stopped; its workers stop at the next interval
 //     boundary and deliver partial reports, exactly like a ctrl-C.
@@ -136,10 +135,9 @@ type Config struct {
 
 // CreateRequest is the body of POST /v1/campaigns.
 type CreateRequest struct {
-	Name               string            `json:"name"`
-	Spec               dist.CampaignSpec `json:"spec"`
-	StopAtPoints       int               `json:"stop_at_points,omitempty"`
-	StopWhenAllCovered bool              `json:"stop_when_all_covered,omitempty"`
+	Name         string            `json:"name"`
+	Spec         dist.CampaignSpec `json:"spec"`
+	StopAtPoints int               `json:"stop_at_points,omitempty"`
 }
 
 // CampaignStatus augments a campaign's state-machine status with the
@@ -211,7 +209,14 @@ type campaign struct {
 type ingest struct {
 	req   dist.BatchRequest
 	bytes int64
-	resp  chan dist.BatchResponse
+	resp  chan batchAnswer
+}
+
+// batchAnswer is the drainer's answer to one batch: a response, or the
+// rejection of a batch that disagrees with the campaign's shape.
+type batchAnswer struct {
+	resp dist.BatchResponse
+	herr *dist.HTTPError
 }
 
 // batchSizeBounds buckets delta-batch request sizes in bytes.
@@ -375,11 +380,10 @@ func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPErr
 	}
 	o := obs.New(oo)
 	cc := dist.CoordConfig{
-		Spec:               req.Spec,
-		Name:               req.Name,
-		Obs:                o,
-		StopAtPoints:       req.StopAtPoints,
-		StopWhenAllCovered: req.StopWhenAllCovered,
+		Spec:         req.Spec,
+		Name:         req.Name,
+		Obs:          o,
+		StopAtPoints: req.StopAtPoints,
 	}
 	if s.cfg.JournalDir != "" {
 		cc.JournalPath = filepath.Join(s.cfg.JournalDir, req.Name+".jsonl")
@@ -526,13 +530,13 @@ func (s *Server) drain(c *campaign) {
 			if s.cfg.DrainDelay > 0 {
 				time.Sleep(s.cfg.DrainDelay)
 			}
-			var resp dist.BatchResponse
+			var a batchAnswer
 			if c.cancelled.Load() {
 				// A cancelled campaign answers batches with OK=false —
 				// workers abandon the rank instead of retrying forever.
 				c.cDropped.Inc()
 			} else {
-				resp = c.cs.ApplyBatch(in.req)
+				a.resp, a.herr = c.cs.ApplyBatch(in.req)
 				c.cBatches.Inc()
 				c.hBytes.Observe(in.bytes)
 				c.hDeltas.Observe(int64(len(in.req.Publishes)))
@@ -544,7 +548,7 @@ func (s *Server) drain(c *campaign) {
 			c.queuedBytes.Add(-in.bytes)
 			c.gDepth.Set(int64(len(c.queue)))
 			c.gBytes.Set(c.queuedBytes.Load())
-			in.resp <- resp
+			in.resp <- a
 		case <-s.quit:
 			return
 		}

@@ -52,9 +52,8 @@ func (s *Server) watchPublish(c *campaign, rank int, seq uint64, vectors uint64,
 	s.raiseAlerts(c, s.watch.ObserveSample(c.name, p))
 }
 
-// watchSolve is the OnSolve hook: every solver result folded into the
-// shared plan cache feeds the latency-regression and UNSAT-churn
-// detectors.
+// watchSolve is the OnSolve hook: every live solve a rank ships feeds
+// the latency-regression and UNSAT-churn detectors.
 func (s *Server) watchSolve(c *campaign, rank, graph, to int, outcome string, ns int64) {
 	s.raiseAlerts(c, s.watch.ObserveSolve(c.name, rank, graph, to, outcome, ns, s.watchTNS()))
 }

@@ -20,7 +20,7 @@ import (
 // result is independent of publish interleaving. The deterministic
 // merged report is computed separately (merge-by-rank over the worker
 // monitors after join); the Frontier exists for live status, the
-// campaign curve, and the opt-in stop conditions.
+// campaign curve, and the opt-in stop condition.
 //
 // It is exported so that internal/dist can host the same frontier on a
 // network coordinator: remote workers publish serialized coverage
@@ -31,20 +31,19 @@ import (
 type Frontier struct {
 	start time.Time
 
+	// graphs grows to the highest cluster graph a publish names, so
+	// the frontier needs no partition: it keeps what it is sent.
+	graphMu sync.Mutex
 	graphs  []*graphShard
 	stripes [tupleStripes]stripeSet
 
-	points     atomic.Int64
-	edges      atomic.Int64
-	edgesTotal int64
+	points atomic.Int64
 
 	// target > 0 stops the campaign when the global point count first
-	// reaches it (bench mode: time-to-target); stopAll stops once every
-	// static edge is globally covered. Both are opt-in and make the
-	// stop vector-count nondeterministic — a fixed-budget campaign
-	// leaves both unset and stays fully deterministic.
+	// reaches it (bench mode: time-to-target). It is opt-in and makes
+	// the stop vector count nondeterministic — a fixed-budget campaign
+	// leaves it unset and stays fully deterministic.
 	target   int64
-	stopAll  bool
 	stopped  atomic.Bool
 	targetNS atomic.Int64
 
@@ -68,28 +67,31 @@ type stripeSet struct {
 	set map[string]bool
 }
 
-// NewFrontier builds a frontier over nGraphs cluster graphs with
-// edgesTotal static edges, accepting publishes from workers ranks
-// [0, workers). target > 0 arms the time-to-target stop; stopAll stops
-// once every static edge is globally covered. o (nil-safe) receives
-// live curve samples.
-func NewFrontier(nGraphs int, edgesTotal int, workers int, target int, stopAll bool, o *obs.Observer) *Frontier {
+// NewFrontier builds a frontier accepting publishes from workers ranks
+// [0, workers). target > 0 arms the time-to-target stop. o (nil-safe)
+// receives live curve samples.
+func NewFrontier(workers int, target int, o *obs.Observer) *Frontier {
 	f := &Frontier{
-		graphs:     make([]*graphShard, nGraphs),
-		edgesTotal: int64(edgesTotal),
 		target:     int64(target),
-		stopAll:    stopAll,
 		o:          o,
 		workerVecs: make([]atomic.Uint64, workers),
 		start:      time.Now(),
-	}
-	for i := range f.graphs {
-		f.graphs[i] = &graphShard{nodes: map[int]bool{}, edges: map[int]bool{}}
 	}
 	for i := range f.stripes {
 		f.stripes[i].set = map[string]bool{}
 	}
 	return f
+}
+
+// graph returns cluster graph gi's shard, growing the shard list on
+// first sight of gi.
+func (f *Frontier) graph(gi int) *graphShard {
+	f.graphMu.Lock()
+	defer f.graphMu.Unlock()
+	for len(f.graphs) <= gi {
+		f.graphs = append(f.graphs, &graphShard{nodes: map[int]bool{}, edges: map[int]bool{}})
+	}
+	return f.graphs[gi]
 }
 
 // tupleStripe picks a stripe by FNV-1a hash so concurrent publishers
@@ -108,12 +110,9 @@ func tupleStripe(k string) int {
 // twice (a worker republishing at the next boundary, a replacement
 // worker re-walking a dead worker's trajectory) is idempotent.
 func (f *Frontier) Publish(rank int, cv *cov.CFGCov, vectors uint64) {
-	var added, addedEdges int64
+	var added int64
 	for gi := range cv.NodesSeen {
-		if gi >= len(f.graphs) {
-			break
-		}
-		gs := f.graphs[gi]
+		gs := f.graph(gi)
 		gs.mu.Lock()
 		for id := range cv.NodesSeen[gi] {
 			if !gs.nodes[id] {
@@ -125,7 +124,6 @@ func (f *Frontier) Publish(rank int, cv *cov.CFGCov, vectors uint64) {
 			if !gs.edges[id] {
 				gs.edges[id] = true
 				added++
-				addedEdges++
 			}
 		}
 		gs.mu.Unlock()
@@ -143,7 +141,6 @@ func (f *Frontier) Publish(rank int, cv *cov.CFGCov, vectors uint64) {
 		f.workerVecs[rank].Store(vectors)
 	}
 	pts := f.points.Add(added)
-	edges := f.edges.Add(addedEdges)
 
 	total := uint64(0)
 	for i := range f.workerVecs {
@@ -158,9 +155,6 @@ func (f *Frontier) Publish(rank int, cv *cov.CFGCov, vectors uint64) {
 		if f.stopped.CompareAndSwap(false, true) {
 			f.targetNS.Store(int64(time.Since(f.start)))
 		}
-	}
-	if f.stopAll && f.edgesTotal > 0 && edges >= f.edgesTotal {
-		f.stopped.CompareAndSwap(false, true)
 	}
 }
 

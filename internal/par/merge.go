@@ -3,7 +3,6 @@ package par
 import (
 	"fmt"
 
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/cov"
 	"repro/internal/obs"
@@ -11,29 +10,26 @@ import (
 
 // MergeReports folds per-worker reports into one campaign report,
 // strictly in rank order so the result is independent of completion
-// order. Coverage is recomputed as a set union of the worker coverage
-// monitors over the given partition (cluster graphs are built
-// deterministically, so node and edge IDs agree across workers — and
-// across processes elaborating the same design, which is what lets
-// internal/dist feed this function coverage snapshots deserialized
-// from the wire and obtain a report identical to the in-process run).
+// order. Coverage is recomputed as the per-cluster-graph set union of
+// the worker coverage sets (cluster graphs are built deterministically,
+// so node and edge IDs agree across workers — and across processes
+// elaborating the same design, which is what lets internal/dist feed
+// this function coverage snapshots deserialized from the wire and
+// obtain a report identical to the in-process run).
 //
 // covs and reports are indexed by worker rank and must be parallel.
 // Coverage fields are the set union over workers; counters are
 // commutative sums; bugs are concatenated in rank order and deduped by
-// (property, cycle); PrunedTargets and GraphStats come from rank 0
-// (static per design); Curve is left empty — the interleaving-ordered
-// live curve is a campaign artifact, not part of the merged report.
-func MergeReports(part *cfg.Partition, covs []*cov.CFGCov, reports []*core.Report) *core.Report {
-	mcov := cov.NewCFGCov(part)
-	for _, cv := range covs {
-		mcov.Merge(cv)
-	}
-
+// (property, cycle); PrunedTargets, GraphStats and the static
+// NodesTotal/EdgesTotal come from rank 0 (static per design); Curve is
+// left empty — the interleaving-ordered live curve is a campaign
+// artifact, not part of the merged report.
+func MergeReports(covs []*cov.CFGCov, reports []*core.Report) *core.Report {
 	m := &core.Report{}
 	first := reports[0]
 	m.PrunedTargets = first.PrunedTargets
 	m.GraphStats = first.GraphStats
+	m.NodesTotal, m.EdgesTotal = first.NodesTotal, first.EdgesTotal
 
 	seen := map[string]bool{}
 	for _, r := range reports {
@@ -65,11 +61,35 @@ func MergeReports(part *cfg.Partition, covs []*cov.CFGCov, reports []*core.Repor
 		}
 	}
 
-	m.FinalPoints = mcov.Points()
-	m.NodesCovered, m.NodesTotal = mcov.NodeCoverage()
-	m.EdgesCovered, m.EdgesTotal = mcov.EdgeCoverage()
-	m.TupleCount = len(mcov.Tuples)
+	var nodes, edges []map[int]bool
+	tuples := map[string]bool{}
+	for _, cv := range covs {
+		for gi := range cv.NodesSeen {
+			if gi == len(nodes) {
+				nodes = append(nodes, map[int]bool{})
+				edges = append(edges, map[int]bool{})
+			}
+			union(nodes[gi], cv.NodesSeen[gi])
+			union(edges[gi], cv.EdgesSeen[gi])
+		}
+		for t := range cv.Tuples {
+			tuples[t] = true
+		}
+	}
+	for gi := range nodes {
+		m.NodesCovered += len(nodes[gi])
+		m.EdgesCovered += len(edges[gi])
+	}
+	m.TupleCount = len(tuples)
+	m.FinalPoints = m.NodesCovered + m.EdgesCovered + m.TupleCount
 	return m
+}
+
+// union adds every ID of src to dst.
+func union(dst, src map[int]bool) {
+	for id := range src {
+		dst[id] = true
+	}
 }
 
 // mergeTimings sums the phase and solver totals (commutative, so the

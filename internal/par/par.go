@@ -27,10 +27,11 @@
 // publish-ordered by design.
 //
 // The frontier, the plan cache, and the rank merge are exported
-// (Frontier, SolveCache, MergeReports) so internal/dist can host the
-// same campaign state on a network coordinator: the determinism
-// argument transfers unchanged because remote workers couple through
-// exactly the same three interfaces.
+// (Frontier, SolveCache, MergeReports) so internal/dist can run the
+// same campaign across processes: the coordinator hosts the frontier
+// and the merge, and each remote worker keeps its own plan cache. The
+// determinism argument transfers unchanged because a cache hit equals
+// the live solve, so sharing a cache or not changes wall time only.
 package par
 
 import (
@@ -90,8 +91,8 @@ type Report struct {
 	TargetPoints   int
 	TimeToTargetNS int64
 
-	// CacheHits / CacheMisses are the shared plan cache's global
-	// tallies (hits+misses is deterministic; the split is not).
+	// CacheHits / CacheMisses are the plan-cache tallies summed over
+	// the workers (hits+misses is deterministic; the split is not).
 	CacheHits, CacheMisses int64
 
 	// Curve is the live campaign coverage curve (global points vs
@@ -136,10 +137,7 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 		cache = NewSolveCache()
 	}
 
-	// fr is assigned after the engines exist (its shape comes from the
-	// first worker's partition); the Sync closures below only run once
-	// Run is called on each engine, strictly after the assignment.
-	var fr *Frontier
+	fr := NewFrontier(n, c.StopAtPoints, baseObs)
 
 	engines := make([]*core.Engine, n)
 	seeds := make([]int64, n)
@@ -180,13 +178,6 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 		engines[r] = eng
 	}
 
-	part := engines[0].Graph()
-	edgesTotal := 0
-	for _, g := range part.Graphs {
-		edgesTotal += len(g.Edges)
-	}
-	fr = NewFrontier(len(part.Graphs), edgesTotal, n, c.StopAtPoints, false, baseObs)
-
 	baseObs.CampaignStart(0, 0)
 	start := time.Now()
 	fr.start = start
@@ -220,7 +211,7 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 	for r, e := range engines {
 		covs[r] = e.Coverage()
 	}
-	merged := MergeReports(part, covs, reports)
+	merged := MergeReports(covs, reports)
 	out := &Report{
 		Workers:        n,
 		Seeds:          seeds,

@@ -200,7 +200,7 @@ func TestFrontierNoDoubleCount(t *testing.T) {
 		EdgesSeen: []map[int]bool{{0: true, 4: true}},
 		Tuples:    map[string]bool{"a|b": true},
 	}
-	fr := NewFrontier(1, 8, 2, 0, false, nil)
+	fr := NewFrontier(2, 0, nil)
 
 	fr.Publish(0, cv, 100)
 	if got := fr.points.Load(); got != 6 {
@@ -211,8 +211,15 @@ func TestFrontierNoDoubleCount(t *testing.T) {
 	if got := fr.points.Load(); got != 6 {
 		t.Fatalf("republish double-counted: points = %d, want 6", got)
 	}
-	if got := fr.edges.Load(); got != 2 {
-		t.Fatalf("edge counter = %d, want 2", got)
+	// The frontier has no fixed shape: a publish naming a cluster
+	// graph it has not seen yet grows it.
+	wide := &cov.CFGCov{
+		NodesSeen: []map[int]bool{{0: true}, {7: true}},
+		EdgesSeen: []map[int]bool{{}, {3: true}},
+	}
+	fr.Publish(1, wide, 130)
+	if got := fr.points.Load(); got != 8 {
+		t.Fatalf("publish into a new graph: points = %d, want 8", got)
 	}
 }
 
