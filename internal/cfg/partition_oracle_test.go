@@ -137,6 +137,41 @@ func checkGraph(t *testing.T, g *cfg.Graph, pin map[string]logic.BV, maxSucc int
 	}
 }
 
+// checkSerial compares a partition built on the goroutine pool with one
+// assembled from BuildForRegs over Clusters, one cluster after another.
+func checkSerial(t *testing.T, bench string, part *cfg.Partition, pin map[string]logic.BV, opts cfg.Options) {
+	t.Helper()
+	// Each graph's root node holds its registers' reset values.
+	reset := map[int]logic.BV{}
+	for _, g := range part.Graphs {
+		for idx, v := range g.Nodes[0].Vals {
+			reset[idx] = v
+		}
+	}
+	opts.Pin = pin
+	serial := &cfg.Partition{Design: part.Design, Tr: part.Tr}
+	for _, cluster := range cfg.Clusters(part.Design, part.Tr) {
+		g, err := cfg.BuildForRegs(part.Design, part.Tr, cluster, reset, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.Graphs = append(serial.Graphs, g)
+	}
+	if part.Dot(bench) != serial.Dot(bench) || part.Stats() != serial.Stats() {
+		t.Errorf("%s: pooled partition differs from the serial build", bench)
+	}
+	if len(part.Graphs) != len(serial.Graphs) {
+		t.Fatalf("%s: %d graphs, serial build has %d", bench, len(part.Graphs), len(serial.Graphs))
+	}
+	for i, g := range part.Graphs {
+		s := serial.Graphs[i]
+		if g.Constraints != s.Constraints || g.Truncated != s.Truncated {
+			t.Errorf("%s graph %d: constraints %d truncated %v, serial build %d %v",
+				bench, i, g.Constraints, g.Truncated, s.Constraints, s.Truncated)
+		}
+	}
+}
+
 func TestPartitionMatchesPerNodeOracle(t *testing.T) {
 	for _, tc := range partitionStats {
 		b, ok := designs.FindBenchmark(tc.bench)
@@ -152,6 +187,7 @@ func TestPartitionMatchesPerNodeOracle(t *testing.T) {
 		if part.Dot(tc.bench) != again.Dot(tc.bench) || part.Stats() != again.Stats() {
 			t.Errorf("%s at MaxSuccessors %d: two builds differ", tc.bench, tc.maxSucc)
 		}
+		checkSerial(t, tc.bench, part, pin, opts)
 		for _, g := range part.Graphs {
 			checkGraph(t, g, pin, tc.maxSucc)
 		}

@@ -56,6 +56,28 @@ func BenchmarkEngineSoCGuided(b *testing.B) { benchSoC(b, 100, 2, 20_000) }
 //	go test -run '^$' -bench EngineSoCDefault -benchtime 3x ./internal/core
 func BenchmarkEngineSoCDefault(b *testing.B) { benchSoC(b, 300, 3, 40_000) }
 
+// BenchmarkEngineSoCSetup times what a SoC campaign pays before its
+// first vector: Elaborate plus New on opentitan_mini with its planted
+// bugs, at the CLI defaults, as the campaign benchmark's setup_s does:
+//
+//	go test -run '^$' -bench EngineSoCSetup -benchtime 80x ./internal/core
+func BenchmarkEngineSoCSetup(b *testing.B) {
+	bm := designs.OpenTitanMini(nil)
+	c := Config{
+		Interval: 300, Threshold: 3, MaxVectors: 40_000, Seed: 1,
+		UseSnapshots: true, SimBackend: "compiled", ContinueAfterCoverage: true,
+	}
+	for i := 0; i < b.N; i++ {
+		d, err := bm.Elaborate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := New(d, bm.Properties, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchSoC runs opentitan_mini with its planted bugs on the compiled
 // backend with snapshots, and reports campaign throughput, heap
 // allocation per vector, and retained-MB: the live-heap growth across

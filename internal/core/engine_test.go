@@ -9,6 +9,7 @@ import (
 	"repro/internal/cov"
 	"repro/internal/elab"
 	"repro/internal/hdl"
+	"repro/internal/logic"
 	"repro/internal/props"
 )
 
@@ -296,6 +297,21 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Interval != 300 || c.Threshold != 3 || c.ResetCycles != 2 {
 		t.Errorf("defaults = %+v", c)
+	}
+}
+
+// TestNewLeavesCallerPins checks that New pins the reset input on its
+// own copy of the CFG options: the caller's pin map, which in-process
+// orchestration shares across engines, is not written.
+func TestNewLeavesCallerPins(t *testing.T) {
+	pin := map[string]logic.BV{"k": logic.FromUint64(8, 0xA7)}
+	c := Config{Interval: 50, Threshold: 2, MaxVectors: 100, Seed: 5}
+	c.CFG.Pin = pin
+	if _, err := New(deepDesign(t), nil, c); err != nil {
+		t.Fatal(err)
+	}
+	if len(pin) != 1 || !pin["k"].Eq4(logic.FromUint64(8, 0xA7)) {
+		t.Errorf("caller's pin map changed to %v", pin)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cov"
 	"repro/internal/elab"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/props"
 )
@@ -155,15 +154,6 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 		}
 		if cache != nil {
 			wc.PlanCache = cache
-		}
-		if wc.CFG.Pin != nil {
-			// Each engine writes its reset pin into this map during
-			// construction; give every worker its own copy.
-			pin := make(map[string]logic.BV, len(wc.CFG.Pin))
-			for k, v := range wc.CFG.Pin {
-				pin[k] = v
-			}
-			wc.CFG.Pin = pin
 		}
 		wc.Obs = baseObs.ForWorker(r + 1)
 		rank := r
