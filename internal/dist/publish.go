@@ -37,7 +37,6 @@ type batchPublisher struct {
 	campaign string
 	workerID string
 	rank     int
-	trace    *TraceCtx
 
 	flushInterval time.Duration
 
@@ -71,12 +70,12 @@ const flushEvery = 8
 // coordinator's solver meter).
 const maxStoreQueue = 256
 
-func newBatchPublisher(ctx context.Context, cl *Client, campaign, workerID string, rank int, trace *TraceCtx, flushInterval time.Duration) *batchPublisher {
+func newBatchPublisher(ctx context.Context, cl *Client, campaign, workerID string, rank int, flushInterval time.Duration) *batchPublisher {
 	if flushInterval <= 0 {
 		flushInterval = 25 * time.Millisecond
 	}
 	p := &batchPublisher{
-		ctx: ctx, cl: cl, campaign: campaign, workerID: workerID, rank: rank, trace: trace,
+		ctx: ctx, cl: cl, campaign: campaign, workerID: workerID, rank: rank,
 		flushInterval: flushInterval, kick: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
@@ -231,7 +230,7 @@ func (p *batchPublisher) flush() {
 
 	resp, err := p.cl.Batch(p.ctx, BatchRequest{
 		Campaign: p.campaign, WorkerID: p.workerID, Rank: p.rank,
-		Publishes: pubs, Stores: stores, Trace: p.trace,
+		Publishes: pubs, Stores: stores,
 	})
 	if err != nil {
 		p.mu.Lock()

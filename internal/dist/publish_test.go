@@ -37,7 +37,7 @@ func TestQuietIntervalShipsNothing(t *testing.T) {
 	// The flush period is an hour: only the explicit flush calls below
 	// ship anything.
 	p := newBatchPublisher(context.Background(), NewClient(strings.TrimPrefix(srv.URL, "http://"), 1),
-		"", "w", 0, nil, time.Hour)
+		"", "w", 0, time.Hour)
 	defer p.close()
 	cv := cov.NewCFGCov(&cfg.Partition{Graphs: []*cfg.Graph{{}}})
 	cv.NodesSeen[0][3] = true

@@ -61,15 +61,10 @@ import (
 // the lane's spans (obs.BuildCostLedger). v6 removed the /v1/cache
 // lookup (ranks keep their plan caches local), and a batched store now
 // carries only the key and solve statistics the coordinator meters.
+// Batches and reports no longer carry the rank's unread trace context;
+// the field was optional and unknown fields decode, so that change
+// kept v6.
 const ProtoVersion = 6
-
-// TraceCtx is the wire trace context: the emitting lane and span that
-// a message correlates with. On /v1/batch and /v1/report it names the
-// rank's campaign root span.
-type TraceCtx struct {
-	Worker int    `json:"worker,omitempty"`
-	Span   string `json:"span,omitempty"`
-}
 
 // PropSpec is a security property shipped over the wire as source
 // strings (the compiled form is not serializable); the worker parses
@@ -176,7 +171,6 @@ type ReportRequest struct {
 	Report   core.Report `json:"report"`
 	Coverage CovWire     `json:"coverage"`
 	Events   []obs.Event `json:"events,omitempty"`
-	Trace    *TraceCtx   `json:"trace,omitempty"`
 	Campaign string      `json:"campaign,omitempty"`
 }
 
@@ -219,7 +213,6 @@ type BatchRequest struct {
 	Rank      int            `json:"rank"`
 	Publishes []PublishDelta `json:"publishes,omitempty"`
 	Stores    []CacheStore   `json:"stores,omitempty"`
-	Trace     *TraceCtx      `json:"trace,omitempty"`
 }
 
 // BatchResponse acks a batch. OK=false means the lease was lost.

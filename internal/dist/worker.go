@@ -225,9 +225,7 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 
 	wc := specConfig(w.spec, lr.Rank)
 	wc.Obs = lane
-	rankTrace := &TraceCtx{Worker: lane.Lane(), Span: lane.RootSpan()}
-	pub := newBatchPublisher(rankCtx, w.cl, w.campaign, w.id, lr.Rank, rankTrace,
-		w.flushInterval)
+	pub := newBatchPublisher(rankCtx, w.cl, w.campaign, w.id, lr.Rank, w.flushInterval)
 	defer pub.close()
 	if w.l1 != nil {
 		wc.PlanCache = shippingCache{w.l1, pub}
@@ -319,7 +317,6 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 		Report:   *rep,
 		Coverage: CovToWire(eng.Coverage()),
 		Events:   buf.take(),
-		Trace:    rankTrace,
 		Campaign: w.campaign,
 	})
 	if err != nil {
