@@ -19,14 +19,14 @@ import (
 // campaign. Like the trace report, the HTML output is a pure function
 // of the input document.
 
-func runFleetReport(data []byte, htmlOut string) error {
+func runFleetReport(w io.Writer, data []byte, htmlOut string) error {
 	var st fleet.FleetStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("invalid fleet rollup: %w", err)
 	}
-	renderFleetText(os.Stdout, st)
+	renderFleetText(w, st)
 	if htmlOut != "" {
-		return writeFleetHTML(htmlOut, st)
+		return writeFleetHTML(w, htmlOut, st)
 	}
 	return nil
 }
@@ -58,12 +58,12 @@ func renderFleetText(w io.Writer, st fleet.FleetStatus) {
 	}
 }
 
-func writeFleetHTML(path string, st fleet.FleetStatus) error {
+func writeFleetHTML(w io.Writer, path string, st fleet.FleetStatus) error {
 	buf := []byte(fleetHTML(st))
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote fleet rollup to %s (%d bytes)\n", path, len(buf))
+	fmt.Fprintf(w, "wrote fleet rollup to %s (%d bytes)\n", path, len(buf))
 	return nil
 }
 

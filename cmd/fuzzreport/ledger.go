@@ -1,17 +1,24 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"repro/internal/obs"
 )
 
-// renderReport writes the terminal cost report. Everything except the
+const (
+	topN       = 10 // rows in the hot-target and hot-process tables
+	curveWidth = 72 // cost-curve width in characters
+)
+
+// renderLedger writes the cost-ledger section. Everything except the
 // explicitly-marked annotation columns is derived from deterministic
 // counters, so the same trace always renders the same bytes.
-func renderReport(w io.Writer, d *obs.CostLedger, topN, width int) {
+func renderLedger(w io.Writer, d *obs.CostLedger) {
 	fmt.Fprintf(w, "campaign cost ledger: %d rank(s)\n", d.Workers)
 	t := d.Totals
 	fmt.Fprintf(w, "totals: %d sim evals; %d solver dispatches (%d sat, %d unsat, %d infeasible)\n",
@@ -19,43 +26,10 @@ func renderReport(w io.Writer, d *obs.CostLedger, topN, width int) {
 	fmt.Fprintf(w, "        %d clauses, %d conflicts, %d restarts; %d vars sliced away; %d coverage points unlocked\n",
 		t.Clauses, t.Conflicts, t.Restarts, t.SlicedVars, t.Unlocked)
 
-	solver, sim := mergeSolver(d), mergeSim(d)
-
-	if len(solver) > 0 {
-		fmt.Fprintf(w, "\nsolver cost treemap (CNF clauses per CFG target):\n")
-		items := make([]item, 0, len(solver))
-		for _, s := range solver {
-			wt := s.Clauses
-			if wt <= 0 {
-				wt = s.Dispatches
-			}
-			items = append(items, item{label: fmt.Sprintf("g%d:e%d %s", s.Graph, s.Edge, pctOf(s.Clauses, t.Clauses)), weight: wt})
-		}
-		sort.SliceStable(items, func(i, j int) bool {
-			if items[i].weight != items[j].weight {
-				return items[i].weight > items[j].weight
-			}
-			return items[i].label < items[j].label
-		})
-		if len(items) > 24 {
-			var rest int64
-			for _, it := range items[24:] {
-				rest += it.weight
-			}
-			items = append(items[:24], item{label: fmt.Sprintf("+%d more", len(solver)-24), weight: rest})
-		}
-		height := 12
-		if len(items) <= 4 {
-			height = 8
-		}
-		fmt.Fprint(w, renderTreemap(layoutTreemap(items, width, height), width, height))
-	}
-
-	if len(solver) > 0 {
+	if rows := d.Targets(); len(rows) > 0 {
 		fmt.Fprintf(w, "\ntop solver targets by clauses:\n")
 		fmt.Fprintf(w, "  %-10s %6s %5s %6s %5s %9s %9s %7s %8s %10s\n",
 			"target", "disp", "sat", "unsat", "infea", "clauses", "conflicts", "sliced", "unlocked", "clauses/pt")
-		rows := append([]obs.SolverEntry(nil), solver...)
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Clauses > rows[j].Clauses })
 		for i, s := range rows {
 			if i >= topN {
@@ -72,10 +46,9 @@ func renderReport(w io.Writer, d *obs.CostLedger, topN, width int) {
 		}
 	}
 
-	if len(sim) > 0 {
+	if rows := mergeSim(d); len(rows) > 0 {
 		fmt.Fprintf(w, "\nhot simulator processes (levelized; ns/eval is a sampled annotation):\n")
 		fmt.Fprintf(w, "  %-40s %-4s %5s %12s %9s\n", "process", "kind", "level", "evals", "ns/eval")
-		rows := append([]obs.SimEntry(nil), sim...)
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Evals > rows[j].Evals })
 		for i, s := range rows {
 			if i >= topN {
@@ -96,52 +69,8 @@ func renderReport(w io.Writer, d *obs.CostLedger, topN, width int) {
 
 	if curve := mergeCurve(d); len(curve) > 1 {
 		fmt.Fprintf(w, "\ncoverage unlocked per solver cost (cumulative, %d dispatches):\n", len(curve))
-		fmt.Fprint(w, renderCurve(curve, width))
+		fmt.Fprint(w, renderCurve(curve, curveWidth))
 	}
-}
-
-// mergeSolver folds per-rank solver entries into campaign-wide
-// per-target entries, ordered by (graph, edge).
-func mergeSolver(d *obs.CostLedger) []obs.SolverEntry {
-	byKey := map[[2]int]*obs.SolverEntry{}
-	var keys [][2]int
-	for _, r := range d.Ranks {
-		for _, s := range r.Solver {
-			k := [2]int{s.Graph, s.Edge}
-			e := byKey[k]
-			if e == nil {
-				cp := s
-				byKey[k] = &cp
-				keys = append(keys, k)
-				continue
-			}
-			e.Dispatches += s.Dispatches
-			e.Sat += s.Sat
-			e.Unsat += s.Unsat
-			e.CacheLookups += s.CacheLookups
-			e.Clauses += s.Clauses
-			e.Conflicts += s.Conflicts
-			e.Restarts += s.Restarts
-			e.SlicedVars += s.SlicedVars
-			e.Infeasible += s.Infeasible
-			e.Unlocked += s.Unlocked
-			e.CacheHits += s.CacheHits
-			e.CacheMisses += s.CacheMisses
-			e.BlastNS += s.BlastNS
-			e.SolveNS += s.SolveNS
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]obs.SolverEntry, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *byKey[k])
-	}
-	return out
 }
 
 // mergeSim folds per-rank sim entries into campaign-wide per-process
@@ -226,8 +155,15 @@ func renderCurve(curve []obs.CostPoint, width int) string {
 			run = cols[i]
 		}
 	}
-	var rows [height]string
+	var b strings.Builder
 	for y := 0; y < height; y++ {
+		label := "        "
+		if y == 0 {
+			label = fmt.Sprintf("%7d ", maxU)
+		}
+		if y == height-1 {
+			label = fmt.Sprintf("%7d ", 0)
+		}
 		line := make([]byte, width)
 		thresh := maxU * int64(height-y) / int64(height)
 		for x := 0; x < width; x++ {
@@ -237,37 +173,11 @@ func renderCurve(curve []obs.CostPoint, width int) string {
 				line[x] = ' '
 			}
 		}
-		rows[y] = string(line)
+		fmt.Fprintf(&b, "  %s|%s\n", label, line)
 	}
-	out := ""
-	for y, r := range rows {
-		label := "        "
-		if y == 0 {
-			label = fmt.Sprintf("%7d ", maxU)
-		}
-		if y == height-1 {
-			label = fmt.Sprintf("%7d ", 0)
-		}
-		out += "  " + label + "|" + r + "\n"
-	}
-	out += fmt.Sprintf("          +%s\n", repeatByte('-', width))
-	out += fmt.Sprintf("           0 clauses%s%d\n", repeatByte(' ', max(1, width-len(fmt.Sprintf("0 clauses%d", maxC)))), maxC)
-	return out
-}
-
-func repeatByte(b byte, n int) string {
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = b
-	}
-	return string(s)
-}
-
-func pctOf(part, total int64) string {
-	if total <= 0 {
-		return ""
-	}
-	return fmt.Sprintf("%d%%", part*100/total)
+	fmt.Fprintf(&b, "          +%s\n", strings.Repeat("-", width))
+	fmt.Fprintf(&b, "           0 clauses%s%d\n", strings.Repeat(" ", max(1, width-len(fmt.Sprintf("0 clauses%d", maxC)))), maxC)
+	return b.String()
 }
 
 func trunc(s string, n int) string {
@@ -275,4 +185,66 @@ func trunc(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "~"
+}
+
+// flameNode is the d3-flamegraph-compatible hierarchy node.
+type flameNode struct {
+	Name     string       `json:"name"`
+	Value    int64        `json:"value"`
+	Children []*flameNode `json:"children,omitempty"`
+}
+
+// flameJSON converts a ledger into a flamegraph hierarchy. Values are
+// the deterministic cost counters — simulator evals on sim leaves, CNF
+// clauses on solver leaves (infeasible/zero-clause dispatches count 1
+// each so they stay visible) — so the JSON is byte-identical across
+// runs of the same seed.
+func flameJSON(d *obs.CostLedger) ([]byte, error) {
+	root := &flameNode{Name: "campaign"}
+	for _, r := range d.Ranks {
+		rn := &flameNode{Name: fmt.Sprintf("rank %d", r.Rank)}
+		sim := &flameNode{Name: "sim"}
+		for _, s := range r.Sim {
+			v := int64(s.Evals)
+			sim.Value += v
+			sim.Children = append(sim.Children, &flameNode{
+				Name:  fmt.Sprintf("%s (%s L%d)", s.Proc, s.Kind, s.Level),
+				Value: v,
+			})
+		}
+		solver := &flameNode{Name: "solver"}
+		graphs := map[int]*flameNode{}
+		for _, s := range r.Solver {
+			g := graphs[s.Graph]
+			if g == nil {
+				g = &flameNode{Name: fmt.Sprintf("graph %d", s.Graph)}
+				graphs[s.Graph] = g
+				solver.Children = append(solver.Children, g)
+			}
+			v := s.Clauses
+			if v <= 0 {
+				v = s.Dispatches
+			}
+			g.Value += v
+			solver.Value += v
+			g.Children = append(g.Children, &flameNode{
+				Name:  fmt.Sprintf("edge %d->%d", s.Graph, s.Edge),
+				Value: v,
+			})
+		}
+		if len(sim.Children) > 0 {
+			rn.Children = append(rn.Children, sim)
+		}
+		if len(solver.Children) > 0 {
+			rn.Children = append(rn.Children, solver)
+		}
+		rn.Value = sim.Value + solver.Value
+		root.Value += rn.Value
+		root.Children = append(root.Children, rn)
+	}
+	out, err := json.MarshalIndent(root, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(out, '\n'), nil
 }

@@ -6,7 +6,7 @@
 //	symbfuzz -bench opentitan_mini -vectors 20000
 //	symbfuzz -src design.sv -top mymodule -vectors 50000
 //	symbfuzz -bench aes -trace out.jsonl -metrics metrics.json -status :6060
-//	symbfuzz -bench aes -trace out.jsonl -prof   # then: fuzzprof out.jsonl
+//	symbfuzz -bench aes -trace out.jsonl -prof   # then: fuzzreport out.jsonl
 //
 // Distributed campaigns run one coordinator and N workers. -serve is a
 // fleet coordinator hosting one implicit campaign, so it also answers
@@ -98,7 +98,7 @@ func main() {
 		metricOut = flag.String("metrics", "", "write the final metrics/status snapshot JSON to this file")
 		statusOn  = flag.String("status", "", "serve the live status+pprof endpoint on this address (e.g. :6060)")
 		reportOut = flag.String("report-out", "", "write the final (merged) report JSON to this file")
-		profOn    = flag.Bool("prof", false, "profile the simulator: per-process eval counts ride the -trace file, whose cost ledger fuzzprof renders")
+		profOn    = flag.Bool("prof", false, "profile the simulator: per-process eval counts ride the -trace file, whose cost ledger fuzzreport renders")
 
 		serveOn  = flag.String("serve", "", "run as distributed-campaign coordinator on this address (e.g. :7070)")
 		connect  = flag.String("connect", "", "run as distributed-campaign worker against this coordinator")

@@ -92,7 +92,7 @@ type Config struct {
 	Obs *obs.Observer
 	// SimProfile counts every IR process evaluation (sampling the wall
 	// time of every 64th on Obs's clock) and puts the per-process
-	// entries on the lane's campaign_end, where obs.BuildCostLedger
+	// entries on the lane's campaign_end, where obs.BuildCampaignReport
 	// finds them. Strictly observational: the trajectory and the report
 	// are the same either way.
 	SimProfile bool

@@ -357,10 +357,11 @@ func canonicalLedger(t *testing.T, trace []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := obs.BuildCostLedger(events)
+	rep, err := obs.BuildCampaignReport(events)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := rep.Ledger
 	if l.Workers != 2 || l.Totals.Evals == 0 || l.Totals.Dispatches == 0 {
 		t.Fatalf("want 2 profiled ranks with sim evals and solver dispatches, got %d ranks, totals %+v", l.Workers, l.Totals)
 	}

@@ -58,7 +58,7 @@ import (
 // /v1/batch is the only publish path. v5 removed the rank cost ledger
 // from /v1/report: a profiled rank's simulator profile rides its lane's
 // campaign_end event instead, and the solver ledger is derived from
-// the lane's spans (obs.BuildCostLedger). v6 removed the /v1/cache
+// the lane's spans (obs.BuildCampaignReport). v6 removed the /v1/cache
 // lookup (ranks keep their plan caches local), and a batched store now
 // carries only the key and solve statistics the coordinator meters.
 // Batches and reports no longer carry the rank's unread trace context;

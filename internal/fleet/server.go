@@ -153,8 +153,8 @@ type CampaignStatus struct {
 	BudgetStop  bool  `json:"budget_stop,omitempty"`
 }
 
-// FleetStatus is the GET /v1/fleet rollup: everything fuzzreport's
-// fleet page and fuzzctl's list view need in one response.
+// FleetStatus is the GET /v1/fleet rollup: everything `fuzzreport
+// -fleet` and fuzzctl's list view need in one response.
 type FleetStatus struct {
 	Campaigns []CampaignStatus `json:"campaigns"`
 	UptimeNS  int64            `json:"uptime_ns"`

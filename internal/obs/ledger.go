@@ -92,7 +92,7 @@ type LedgerTotals struct {
 
 // CostLedger attributes a campaign's simulator and solver effort to
 // design constructs: IR processes and (graph, edge) CFG targets. It is
-// a pure function of the trace (BuildCostLedger), so the canonical
+// a pure function of the trace (BuildCampaignReport), so the canonical
 // ledger of a fixed seed is byte-identical across runs, worker counts
 // and the in-process vs. distributed orchestrators.
 type CostLedger struct {
@@ -102,11 +102,16 @@ type CostLedger struct {
 	Totals  LedgerTotals `json:"totals"`
 }
 
-// BuildCostLedger checks a parsed trace's schema (ValidateEvents) and
-// derives its cost ledger. A rank is a lane that closed with
-// campaign_end: lane 0 for a single-engine trace, otherwise each
-// worker lane w as rank w-1 (the campaign-level lane 0 runs no
-// engine). Per rank, in the lane's emit order:
+// laneFold is one trace lane's solver ledger, folded in emit order.
+type laneFold struct {
+	led     RankLedger
+	targets map[[2]int]*SolverEntry
+	cum     CostPoint
+	closed  bool // the lane emitted campaign_end
+}
+
+// foldLanes folds every lane of a trace into its solver ledger, keyed
+// by worker ID. Per lane, in emit order:
 //   - every solve span counts against its (graph, edge) and adds one
 //     cumulative curve point; a cache hit counts the origin solve's
 //     replayed clauses and conflicts but none of its wall time;
@@ -114,22 +119,15 @@ type CostLedger struct {
 //     (graph, edge) — which rank solved a shared key first is a
 //     scheduling artifact — and to the last curve point;
 //   - the lane's campaign_end supplies the simulator entries.
-func BuildCostLedger(events []Event) (*CostLedger, error) {
-	if _, err := ValidateEvents(events); err != nil {
-		return nil, err
-	}
-	type lane struct {
-		led     RankLedger
-		targets map[[2]int]*SolverEntry
-		cum     CostPoint
-		closed  bool
-	}
-	lanes := map[int]*lane{}
+//
+// Each lane's Solver rows come out ordered by (graph, edge).
+func foldLanes(events []Event) map[int]*laneFold {
+	lanes := map[int]*laneFold{}
 	for i := range events {
 		ev := &events[i]
 		ln := lanes[ev.Worker]
 		if ln == nil {
-			ln = &lane{targets: map[[2]int]*SolverEntry{}}
+			ln = &laneFold{targets: map[[2]int]*SolverEntry{}}
 			lanes[ev.Worker] = ln
 		}
 		target := func() *SolverEntry {
@@ -184,7 +182,20 @@ func BuildCostLedger(events []Event) (*CostLedger, error) {
 			}
 		}
 	}
+	for _, ln := range lanes {
+		for _, t := range ln.targets {
+			ln.led.Solver = append(ln.led.Solver, *t)
+		}
+		sortTargets(ln.led.Solver)
+	}
+	return lanes
+}
 
+// newCostLedger picks the ranks out of the folded lanes. A rank is a
+// lane that closed with campaign_end: lane 0 for a single-engine trace,
+// otherwise each worker lane w as rank w-1 (the campaign-level lane 0
+// runs no engine).
+func newCostLedger(lanes map[int]*laneFold) *CostLedger {
 	ids := make([]int, 0, len(lanes))
 	for w, ln := range lanes {
 		if ln.closed && w > 0 {
@@ -197,25 +208,62 @@ func BuildCostLedger(events []Event) (*CostLedger, error) {
 	sort.Ints(ids)
 	l := &CostLedger{Schema: LedgerSchema}
 	for _, w := range ids {
-		ln := lanes[w]
-		ln.led.Rank = max(w-1, 0)
-		keys := make([][2]int, 0, len(ln.targets))
-		for k := range ln.targets {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
-		for _, k := range keys {
-			ln.led.Solver = append(ln.led.Solver, *ln.targets[k])
-		}
-		l.add(ln.led)
+		led := lanes[w].led
+		led.Rank = max(w-1, 0)
+		l.add(led)
 	}
-	return l, nil
+	return l
 }
+
+// sortTargets orders solver rows by (graph, edge).
+func sortTargets(rows []SolverEntry) {
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Graph != rows[j].Graph {
+			return rows[i].Graph < rows[j].Graph
+		}
+		return rows[i].Edge < rows[j].Edge
+	})
+}
+
+// mergeTargets folds per-rank solver rows into campaign-wide
+// per-target rows, ordered by (graph, edge).
+func mergeTargets(ranks []RankLedger) []SolverEntry {
+	byKey := map[[2]int]int{} // (graph, edge) → index in out
+	var out []SolverEntry
+	for _, r := range ranks {
+		for _, s := range r.Solver {
+			k := [2]int{s.Graph, s.Edge}
+			i, ok := byKey[k]
+			if !ok {
+				i = len(out)
+				byKey[k] = i
+				out = append(out, SolverEntry{Graph: s.Graph, Edge: s.Edge})
+			}
+			e := &out[i]
+			e.Dispatches += s.Dispatches
+			e.Sat += s.Sat
+			e.Unsat += s.Unsat
+			e.CacheLookups += s.CacheLookups
+			e.Clauses += s.Clauses
+			e.Conflicts += s.Conflicts
+			e.Restarts += s.Restarts
+			e.SlicedVars += s.SlicedVars
+			e.Infeasible += s.Infeasible
+			e.Unlocked += s.Unlocked
+			e.CacheHits += s.CacheHits
+			e.CacheMisses += s.CacheMisses
+			e.BlastNS += s.BlastNS
+			e.SolveNS += s.SolveNS
+		}
+	}
+	sortTargets(out)
+	return out
+}
+
+// Targets returns the ledger's campaign-wide per-target solver rows:
+// every rank's rows for one (graph, edge) summed, ordered by (graph,
+// edge).
+func (l *CostLedger) Targets() []SolverEntry { return mergeTargets(l.Ranks) }
 
 // add appends one rank ledger and folds it into the totals.
 func (l *CostLedger) add(r RankLedger) {

@@ -84,13 +84,19 @@ func runTraced(t *testing.T, bench string, workers int, cc core.Config) (*core.R
 	return rep, events
 }
 
-func canonicalLedger(t *testing.T, events []obs.Event) []byte {
+// ledgerOf digests a trace and returns its cost ledger.
+func ledgerOf(t *testing.T, events []obs.Event) *obs.CostLedger {
 	t.Helper()
-	l, err := obs.BuildCostLedger(events)
+	rep, err := obs.BuildCampaignReport(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := l.Canonical().MarshalIndent()
+	return rep.Ledger
+}
+
+func canonicalLedger(t *testing.T, events []obs.Event) []byte {
+	t.Helper()
+	out, err := ledgerOf(t, events).Canonical().MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +144,7 @@ func TestLedgerDeterminism(t *testing.T) {
 		t.Fatalf("canonical ledger differs across identical campaigns:\n%s\nvs\n%s", c1, c2)
 	}
 
-	l, err := obs.BuildCostLedger(e1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := ledgerOf(t, e1)
 	if l.Totals.Evals == 0 {
 		t.Error("no simulator evals attributed")
 	}
@@ -192,10 +195,7 @@ func TestParallelLedgerDeterminism(t *testing.T) {
 	if !bytes.Equal(c1, c2) {
 		t.Fatalf("2-worker canonical ledger not deterministic:\n%s\nvs\n%s", c1, c2)
 	}
-	l, err := obs.BuildCostLedger(e1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := ledgerOf(t, e1)
 	if len(l.Ranks) != 2 || l.Ranks[0].Rank != 0 || l.Ranks[1].Rank != 1 {
 		t.Fatalf("want ranks [0 1], got %+v", l.Ranks)
 	}
@@ -235,10 +235,7 @@ func TestProfilingIsTrajectoryNeutral(t *testing.T) {
 		if p, n := normalizeReport(t, profiled), normalizeReport(t, plain); !bytes.Equal(p, n) {
 			t.Fatalf("%d worker(s): profiling changed the campaign report:\nprofiled: %s\nplain:    %s", workers, p, n)
 		}
-		l, err := obs.BuildCostLedger(events)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := ledgerOf(t, events)
 		if l.Totals.Evals != 0 {
 			t.Errorf("%d worker(s): unprofiled trace carries %d sim evals", workers, l.Totals.Evals)
 		}

@@ -23,13 +23,15 @@ func frame(worker int, sim []SimEntry, evs ...Event) []Event {
 	return append(out, Event{Type: EvCampaignEnd, Worker: worker, Sim: sim})
 }
 
+// mustLedger folds a schema-valid trace into its cost ledger. The
+// spans here carry no IDs, so the fold runs without BuildCampaignReport's
+// span check.
 func mustLedger(t *testing.T, events []Event) *CostLedger {
 	t.Helper()
-	l, err := BuildCostLedger(events)
-	if err != nil {
+	if _, err := ValidateEvents(events); err != nil {
 		t.Fatal(err)
 	}
-	return l
+	return newCostLedger(foldLanes(events))
 }
 
 // TestSolverLedgerAccumulation checks the per-target arithmetic: the
@@ -136,7 +138,7 @@ func TestLedgerRanksFromLanes(t *testing.T) {
 		t.Fatalf("single-engine trace must be rank 0: %+v", solo.Ranks)
 	}
 
-	if _, err := BuildCostLedger(events[2:]); err == nil {
+	if _, err := BuildCampaignReport(events[2:]); err == nil {
 		t.Error("a trace that does not open with campaign_start must be rejected")
 	}
 }

@@ -86,10 +86,15 @@ type CampaignReport struct {
 	Lanes     []LaneBreakdown       `json:"lanes"`
 	Slicing   SlicingSummary        `json:"slicing"`
 	Chain     *CausalChain          `json:"chain,omitempty"`
+	// Ledger attributes the campaign's simulator and solver effort to
+	// design constructs, rank by rank.
+	Ledger *CostLedger `json:"ledger"`
 }
 
-// BuildCampaignReport checks a parsed trace's schema (ValidateEvents)
-// and spans (ValidateSpans) and digests it into a CampaignReport.
+// BuildCampaignReport is the one digest of a campaign trace. It checks
+// the parsed trace's schema (ValidateEvents) and spans (ValidateSpans),
+// folds every lane's solver ledger once, and derives from that fold the
+// cost ledger and the Unsolved and Lanes tables.
 func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 	sum, err := ValidateEvents(events)
 	if err != nil {
@@ -97,25 +102,13 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 	}
 	spanSum, err := ValidateSpans(events)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("span integrity: %w", err)
 	}
-	r := &CampaignReport{Schema: ReportSchema, Summary: *sum, Spans: *spanSum, Curves: map[int][]CurveSample{}}
+	lanes := foldLanes(events)
+	r := &CampaignReport{Schema: ReportSchema, Summary: *sum, Spans: *spanSum,
+		Curves: map[int][]CurveSample{}, Ledger: newCostLedger(lanes)}
 
 	solves := map[string]*SolveRecord{}
-	lanes := map[int]*LaneBreakdown{}
-	type target struct{ graph, edge int }
-	attempts := map[target]*UnsolvedTarget{}
-	satTargets := map[target]bool{}
-
-	lane := func(w int) *LaneBreakdown {
-		lb, ok := lanes[w]
-		if !ok {
-			lb = &LaneBreakdown{Lane: w}
-			lanes[w] = lb
-		}
-		return lb
-	}
-
 	for i := range events {
 		ev := &events[i]
 		switch {
@@ -133,35 +126,6 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 				SolveNS:    ev.BlastNS + ev.SolveNS,
 				SlicedVars: ev.SlicedVars, Infeasible: ev.Infeasible,
 			}
-			lb := lane(ev.Worker)
-			lb.Solves++
-			if ev.Outcome == "sat" {
-				lb.Sat++
-			}
-			if ev.Cache == "hit" {
-				lb.CacheHits++
-			} else {
-				// Hits replay canonical stats; only live solves and
-				// stored misses cost this lane wall time.
-				lb.BlastNS += ev.BlastNS
-				lb.CDCLNS += ev.SolveNS
-			}
-			tg := target{ev.Graph, ev.Edge}
-			at, ok := attempts[tg]
-			if !ok {
-				at = &UnsolvedTarget{Graph: ev.Graph, Edge: ev.Edge}
-				attempts[tg] = at
-			}
-			at.Attempts++
-			at.Conflicts += ev.Conflicts
-			if ev.Infeasible {
-				at.Infeasible++
-			}
-			if ev.Outcome == "sat" {
-				satTargets[tg] = true
-			}
-		case ev.Type == EvSpan && ev.Kind == SpanPlanApply:
-			lane(ev.Worker).Plans++
 		}
 	}
 
@@ -169,12 +133,14 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 	// local solve, or — when the plan was a cache hit with a resolvable
 	// origin (the apply carries its solve's cache attribution) — to the
 	// originating solve, crediting the rank that actually paid for the
-	// CDCL run.
+	// CDCL run. The same pass counts each lane's applied plans.
+	plans := map[int]int{}
 	for i := range events {
 		ev := &events[i]
 		if ev.Type != EvSpan || ev.Kind != SpanPlanApply {
 			continue
 		}
+		plans[ev.Worker]++
 		credit := solves[ev.Parent]
 		if credit == nil {
 			continue
@@ -206,23 +172,34 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 		r.TopSolves = append(r.TopSolves, *sv)
 	}
 
-	// Unsolved targets: dispatched but never sat.
-	for tg, at := range attempts {
-		if !satTargets[tg] {
-			r.Unsolved = append(r.Unsolved, *at)
+	// Per-lane solver time and the unsolved targets are views of every
+	// lane's ledger rows, numbered by worker ID.
+	ids := make([]int, 0, len(lanes))
+	for w := range lanes {
+		ids = append(ids, w)
+	}
+	sort.Ints(ids)
+	rows := make([]RankLedger, 0, len(ids))
+	for _, w := range ids {
+		lb := LaneBreakdown{Lane: w, Plans: plans[w]}
+		for _, t := range lanes[w].led.Solver {
+			lb.Solves += int(t.Dispatches)
+			lb.Sat += int(t.Sat)
+			lb.CacheHits += int(t.CacheHits)
+			lb.BlastNS += t.BlastNS
+			lb.CDCLNS += t.SolveNS
+		}
+		if lb.Solves > 0 || lb.Plans > 0 {
+			r.Lanes = append(r.Lanes, lb)
+		}
+		rows = append(rows, lanes[w].led)
+	}
+	for _, t := range mergeTargets(rows) {
+		if t.Dispatches > 0 && t.Sat == 0 {
+			r.Unsolved = append(r.Unsolved, UnsolvedTarget{Graph: t.Graph, Edge: t.Edge,
+				Attempts: int(t.Dispatches), Conflicts: t.Conflicts, Infeasible: int(t.Infeasible)})
 		}
 	}
-	sort.Slice(r.Unsolved, func(i, j int) bool {
-		if r.Unsolved[i].Graph != r.Unsolved[j].Graph {
-			return r.Unsolved[i].Graph < r.Unsolved[j].Graph
-		}
-		return r.Unsolved[i].Edge < r.Unsolved[j].Edge
-	})
-
-	for _, lb := range lanes {
-		r.Lanes = append(r.Lanes, *lb)
-	}
-	sort.Slice(r.Lanes, func(i, j int) bool { return r.Lanes[i].Lane < r.Lanes[j].Lane })
 
 	r.Chain, _ = FindCrossRankChain(events)
 	return r, nil

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -154,4 +157,51 @@ func TestRenderTextReport(t *testing.T) {
 			t.Errorf("text report missing %q in:\n%s", want, out)
 		}
 	}
+}
+
+// FuzzTraceReport feeds arbitrary bytes through the whole trace digest.
+// A trace file is input from outside the program: every input must
+// either render or be rejected with an error, never panic.
+func FuzzTraceReport(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("..", "..", "cmd", "fuzzreport", "testdata", "trace.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	miss := solve(1, 0, 7, "sat", 100, 9, "miss")
+	miss.Span, miss.Parent = "w1.i0.s1", "w1.i0"
+	plan := apply(1, 0, 7, 3)
+	plan.Span, plan.Parent = "w1.i0.s2", "w1.i0.s1"
+	for _, events := range [][]Event{
+		reportFixture(),
+		frame(1, []SimEntry{{Proc: "u.p0", Kind: "comb", Level: 1, Evals: 9}},
+			spanEv("w1", "", SpanCampaign, 1), spanEv("w1.i0", "w1", SpanInterval, 1), miss, plan),
+	} {
+		var buf bytes.Buffer
+		tr := NewJSONLTracer(&buf)
+		for i := range events {
+			tr.Emit(&events[i])
+		}
+		if err := tr.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadEvents(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		r, err := BuildCampaignReport(events)
+		if err != nil {
+			return
+		}
+		RenderText(io.Discard, r)
+		if err := RenderHTML(io.Discard, r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Ledger.Canonical().MarshalIndent(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

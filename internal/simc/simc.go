@@ -197,7 +197,7 @@ func (m *Machine) sigView(sig int) *pval { return m.views[sig] }
 
 // EnableProfile turns on per-process evaluation counting (see
 // sim.Simulator.EnableProfile; identical semantics and attribution
-// keys, so fuzzprof ledgers are backend-independent).
+// keys, so trace cost ledgers are backend-independent).
 func (m *Machine) EnableProfile(clock func() int64, sampleEvery uint64) {
 	m.profEvals = make([]uint64, len(m.d.Procs))
 	m.profNS = make([]int64, len(m.d.Procs))
